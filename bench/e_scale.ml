@@ -167,7 +167,7 @@ let check_divergence ~structure results =
 
 (* Scheduler-throughput baseline: a contended shared-counter workload
    driven straight through Sim.run, no reclamation — measures the indexed
-   ready-set / pairing-heap scheduler core itself. *)
+   ready-set / min-heap scheduler core itself. *)
 let sched_baseline () =
   let n = 256 in
   let machine = Machine.Config.scale ~contexts:n in

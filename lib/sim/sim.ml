@@ -53,13 +53,15 @@ let () =
     | _ -> None)
 
 type _ Effect.t +=
-  | Yield : int -> unit Effect.t  (* charge this many cycles *)
+  | Yield : unit Effect.t
+      (* charge the cycles the hook left in the run's [charge] cell; a
+         constant effect, so yielding allocates no effect value *)
   | Stall : int -> unit Effect.t  (* park for this many cycles *)
 
 (* What a fiber slice produced when control returned to the scheduler.  The
    continuation to resume later rides along inside the outcome. *)
 type outcome =
-  | Yielded of int * (unit, outcome) continuation
+  | Yielded of (unit, outcome) continuation
   | Stalled of int * (unit, outcome) continuation
   | Finished
   | Crash_exit
@@ -78,12 +80,15 @@ type core = {
   runq : int Queue.t;
   mutable quantum_left : int;
   mutable switches : int;
-  mutable wakes : Pheap.t;
+  wakes : Int_heap.t;
       (* (wake_at, pid) of every Stall on this core, lazily deleted: an
          entry is stale once the process stalled again (its wake_at moved),
          finished, or died.  Gives the all-asleep clock jump its earliest
          wake time in O(log queue) instead of a queue fold. *)
 }
+
+(* The handler's answer to every [Yield], built once. *)
+let yielded = Some (fun k -> Yielded k)
 
 let handler : (unit, outcome) Effect.Deep.handler =
   {
@@ -94,10 +99,10 @@ let handler : (unit, outcome) Effect.Deep.handler =
         | Runtime.Ctx.Crashed -> Crash_exit
         | e -> Failed (e, Printexc.get_raw_backtrace ()));
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) :
+           ((a, outcome) continuation -> outcome) option ->
         match eff with
-        | Yield c ->
-            Some (fun (k : (a, outcome) continuation) -> Yielded (c, k))
+        | Yield -> yielded
         | Stall c ->
             Some (fun (k : (a, outcome) continuation) -> Stalled (c, k))
         | _ -> None);
@@ -130,7 +135,7 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
           runq = Queue.create ();
           quantum_left = machine.Machine.Config.quantum;
           switches = 0;
-          wakes = Pheap.empty;
+          wakes = Int_heap.create ();
         })
   in
   let core_of pid = pid mod ncores in
@@ -162,6 +167,7 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
   (* Install simulator hooks. *)
   let saved_hooks = Array.map (fun c -> c.Ctx.hook) group.Group.ctxs in
   let last_line = Array.make n (-1) in
+  let charge = ref 0 in
   let install pid =
     let ctx = Group.ctx group pid in
     let context = core_of pid in
@@ -173,8 +179,8 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
       (fun c ~line kind ->
         prev c ~line kind;
         last_line.(pid) <- line;
-        let cost = Machine.Cache.access cache ~context kind ~line in
-        perform (Yield cost));
+        charge := Machine.Cache.access cache ~context kind ~line;
+        perform Yield);
     ctx.Ctx.now_impl <- (fun () -> cores.(context).time);
     ctx.Ctx.stall_impl <- (fun cycles -> perform (Stall cycles))
   in
@@ -236,30 +242,34 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
     | `Random_walk seed -> Some (Random.State.make [| seed; 0x51D |])
     | `Min_time | `Systematic _ -> None
   in
-  (* Minimum-time selection: a pairing heap keyed (core clock, core index)
+  (* Minimum-time selection: a binary heap keyed (core clock, core index)
      with lazy deletion.  Entries go stale when a core's clock advances or
      its queue empties; the skim discards them at the top.  The invariant —
      every ready core has an entry carrying its current clock — is restored
      after each step by the push in the main loop, and lexicographic order
      reproduces the old linear scan's lowest-index-wins tie-break. *)
   let use_heap = match policy with `Min_time -> true | _ -> false in
-  let coreheap = ref Pheap.empty in
+  let coreheap = Int_heap.create () in
   if use_heap then begin
     let c = ref rnext.(ncores) in
     while !c <> ncores do
-      coreheap := Pheap.insert 0 !c !coreheap;
+      Int_heap.push coreheap 0 !c;
       c := rnext.(!c)
     done
   end;
   let rec pick_min_time () =
-    match Pheap.find_min !coreheap with
-    | None -> -1
-    | Some (t, c) ->
-        if Queue.is_empty cores.(c).runq || cores.(c).time <> t then begin
-          coreheap := Pheap.delete_min !coreheap;
-          pick_min_time ()
-        end
-        else c
+    if Int_heap.is_empty coreheap then -1
+    else begin
+      let c = Int_heap.min_value coreheap in
+      if
+        Queue.is_empty cores.(c).runq
+        || cores.(c).time <> Int_heap.min_key coreheap
+      then begin
+        Int_heap.pop_min coreheap;
+        pick_min_time ()
+      end
+      else c
+    end
   in
   let pick_core () =
     match policy with
@@ -330,19 +340,20 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
            below the current clock cannot exist here: its process would be
            runnable, contradicting the all-asleep branch. *)
         let rec min_wake () =
-          match Pheap.find_min core.wakes with
-          | None ->
-              (* Defensive fallback; unreachable while the push-on-stall
-                 invariant holds. *)
-              Queue.fold (fun acc pid -> min acc procs.(pid).wake_at) max_int
-                core.runq
-          | Some (t, pid) -> (
-              let p = procs.(pid) in
-              match p.st with
-              | (Fresh _ | Ready _) when p.wake_at = t -> t
-              | _ ->
-                  core.wakes <- Pheap.delete_min core.wakes;
-                  min_wake ())
+          if Int_heap.is_empty core.wakes then
+            (* Defensive fallback; unreachable while the push-on-stall
+               invariant holds. *)
+            Queue.fold (fun acc pid -> min acc procs.(pid).wake_at) max_int
+              core.runq
+          else begin
+            let t = Int_heap.min_key core.wakes in
+            let p = procs.(Int_heap.min_value core.wakes) in
+            match p.st with
+            | (Fresh _ | Ready _) when p.wake_at = t -> t
+            | _ ->
+                Int_heap.pop_min core.wakes;
+                min_wake ()
+          end
         in
         core.time <- max core.time (min_wake ());
         false
@@ -414,7 +425,8 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
             | Done | Dead -> raise (diagnose "scheduled a finished process")
           in
           match outcome with
-          | Yielded (cost, k) ->
+          | Yielded k ->
+              let cost = !charge in
               p.st <- Ready k;
               core.time <- core.time + cost;
               core.quantum_left <- core.quantum_left - cost;
@@ -422,7 +434,7 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
           | Stalled (cycles, k) ->
               p.st <- Ready k;
               p.wake_at <- core.time + cycles;
-              core.wakes <- Pheap.insert p.wake_at p.pid core.wakes;
+              Int_heap.push core.wakes p.wake_at p.pid;
               rotate core
           | Finished -> finish_front core p ~dead:false
           | Crash_exit -> finish_front core p ~dead:true
@@ -434,7 +446,7 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
           jumped), so if its clock moved and it is still ready, give it a
           fresh entry.  The superseded entry is discarded by a later skim. *)
        if use_heap && core.time <> t0 && not (Queue.is_empty core.runq) then
-         coreheap := Pheap.insert core.time c !coreheap
+         Int_heap.push coreheap core.time c
      done
    with e ->
      restore_hooks ();

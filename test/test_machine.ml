@@ -75,19 +75,6 @@ let test_l1_capacity_evicts () =
   Alcotest.(check int) "evicted to LLC" cfg2s.Machine.Config.llc_hit
     (Machine.Cache.access c ~context:0 Runtime.Ctx.Read ~line:0)
 
-let prop_bitset =
-  QCheck.Test.make ~name:"bitset agrees with reference set" ~count:300
-    QCheck.(list (int_bound 62))
-    (fun xs ->
-      let bs = Machine.Bitset.create 63 in
-      let module IS = Set.Make (Int) in
-      let reference = List.fold_left (fun acc x -> IS.add x acc) IS.empty xs in
-      List.iter (Machine.Bitset.set bs) xs;
-      let collected = ref IS.empty in
-      Machine.Bitset.iter (fun i -> collected := IS.add i !collected) bs;
-      IS.equal reference !collected
-      && Machine.Bitset.cardinal bs = IS.cardinal reference)
-
 let prop_costs_bounded =
   QCheck.Test.make ~name:"access costs stay within model bounds" ~count:100
     QCheck.(list (pair (int_bound 3) (pair (int_bound 3) (int_bound 15))))
@@ -120,6 +107,200 @@ let prop_repeat_read_is_l1 =
           Machine.Cache.access c ~context:0 Runtime.Ctx.Read ~line
           = cfg2s.Machine.Config.l1_hit)
         (List.filter (fun l -> l < cfg2s.Machine.Config.l1_lines) lines))
+
+(* Golden cost streams.  Seeded 200k-access streams — half Zipf(0.99) over
+   4096 hot lines, half uniform over 2^18 lines; 55% reads, 20% writes,
+   15% CAS, 5% fences, 5% local work — on four machines.  The pinned total
+   cost, stats counters and rolling hash of every per-access cost were
+   captured from the original list-and-Hashtbl cache model; any rewrite
+   must reproduce them exactly. *)
+
+let zipf_cdf n s =
+  let w = Array.init n (fun i -> 1. /. (float_of_int (i + 1) ** s)) in
+  let total = Array.fold_left ( +. ) 0. w in
+  let acc = ref 0. in
+  Array.map
+    (fun x ->
+      acc := !acc +. (x /. total);
+      !acc)
+    w
+
+let zipf rng cdf =
+  let u = Random.State.float rng 1. in
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if cdf.(mid) < u then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length cdf - 1)
+
+let golden_stream cfg ~seed ~n =
+  let c = Machine.Cache.create cfg in
+  let rng = Random.State.make [| seed |] in
+  let contexts = Machine.Config.contexts cfg in
+  let cdf = zipf_cdf 4096 0.99 in
+  let total = ref 0 and hash = ref 0 in
+  for _ = 1 to n do
+    let context = Random.State.int rng contexts in
+    let line =
+      if Random.State.bool rng then zipf rng cdf
+      else Random.State.int rng (1 lsl 18)
+    in
+    let kind : Runtime.Ctx.access_kind =
+      match Random.State.int rng 20 with
+      | k when k < 11 -> Read
+      | k when k < 15 -> Write
+      | k when k < 18 -> Cas
+      | 18 -> Fence
+      | _ -> Work (1 + Random.State.int rng 64)
+    in
+    let cost = Machine.Cache.access c ~context kind ~line in
+    total := !total + cost;
+    hash := ((!hash * 1_000_003) + cost) land 0xFFFF_FFFF_FFFF
+  done;
+  let st = Machine.Cache.stats c in
+  Machine.Cache.
+    (!total, st.l1_hits, st.llc_hits, st.mem_accesses, st.invalidations, !hash)
+
+let test_golden_streams () =
+  let open Machine.Config in
+  List.iter
+    (fun (name, seed, cfg, expected) ->
+      let total, l1, llc, mem, inv, hash = golden_stream cfg ~seed ~n:200_000 in
+      Alcotest.(check (list int))
+        (name ^ ": cost, l1/llc/mem hits, invalidations, hash")
+        [ total; l1; llc; mem; inv; hash ]
+        (let t, a, b, c, d, h = expected in
+         [ t; a; b; c; d; h ]))
+    [
+      ( "i7-4770", 1, intel_i7_4770,
+        (21118773, 16424, 84631, 78942, 25607, 0x6a5031bae593) );
+      ( "t4-1", 2, oracle_t4_1,
+        (60351372, 3032, 20960, 156144, 38412, 0x6992dd594ac2) );
+      ( "tiny-2", 3, tiny ~contexts:2 (),
+        (16598038, 9997, 14022, 155972, 3901, 0x1333101adc56) );
+      ( "scale-64", 4, scale ~contexts:64,
+        (60347732, 2955, 21162, 156064, 38601, 0xff88d8ba9280) );
+    ]
+
+(* The flat LRU against a reference recency list (most recent first). *)
+let prop_lru_reference =
+  let op =
+    QCheck.Gen.(
+      pair (int_bound 19) (int_bound 40) >|= fun (k, x) ->
+      if k < 12 then `Touch x
+      else if k < 15 then `Remove x
+      else if k < 17 then `Mem x
+      else if k < 19 then `Refresh x
+      else `Clear)
+  in
+  let show = function
+    | `Touch x -> Printf.sprintf "touch %d" x
+    | `Remove x -> Printf.sprintf "remove %d" x
+    | `Mem x -> Printf.sprintf "mem %d" x
+    | `Refresh x -> Printf.sprintf "refresh %d" x
+    | `Clear -> "clear"
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 16)
+        (oneofl [ 1; 64; 1 lsl 40; -3 ])
+        (list_size (0 -- 300) op))
+  in
+  QCheck.Test.make ~name:"flat LRU matches a reference recency list" ~count:500
+    (QCheck.make gen
+       ~print:(fun (cap, stride, ops) ->
+         Printf.sprintf "cap %d, stride %d: %s" cap stride
+           (String.concat "; " (List.map show ops))))
+    (fun (cap, stride, ops) ->
+      let evicted = ref [] and expected = ref [] in
+      let lru =
+        Machine.Lru.create ~cap ~on_evict:(fun l -> evicted := l :: !evicted)
+      in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | `Touch x ->
+                let l = x * stride in
+                Machine.Lru.touch lru l;
+                if List.mem l !model then
+                  model := l :: List.filter (( <> ) l) !model
+                else begin
+                  if List.length !model >= cap then begin
+                    let victim = List.nth !model (cap - 1) in
+                    expected := victim :: !expected;
+                    model := List.filter (( <> ) victim) !model
+                  end;
+                  model := l :: !model
+                end;
+                true
+            | `Remove x ->
+                let l = x * stride in
+                Machine.Lru.remove lru l;
+                model := List.filter (( <> ) l) !model;
+                true
+            | `Mem x ->
+                let l = x * stride in
+                Machine.Lru.mem lru l = List.mem l !model
+            | `Refresh x ->
+                let l = x * stride in
+                let cached = List.mem l !model in
+                if cached then model := l :: List.filter (( <> ) l) !model;
+                Machine.Lru.refresh lru l = cached
+            | `Clear ->
+                Machine.Lru.clear lru;
+                model := [];
+                true
+          in
+          agrees
+          && Machine.Lru.size lru = List.length !model
+          && !evicted = !expected
+          && List.for_all (Machine.Lru.mem lru) !model)
+        ops)
+
+(* A warmed cache allocates nothing per access, and creating the largest
+   E-scale machine costs less than the list-and-Hashtbl model did. *)
+let test_access_allocation () =
+  let cfg = Machine.Config.intel_i7_4770 in
+  let n = 100_000 in
+  let rng = Random.State.make [| 20_000 |] in
+  let contexts = Array.init n (fun _ -> Random.State.int rng 4) in
+  let lines = Array.init n (fun _ -> Random.State.int rng 20_000) in
+  let kinds =
+    Array.init n (fun _ : Runtime.Ctx.access_kind ->
+        match Random.State.int rng 4 with
+        | 0 | 1 -> Read
+        | 2 -> Write
+        | _ -> Cas)
+  in
+  let c = Machine.Cache.create cfg in
+  let pass () =
+    for i = 0 to n - 1 do
+      ignore
+        (Machine.Cache.access c ~context:contexts.(i) kinds.(i) ~line:lines.(i))
+    done
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let per_access = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per warmed access < 1" per_access)
+    true (per_access < 1.)
+
+let test_create_footprint () =
+  (* Bytes the list-and-Hashtbl model allocated for this machine. *)
+  let before = 37_944_275. in
+  let b0 = Gc.allocated_bytes () in
+  let c = Machine.Cache.create (Machine.Config.scale ~contexts:1024) in
+  let bytes = Gc.allocated_bytes () -. b0 in
+  ignore (Sys.opaque_identity c);
+  Alcotest.(check bool)
+    (Printf.sprintf "create scale-1024: %.0f bytes <= %.0f" bytes before)
+    true (bytes <= before)
 
 (* Simulator scheduling *)
 
@@ -237,7 +418,11 @@ let () =
             test_same_socket_llc_survives_write;
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
           Alcotest.test_case "l1 capacity" `Quick test_l1_capacity_evicts;
-          QCheck_alcotest.to_alcotest prop_bitset;
+          Alcotest.test_case "golden streams" `Quick test_golden_streams;
+          QCheck_alcotest.to_alcotest prop_lru_reference;
+          Alcotest.test_case "warmed access allocates nothing" `Quick
+            test_access_allocation;
+          Alcotest.test_case "create footprint" `Quick test_create_footprint;
         ] );
       ( "sim",
         [
