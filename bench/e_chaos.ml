@@ -227,20 +227,20 @@ let run ~scale =
             (trial ~structure:"bst" ~runner ~fault:`Crash ~seed
                ~expect_oom:false ~limbo_check ~budget:(-1) ()))
         [
-          (B2_ebr.runner "ebr", `Unbounded);
-          (B2_qsbr.runner "qsbr", `Unbounded);
-          (B2_debra.runner "debra", `Unbounded);
-          (B2_debra_plus.runner "debra+", `Bounded);
+          (runner ~ds:"bst" "ebr", `Unbounded);
+          (runner ~ds:"bst" "qsbr", `Unbounded);
+          (runner ~ds:"bst" "debra", `Unbounded);
+          (runner ~ds:"bst" "debra+", `Bounded);
           (* Per-record schemes: a crash leaks at most k records; limbo
              stays bounded by their ordinary thresholds. *)
-          (B2_hp.runner "hp", `Bounded);
-          (B2_rc.runner "rc", `Bounded);
+          (runner ~ds:"bst" "hp", `Bounded);
+          (runner ~ds:"bst" "rc", `Bounded);
           (* Next-generation reclaimers: VBR frees full blocks eagerly on
              retire (a corpse pins nothing — versions, not grace periods,
              protect readers), and Hyaline discounts crashed processes
              when sealing batches, so both stay within the bound. *)
-          (B2_vbr.runner "vbr", `Bounded);
-          (B2_hyaline.runner "hyaline", `Bounded);
+          (runner ~ds:"bst" "vbr", `Bounded);
+          (runner ~ds:"bst" "hyaline", `Bounded);
         ];
       (* Same story on the list structure, for the schemes where the
          contrast matters. *)
@@ -249,27 +249,21 @@ let run ~scale =
           ignore
             (trial ~structure:"list" ~runner ~fault:`Crash ~seed
                ~expect_oom:false ~limbo_check ~budget:(-1) ()))
-        (match List.assoc_opt ("list", "exp2") Workload.Schemes.by_name with
-        | None -> []
-        | Some rs ->
-            List.filter_map
-              (fun (r : runner) ->
-                match r.rname with
-                (* The list's op rate at this scale retires too few records
-                   to judge limbo shape; these trials check crash-safety
-                   (invariants, sanitizer, survivors finishing) on a second
-                   structure.  DEBRA+'s bound is still asserted. *)
-                | "debra" -> Some (r, `Ignore)
-                | "debra+" -> Some (r, `Bounded)
-                | _ -> None)
-              rs);
+        (* The list's op rate at this scale retires too few records to
+           judge limbo shape; these trials check crash-safety (invariants,
+           sanitizer, survivors finishing) on a second structure.  DEBRA+'s
+           bound is still asserted. *)
+        [
+          (runner ~ds:"list" "debra", `Ignore);
+          (runner ~ds:"list" "debra+", `Bounded);
+        ];
       (* DEBRA+-specific fault kinds: die inside the signal handler, die
          right after neutralizing, and unreliable signal delivery. *)
       List.iter
         (fun fault ->
           ignore
             (trial ~structure:"bst"
-               ~runner:(B2_debra_plus.runner "debra+")
+               ~runner:(runner ~ds:"bst" "debra+")
                ~fault ~seed ~expect_oom:false ~limbo_check:`Bounded
                ~budget:(-1) ()))
         [ `Crash_in_handler; `Crash_neutralizer; `Drop; `Delay ])
@@ -296,15 +290,15 @@ let run ~scale =
                ~fault:(`Oom oom_headroom) ~seed ~expect_oom
                ~limbo_check:`Ignore ~budget:(-1) ()))
         [
-          (B1_none.runner "none", true);
-          (B2_debra.runner "debra", false);
-          (B2_debra_plus.runner "debra+", false);
-          (B2_hp.runner "hp", false);
+          (runner ~ds:"bst" "none", true);
+          (runner ~ds:"bst" "debra", false);
+          (runner ~ds:"bst" "debra+", false);
+          (runner ~ds:"bst" "hp", false);
           (* VBR's retire frees blocks immediately and Hyaline's batches
              drain at session boundaries: both keep inventory recyclable
              and must complete within the same headroom. *)
-          (B2_vbr.runner "vbr", false);
-          (B2_hyaline.runner "hyaline", false);
+          (runner ~ds:"bst" "vbr", false);
+          (runner ~ds:"bst" "hyaline", false);
         ])
     seeds;
   let verdicts = List.rev !verdicts in

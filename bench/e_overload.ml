@@ -28,8 +28,6 @@
     On the simulator one cell is run twice and its JSON rows must be
     byte-identical (the whole campaign replays from the seed). *)
 
-open Common
-
 (* Set by bench/main.ml: --chaos-seed replays one seed; --overload-requests
    and --overload-schemes shrink the sweep (the CI smoke job). *)
 let replay_seed : int option ref = ref None
@@ -359,16 +357,6 @@ module Make_cell (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     (json, Some (verdict, deg_text))
 end
 
-module Cell_none = Make_cell (RM1_none)
-module Cell_ebr = Make_cell (RM2_ebr)
-module Cell_qsbr = Make_cell (RM2_qsbr)
-module Cell_debra = Make_cell (RM2_debra)
-module Cell_debra_plus = Make_cell (RM2_debra_plus)
-module Cell_hp = Make_cell (RM2_hp)
-module Cell_rc = Make_cell (RM2_rc)
-module Cell_ts = Make_cell (RM2_ts)
-module Cell_st = Make_cell (RM2_st)
-
 type cell_run =
   sname:string ->
   structure:string ->
@@ -378,18 +366,24 @@ type cell_run =
   unit ->
   Telemetry.Json.t * (Resilience.Degradation.verdict * string) option
 
+(* (column label, scheme, expectation), in column order. *)
 let schemes : (string * cell_run * expectation) list =
-  [
-    ("none", Cell_none.run, Observe);
-    ("ebr", Cell_ebr.run, Must_degrade);
-    ("qsbr", Cell_qsbr.run, Must_degrade);
-    ("debra", Cell_debra.run, Must_degrade);
-    ("debra+", Cell_debra_plus.run, Must_pass);
-    ("hp", Cell_hp.run, Observe);
-    ("rc", Cell_rc.run, Observe);
-    ("ts", Cell_ts.run, Observe);
-    ("st", Cell_st.run, Observe);
-  ]
+  List.map
+    (fun (label, scheme, expect) ->
+      let module RM = (val Reclaim.Registry.(rm Exp2 (find scheme))) in
+      let module C = Make_cell (RM) in
+      (label, (C.run : cell_run), expect))
+    [
+      ("none", "none", Observe);
+      ("ebr", "ebr", Must_degrade);
+      ("qsbr", "qsbr", Must_degrade);
+      ("debra", "debra", Must_degrade);
+      ("debra+", "debra+", Must_pass);
+      ("hp", "hp", Observe);
+      ("rc", "rc", Observe);
+      ("ts", "threadscan", Observe);
+      ("st", "stacktrack", Observe);
+    ]
 
 let structures = [ "skiplist"; "bst" ]
 
@@ -516,27 +510,23 @@ let run ~scale =
   let cells = List.rev !cells in
   (* Deterministic-replay self-check: the DEBRA+/skiplist cell, run twice
      on the simulator, must produce byte-identical JSON. *)
-  (match backend with
-  | `Domains -> ()
-  | `Sim ->
-      if List.exists (fun (s, _, _) -> s = "debra+") selected then begin
-        let a, _ =
-          Cell_debra_plus.run ~sname:"debra+" ~structure:"skiplist" ~backend
-            ~requests ~seed ()
-        in
-        let b, _ =
-          Cell_debra_plus.run ~sname:"debra+" ~structure:"skiplist" ~backend
-            ~requests ~seed ()
-        in
-        let sa = Telemetry.Json.to_string a
-        and sb = Telemetry.Json.to_string b in
-        if not (String.equal sa sb) then begin
-          incr failures;
-          Printf.printf
-            "FAIL determinism: debra+/skiplist replay diverged\n%s\n%s\n" sa sb
-        end
-        else Printf.printf "determinism self-check: replay byte-identical\n"
-      end);
+  (match (backend, List.find_opt (fun (s, _, _) -> s = "debra+") selected) with
+  | `Domains, _ | `Sim, None -> ()
+  | `Sim, Some (_, run, _) ->
+      let a, _ =
+        run ~sname:"debra+" ~structure:"skiplist" ~backend ~requests ~seed ()
+      in
+      let b, _ =
+        run ~sname:"debra+" ~structure:"skiplist" ~backend ~requests ~seed ()
+      in
+      let sa = Telemetry.Json.to_string a
+      and sb = Telemetry.Json.to_string b in
+      if not (String.equal sa sb) then begin
+        incr failures;
+        Printf.printf
+          "FAIL determinism: debra+/skiplist replay diverged\n%s\n%s\n" sa sb
+      end
+      else Printf.printf "determinism self-check: replay byte-identical\n");
   (* Summary table. *)
   let pct_cell report pick =
     match report with

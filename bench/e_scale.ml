@@ -255,15 +255,12 @@ let run ~scale =
      amortize reclamation and should stay near-flat.\n";
   let bst =
     sweep ~scale ~structure:"bst"
-      [
-        B2_debra.runner "debra"; B2_debra_plus.runner "debra+";
-        B2_hp.runner "hp";
-      ]
+      (List.map (runner ~ds:"bst") [ "debra"; "debra+"; "hp" ])
   in
   check_divergence ~structure:"bst" bst;
   let sl =
     sweep ~scale ~structure:"skiplist"
-      [ S2_debra.runner "debra"; S2_hp.runner "hp" ]
+      (List.map (runner ~ds:"skiplist") [ "debra"; "hp" ])
   in
   check_divergence ~structure:"skiplist" sl;
   Printf.printf "\n  engine throughput baselines (wall-clock, host-side):\n";

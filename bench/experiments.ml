@@ -172,7 +172,9 @@ let base_cfg ?(machine = Machine.Config.intel_i7_4770)
 let mixes = [ (50, 50); (25, 25) ]
 
 (* Experiments 1-3 share the same six panels (Figs. 8 and 10). *)
-let throughput_experiment ~name ~note ~scale ~bst_runners ~sl_runners =
+let throughput_experiment ~name ~note ~scale variant =
+  let bst_runners = panel ~ds:"bst" variant
+  and sl_runners = panel ~ds:"skiplist" variant in
   Printf.printf "\n===== %s =====\n%s\n" name note;
   List.iter
     (fun (ins, del) ->
@@ -201,19 +203,19 @@ let exp1 ~scale =
     ~note:
       "Overhead of reclamation: schemes do all their work but records are \
        never reused (bump allocator, no pool)."
-    ~scale ~bst_runners:bst_runners_exp1 ~sl_runners:skiplist_runners_exp1
+    ~scale "exp1"
 
 let exp2 ~scale =
   throughput_experiment ~name:"Experiment 2 (Fig. 8 right)"
     ~note:"Records are reclaimed and reused through the DEBRA pool."
-    ~scale ~bst_runners:bst_runners_exp2 ~sl_runners:skiplist_runners_exp2
+    ~scale "exp2"
 
 let exp3 ~scale =
   throughput_experiment ~name:"Experiment 3 (Fig. 10)"
     ~note:
       "Same as Experiment 2, with a malloc-style allocator (uniform extra \
        cost per allocation) instead of the preallocating bump allocator."
-    ~scale ~bst_runners:bst_runners_exp3 ~sl_runners:skiplist_runners_exp3
+    ~scale "exp3"
 
 (* Fig. 9 (left): Experiment 2 on the 64-context NUMA machine model. *)
 let exp2_t4 ~scale =
@@ -227,7 +229,7 @@ let exp2_t4 ~scale =
           (Printf.sprintf
              "T4-1 / BST, key range [0,%d), %s (Mops/s, 8 sockets x 8)"
              scale.big_range (mix_name ins del))
-        ~runners:bst_runners_exp2 ~threads
+        ~runners:(panel ~ds:"bst" "exp2") ~threads
         ~cfg_of:(base_cfg ~machine ~scale ~range:scale.big_range ~ins ~del))
     mixes
 
@@ -245,7 +247,7 @@ let memfig ~scale =
      the paper's Linux testbed.\n"
     scale.small_range;
   let threads = [ 1; 2; 4; 8; 12; 16 ] in
-  let runners = bst_runners_exp2 in
+  let runners = panel ~ds:"bst" "exp2" in
   let machine =
     { Machine.Config.intel_i7_4770 with Machine.Config.quantum = 2_500_000 }
   in
@@ -310,7 +312,7 @@ let ablate ~scale =
         :: List.map
              (fun check_thresh ->
                let params = { p with Reclaim.Intf.Params.check_thresh } in
-               let o = (List.nth bst_runners_exp2 1).run (cfg_with params n) in
+               let o = (runner ~ds:"bst" "debra").run (cfg_with params n) in
                Workload.Report.fmt_mops o.Workload.Trial.mops)
              [ 1; 4; 16; 64 ])
       threads
@@ -328,7 +330,7 @@ let ablate ~scale =
         :: List.map
              (fun incr_thresh ->
                let params = { p with Reclaim.Intf.Params.incr_thresh } in
-               let o = (List.nth bst_runners_exp2 1).run (cfg_with params n) in
+               let o = (runner ~ds:"bst" "debra").run (cfg_with params n) in
                Workload.Report.fmt_mops o.Workload.Trial.mops)
              values)
       threads
@@ -346,7 +348,7 @@ let ablate ~scale =
         :: List.map
              (fun block_capacity ->
                let params = { p with Reclaim.Intf.Params.block_capacity } in
-               let o = (List.nth bst_runners_exp2 1).run (cfg_with params n) in
+               let o = (runner ~ds:"bst" "debra").run (cfg_with params n) in
                Workload.Report.fmt_mops o.Workload.Trial.mops)
              values)
       threads
@@ -369,7 +371,7 @@ let ablate ~scale =
               params;
             }
           in
-          (List.nth bst_runners_exp2 1).run cfg
+          (runner ~ds:"bst" "debra").run cfg
         in
         [
           string_of_int n;
@@ -388,16 +390,11 @@ let ablate ~scale =
   run_panel
     ~title:
       "Scheme zoo: every implemented reclaimer, BST 10^4 50i-50d (Mops/s)"
-    ~runners:bst_runners_zoo ~threads:scale.threads
+    ~runners:(panel ~ds:"bst" "zoo") ~threads:scale.threads
     ~cfg_of:(base_cfg ~scale ~range:scale.small_range ~ins:50 ~del:50);
   (* Classical EBR vs DEBRA: what "distributing" EBR buys. *)
   let runners =
-    [
-      B1_none.runner "none";
-      B2_ebr.runner "ebr";
-      B2_debra.runner "debra";
-      B2_debra_plus.runner "debra+";
-    ]
+    List.map (runner ~ds:"bst") [ "none"; "ebr"; "debra"; "debra+" ]
   in
   run_panel
     ~title:"Classical EBR vs DEBRA (shared bags + full scans vs distributed), BST 10^4 50i-50d (Mops/s)"

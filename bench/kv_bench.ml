@@ -23,8 +23,6 @@
     the two JSON rows differ by a byte: the whole campaign — arrivals,
     keys, interleaving, histograms — must replay exactly from the seed. *)
 
-open Common
-
 (* Set by bench/main.ml's kv flags. *)
 let shards = ref 4
 let structure = ref "skiplist"
@@ -291,24 +289,16 @@ module Make_runner (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     { scheme = sname; throughput_mops; served; verdicts; json }
 end
 
-module Kv_none = Make_runner (RM1_none)
-module Kv_ebr = Make_runner (RM2_ebr)
-module Kv_debra = Make_runner (RM2_debra)
-module Kv_debra_plus = Make_runner (RM2_debra_plus)
-module Kv_hp = Make_runner (RM2_hp)
-module Kv_vbr = Make_runner (RM2_vbr)
-module Kv_hyaline = Make_runner (RM2_hyaline)
+(* The campaign's columns, in order. *)
+let scheme_names = [ "none"; "ebr"; "debra"; "debra+"; "hp"; "vbr"; "hyaline" ]
 
 let schemes : (string * (sname:string -> cfg -> row)) list =
-  [
-    ("none", Kv_none.run);
-    ("ebr", Kv_ebr.run);
-    ("debra", Kv_debra.run);
-    ("debra+", Kv_debra_plus.run);
-    ("hp", Kv_hp.run);
-    ("vbr", Kv_vbr.run);
-    ("hyaline", Kv_hyaline.run);
-  ]
+  List.map
+    (fun s ->
+      let module RM = (val Reclaim.Registry.(rm Exp2 (find s))) in
+      let module R = Make_runner (RM) in
+      (s, R.run))
+    scheme_names
 
 let cfg_of_flags ~scale =
   let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt in

@@ -387,8 +387,9 @@ let kv_args =
       value & opt string ""
       & info [ "kv-schemes" ] ~docv:"LIST"
           ~doc:
-            "kv: comma-separated subset of schemes to run (default all: \
-             none,ebr,debra,debra+,hp,vbr,hyaline).")
+            ("kv: comma-separated subset of schemes to run (default all: "
+            ^ String.concat "," Kv_bench.scheme_names
+            ^ ")."))
   in
   Term.(
     const (fun a b c d e f g h i j k l -> (a, b, c, d, e, f, g, h, i, j, k, l))
@@ -410,8 +411,10 @@ let overload_args =
       value & opt string ""
       & info [ "overload-schemes" ] ~docv:"LIST"
           ~doc:
-            "e-overload: comma-separated subset of schemes to run (default \
-             all: none,ebr,qsbr,debra,debra+,hp,rc,ts,st).")
+            ("e-overload: comma-separated subset of schemes to run (default \
+              all: "
+            ^ String.concat "," (List.map (fun (s, _, _) -> s) E_overload.schemes)
+            ^ ")."))
   in
   Term.(const (fun a b -> (a, b)) $ requests $ schemes)
 

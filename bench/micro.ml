@@ -49,12 +49,6 @@ module Prim (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     [ quiesce; retire_cycle; protect ]
 end
 
-module P_debra = Prim (Common.RM2_debra)
-module P_debra_plus = Prim (Common.RM2_debra_plus)
-module P_hp = Prim (Common.RM2_hp)
-module P_ebr = Prim (Common.RM2_ebr)
-module P_none = Prim (Common.RM1_none)
-
 let benchmark tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
@@ -72,8 +66,14 @@ let run () =
   Printf.printf
     "\n===== Microbenchmarks (Bechamel, real execution, ns/op) =====\n%!";
   let tests =
-    P_none.tests "none" @ P_ebr.tests "ebr" @ P_debra.tests "debra"
-    @ P_debra_plus.tests "debra+" @ P_hp.tests "hp"
+    List.concat_map
+      (fun name ->
+        let module RM =
+          (val Reclaim.Registry.rm Exp2 (Reclaim.Registry.find name))
+        in
+        let module P = Prim (RM) in
+        P.tests name)
+      [ "none"; "ebr"; "debra"; "debra+"; "hp" ]
   in
   let results = benchmark tests in
   let rows = ref [] in

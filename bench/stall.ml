@@ -33,7 +33,7 @@ let nprocs = 8
 let limbo_bound ~n ~block_capacity = 3 * n * n * block_capacity
 
 let scheme_runners () =
-  [ B2_ebr.runner "ebr"; B2_debra.runner "debra"; B2_debra_plus.runner "debra+" ]
+  List.map (runner ~ds:"bst") [ "ebr"; "debra"; "debra+" ]
 
 let run ~scale =
   let duration = max (2 * scale.Experiments.duration) 2_400_000 in

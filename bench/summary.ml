@@ -62,8 +62,8 @@ let run ~scale =
       cells;
     (o_debra, o_debra_plus, s_debra_hp, s_dplus_hp)
   in
-  let e1 = summarize (grid bst_runners_exp1) in
-  let e2 = summarize (grid bst_runners_exp2) in
+  let e1 = summarize (grid (panel ~ds:"bst" "exp1")) in
+  let e2 = summarize (grid (panel ~ds:"bst" "exp2")) in
   (* Memory/neutralization at maximum oversubscription — same long-stall
      machine and trial length as the memory figure (Fig. 9 right). *)
   let mem_cfg =
@@ -76,8 +76,8 @@ let run ~scale =
     Experiments.base_cfg ~machine ~scale ~range:scale.Experiments.small_range
       ~ins:50 ~del:50 16
   in
-  let debra_mem = (List.nth bst_runners_exp2 1).run mem_cfg in
-  let dplus_mem = (List.nth bst_runners_exp2 2).run mem_cfg in
+  let debra_mem = (runner ~ds:"bst" "debra").run mem_cfg in
+  let dplus_mem = (runner ~ds:"bst" "debra+").run mem_cfg in
   let mem_reduction =
     let d = float_of_int debra_mem.Workload.Trial.bytes_claimed_trial in
     let p = float_of_int dplus_mem.Workload.Trial.bytes_claimed_trial in

@@ -91,11 +91,10 @@ let run ds scheme variant backend procs range ins del duration machine seed
         "no runner for ds=%s variant=%s scheme=%s; known combinations:\n" ds
         variant scheme;
       List.iter
-        (fun ((d, v), rs) ->
+        (fun ((d, v), (_, names)) ->
           Printf.eprintf "  --ds %s (variant %s): %s\n" d v
-            (String.concat ", "
-               (List.map (fun r -> r.Workload.Schemes.rname) rs)))
-        Workload.Schemes.by_name;
+            (String.concat ", " names))
+        Workload.Schemes.panels;
       exit 1
   | Some r ->
       (* A telemetry recorder is attached whenever any of its outputs is
@@ -263,9 +262,9 @@ let term =
       value & opt string "debra"
       & info [ "scheme" ]
           ~doc:
-            "none | ebr | qsbr | debra | debra+ | hp | rc | stacktrack | \
-             threadscan | vbr | hyaline (availability depends on --ds and \
-             --variant; errors list the known combinations)")
+            (String.concat " | " Reclaim.Registry.names
+            ^ " (availability depends on --ds and --variant; errors list \
+               the known combinations)"))
   in
   let variant =
     Arg.(

@@ -170,11 +170,9 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
     | Report.List | Report.Queue -> true
     | Report.Bst | Report.Skiplist -> false
 
-  let config_for ~scheme structure =
-    Engine.config_of_flags ~scheme
-      ~allows_retired_traversal:RM.allows_retired_traversal
-      ~sandboxed:RM.sandboxed
-      ~strict:(strict_for structure) ()
+  let config_for structure =
+    Engine.config ~scheme:RM.Reclaimer.name ~strict:(strict_for structure)
+      RM.Reclaimer.discipline
 
   (* Path enumeration: the all-grant path, then every single adversarial
      denial of a branch point it reached, then nearby pairs (deny budget
@@ -189,8 +187,8 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
     done;
     List.filteri (fun i _ -> i < path_cap) !sets
 
-  let check ~scheme structure =
-    let config = config_for ~scheme structure in
+  let check structure =
+    let config = config_for structure in
     let base = run_path ~config ~structure ~deny:[] in
     let n0 = min base.decisions single_cap in
     let paths =
@@ -219,7 +217,7 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
       paths;
     {
       Report.structure = Report.structure_name structure;
-      scheme;
+      scheme = RM.Reclaimer.name;
       paths = List.length paths;
       branch_points = base.decisions;
       diverged = !diverged;

@@ -32,90 +32,22 @@
     Violations deduplicate per (kind, record) and carry a bounded trace of
     the events leading up to them — the per-path counterexample. *)
 
-type discipline = Lenient | Epoch | Hazard
-type free_rule = Skip | Grace_session | Grace_qpoint | Hazard_scan
-
-(* Whether quiescence is an {e interval} the process brackets with
-   [Leave_q]..[Enter_q] (every scheme but QSBR) or an instantaneous
-   {e point} it announces ([Enter_q] with no bracket, QSBR).  The
-   operation-boundary access rule (E2) is only meaningful for intervals:
-   under point quiescence a process is presumed inside a critical section
-   at all times. *)
-type quiescence = Interval | Point
+open Memory.Discipline
 
 type config = {
   scheme : string;
-  access : discipline;
-  free : free_rule;
-  quiescence : quiescence;
+  discipline : Memory.Discipline.t;
+      (** the scheme's declared rules, shared with the runtime sanitizer *)
   strict : bool;
-      (* every access to a published record needs a live protection;
-         only meaningful under [Hazard], only sound for structures whose
-         every dereference is guarded (list, queue) *)
+      (** every access to a published record needs a live protection; only
+          set under [Hazard], and only sound for structures whose every
+          dereference is guarded (list, queue) *)
 }
 
-(* Mirror of [Sanitizer.Config.of_flags], plus the strict knob. *)
-let config_of_flags ~scheme ~allows_retired_traversal ~sandboxed ~strict () =
-  if sandboxed then
-    {
-      scheme;
-      access = Lenient;
-      free = Skip;
-      quiescence = Interval;
-      strict = false;
-    }
-  else
-    match scheme with
-    | "none" ->
-        {
-          scheme;
-          access = Epoch;
-          free = Skip;
-          quiescence = Interval;
-          strict = false;
-        }
-    | "qsbr" ->
-        {
-          scheme;
-          access = Epoch;
-          free = Grace_qpoint;
-          quiescence = Point;
-          strict = false;
-        }
-    | "threadscan" ->
-        {
-          scheme;
-          access = Epoch;
-          free = Hazard_scan;
-          quiescence = Interval;
-          strict = false;
-        }
-    | "hyaline" ->
-        (* batch refcounts replay the retire-time session snapshot *)
-        {
-          scheme;
-          access = Epoch;
-          free = Grace_session;
-          quiescence = Interval;
-          strict = false;
-        }
-    | _ ->
-        if allows_retired_traversal then
-          {
-            scheme;
-            access = Epoch;
-            free = Grace_session;
-            quiescence = Interval;
-            strict = false;
-          }
-        else
-          {
-            scheme;
-            access = Hazard;
-            free = Hazard_scan;
-            quiescence = Interval;
-            strict;
-          }
+(** The config for checking scheme [scheme] (declared [discipline]) on a
+    structure that is ([strict]) or is not fully guarded. *)
+let config ~scheme ~strict discipline =
+  { scheme; discipline; strict = strict && discipline.access = Hazard }
 
 type kind =
   | Use_after_free
@@ -315,7 +247,7 @@ let record t key ~default =
 (* E3: the free-side grace/hazard rules (sanitizer parity, minus the
    crash-awareness protocheck paths never need). *)
 let check_free t ~pid r key ptr =
-  (match t.config.free with
+  (match t.config.discipline.free with
   | Skip -> ()
   | Grace_session ->
       Array.iter
@@ -345,7 +277,7 @@ let check_free t ~pid r key ptr =
                 (Printf.sprintf
                    "pid %d holds a protection registered before retire" spid))
         t.procs);
-  if t.config.free <> Skip then
+  if t.config.discipline.free <> Skip then
     Array.iteri
       (fun spid p ->
         if holds_any p.rprotects key then
@@ -372,14 +304,14 @@ let check_access t ~pid key ptr =
   let r = record t key ~default:Published in
   match r.state with
   | Freed ->
-      if t.config.access <> Lenient then
+      if t.config.discipline.access <> Lenient then
         flag t ~pid Use_after_free ~ptr ~detail:"access to freed record"
   | Root -> ()
   | Fresh when pid = r.owner -> ()
   | (Fresh | Published | Retired) as st ->
       if
-        t.config.access <> Lenient
-        && t.config.quiescence = Interval
+        t.config.discipline.access <> Lenient
+        && t.config.discipline.quiescence = Interval
         && not ps.in_session
       then
         flag t ~pid Unquiesced_access ~ptr
@@ -388,7 +320,7 @@ let check_access t ~pid key ptr =
       | Fresh -> r.state <- Published (* first non-owner access publishes *)
       | Retired ->
           if
-            t.config.access = Hazard
+            t.config.discipline.access = Hazard
             && not (holds_before ps.hazards key ~retire:r.retire_seq)
           then
             flag t ~pid Unprotected_access ~ptr
@@ -396,11 +328,7 @@ let check_access t ~pid key ptr =
                 "access to retired record without a protection registered \
                  before retire"
       | Published ->
-          if
-            t.config.strict
-            && t.config.access = Hazard
-            && not (holds_any ps.hazards key)
-          then
+          if t.config.strict && not (holds_any ps.hazards key) then
             flag t ~pid Unprotected_access ~ptr
               ~detail:"access to shared record without a live protection"
       | Root | Freed -> ())
@@ -417,7 +345,7 @@ let on_retire t ~pid key ptr =
   if r.state <> Freed then begin
     r.state <- Retired;
     r.retire_seq <- t.seq;
-    match t.config.free with
+    match t.config.discipline.free with
     | Grace_session ->
         let open_sessions = ref [] in
         Array.iteri
@@ -489,7 +417,7 @@ let on_protocol t ctx (ev : Reclaim.Intf.Protocol.event) =
       let r = record t (Memory.Ptr.unmark p) ~default:Published in
       r.unlink_pending <- true
   | Acquire { p; granted; adversary } ->
-      if granted && adversary && t.config.access = Hazard then
+      if granted && adversary && t.config.discipline.access = Hazard then
         flag t ~pid Skipped_validation ~ptr:p
           ~detail:
             "protect granted although the validation was forced to fail: \

@@ -1,54 +1,19 @@
-(** The full protocheck matrix: 4 structures x 11 schemes, the same
-    allocator/pool pairings as the benchmark and sanitizer matrices (shared
-    pool behind the epoch schemes, direct pool for the HP family, recycling
-    allocator for StackTrack and VBR, whose version story lives in the
-    arena generation counters). *)
+(** The full protocheck matrix: 4 structures x every registered scheme,
+    under the registry's [Check] pairing (the one the sanitizer fuzz uses). *)
 
 open Reclaim
 
-module RM_ebr = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Ebr.Make)
-module RM_qsbr = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Qsbr.Make)
-module RM_debra = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Debra.Make)
-module RM_debra_plus =
-  Record_manager.Make (Alloc.Bump) (Pool.Shared) (Debra_plus.Make)
-module RM_hp = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Hp.Make)
-module RM_rc = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Rc.Make)
-module RM_ts = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Threadscan.Make)
-module RM_st =
-  Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Stacktrack.Make)
-module RM_none =
-  Record_manager.Make (Alloc.Bump) (Pool.Direct) (None_reclaimer.Make)
-module RM_vbr = Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Vbr.Make)
-module RM_hyaline =
-  Record_manager.Make (Alloc.Bump) (Pool.Shared) (Hyaline.Make)
-
-module C_ebr = Cell.Make (RM_ebr)
-module C_qsbr = Cell.Make (RM_qsbr)
-module C_debra = Cell.Make (RM_debra)
-module C_debra_plus = Cell.Make (RM_debra_plus)
-module C_hp = Cell.Make (RM_hp)
-module C_rc = Cell.Make (RM_rc)
-module C_ts = Cell.Make (RM_ts)
-module C_st = Cell.Make (RM_st)
-module C_none = Cell.Make (RM_none)
-module C_vbr = Cell.Make (RM_vbr)
-module C_hyaline = Cell.Make (RM_hyaline)
-
 let structures = [ Report.List; Report.Bst; Report.Queue; Report.Skiplist ]
 
-let check_structure s =
-  [
-    C_none.check ~scheme:"none" s;
-    C_ebr.check ~scheme:"ebr" s;
-    C_qsbr.check ~scheme:"qsbr" s;
-    C_debra.check ~scheme:"debra" s;
-    C_debra_plus.check ~scheme:"debra+" s;
-    C_hp.check ~scheme:"hp" s;
-    C_rc.check ~scheme:"rc" s;
-    C_ts.check ~scheme:"threadscan" s;
-    C_st.check ~scheme:"stacktrack" s;
-    C_vbr.check ~scheme:"vbr" s;
-    C_hyaline.check ~scheme:"hyaline" s;
-  ]
+(** The cell checker of scheme [e], instantiated once per scheme. *)
+let cell : Registry.entry -> Report.structure -> Report.cell_result =
+  let memo =
+    Registry.memo (fun variant e ->
+        let module RM = (val Registry.rm variant e) in
+        let module C = Cell.Make (RM) in
+        C.check)
+  in
+  memo Registry.Check
 
+let check_structure s = List.map (fun e -> cell e s) Registry.all
 let all () = List.concat_map check_structure structures

@@ -27,6 +27,10 @@ type local = {
   mutable ann : int;  (* mirror of our announcement word *)
 }
 
+let name = "debra"
+
+let discipline = Memory.Discipline.(make Epoch Grace_session)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -38,7 +42,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     locals : local array;
   }
 
-  let name = "debra"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = true
   let sandboxed = false

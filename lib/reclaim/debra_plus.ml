@@ -29,6 +29,10 @@ type local = {
   sig_last : int array;  (* per-target virtual time of last resend *)
 }
 
+let name = "debra+"
+
+let discipline = Memory.Discipline.(make Epoch Grace_session)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -44,7 +48,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     scan_threshold : int;  (* blocks *)
   }
 
-  let name = "debra+"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = true
   let allows_retired_traversal = true
   let sandboxed = false

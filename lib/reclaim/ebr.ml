@@ -9,6 +9,10 @@
     process stops reclamation (and, unlike DEBRA, even a process stalled
     {e between} operations does, unless it entered a quiescent state). *)
 
+let name = "ebr"
+
+let discipline = Memory.Discipline.(make Epoch Grace_session)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -21,7 +25,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     my_ann : int array;  (* local mirror of own announcement *)
   }
 
-  let name = "ebr"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = true
   let sandboxed = false

@@ -11,6 +11,10 @@
     the operation restarts, which is how the paper's evaluation applies HP
     (at the cost of the data structure's lock-freedom; see §3). *)
 
+let name = "hp"
+
+let discipline = Memory.Discipline.(make Hazard Hazard_scan)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -29,7 +33,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     k : int;
   }
 
-  let name = "hp"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = false
   let sandboxed = false

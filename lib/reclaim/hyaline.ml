@@ -45,6 +45,12 @@
     instrumented points, so a yield inside the critical section could
     self-deadlock). *)
 
+let name = "hyaline"
+
+(* A batch is freed only after every session charged at seal time has
+   closed: exactly the retire-time session snapshot [Grace_session] replays. *)
+let discipline = Memory.Discipline.(make Epoch Grace_session)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -74,7 +80,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     lock : Mutex.t;  (* host-side guard for rc/charges/pending/freed *)
   }
 
-  let name = "hyaline"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = true
   let sandboxed = false

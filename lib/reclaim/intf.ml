@@ -181,6 +181,11 @@ module type RECLAIMER = sig
   type t
 
   val name : string
+
+  (** The rules the sanitizer and protocheck hold this scheme to (see
+      {!Memory.Discipline}). *)
+  val discipline : Memory.Discipline.t
+
   val create : Env.t -> Pool.t -> t
 
   (** Statically [true] only for schemes with neutralization-based recovery
@@ -276,6 +281,17 @@ module type RECLAIMER = sig
 end
 
 module type MAKE_RECLAIMER = functor (P : POOL) -> RECLAIMER with module Pool = P
+
+(** A reclamation scheme as {!Registry} sees it: the name and checking
+    discipline are known without applying the functor (the reclaimer
+    re-exports both), so the registry can pick the scheme's allocator/pool
+    pairing before assembling a Record Manager. *)
+module type SCHEME = sig
+  val name : string
+  val discipline : Memory.Discipline.t
+
+  module Make : MAKE_RECLAIMER
+end
 
 (** Reclamation-pressure counters, bumped by the assembled Record
     Manager's allocation path (never by the components): how often

@@ -3,12 +3,18 @@
     footprint — the yardstick every other scheme's overhead is measured
     against. *)
 
+let name = "none"
+
+(* Never frees, so no free is premature and the leak ledger is moot. *)
+let discipline = Memory.Discipline.(make ~track_limbo:false Epoch Skip)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
   type t = Intf.Env.t
 
-  let name = "none"
+  let name = name
+  let discipline = discipline
   let create env _pool = env
   let supports_crash_recovery = false
   let allows_retired_traversal = true

@@ -22,6 +22,12 @@
     EBR/DEBRA there is no notion of "between operations": only explicit
     declarations count. *)
 
+let name = "qsbr"
+
+(* Quiescent {e points}, not sessions: a free waits for every process to
+   pass one after the retire. *)
+let discipline = Memory.Discipline.(make ~quiescence:Point Epoch Grace_qpoint)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -44,7 +50,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     batch_records : int;  (* close the open batch after this many retires *)
   }
 
-  let name = "qsbr"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = true
   let sandboxed = false

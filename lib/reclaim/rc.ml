@@ -25,6 +25,10 @@
     the scheme conservative, mirroring how SLFRC tolerates stale counter
     touches under its hazard-pointer umbrella. *)
 
+let name = "rc"
+
+let discipline = Memory.Discipline.(make Hazard Hazard_scan)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -41,7 +45,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     scan_threshold : int;
   }
 
-  let name = "rc"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = false
   let sandboxed = false

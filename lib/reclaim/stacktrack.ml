@@ -25,6 +25,12 @@
     Reclamation is ScanAndFree: a private buffer of retired records,
     scanned against all announcement rows past a threshold. *)
 
+let name = "stacktrack"
+
+(* Reading reclaimed memory is the transaction-abort mechanism, and a scan
+   cannot see other processes' unpublished register pointers. *)
+let discipline = Memory.Discipline.(make Lenient Skip)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -47,7 +53,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     mutable segments : int;  (* committed segments, for reporting *)
   }
 
-  let name = "stacktrack"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = false
   let sandboxed = true

@@ -25,6 +25,12 @@
     reproduced verbatim by [test_threadscan.ml]'s use-after-free scenario.
     TS is therefore kept out of the BST/list benchmarks, as in the paper. *)
 
+let name = "threadscan"
+
+(* Traversals may cross retired records, but a free waits only for the
+   roots its scan collects. *)
+let discipline = Memory.Discipline.(make Epoch Hazard_scan)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
@@ -46,7 +52,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     k : int;
   }
 
-  let name = "threadscan"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = true
   let sandboxed = false

@@ -22,12 +22,19 @@
     VBR's checkpoint rollback ([sandboxed = true], the same recovery path
     StackTrack's transaction aborts use in [run_op]).
 
-    Pairing: VBR {e must} be assembled as
-    [Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Vbr.Make)] — the
-    recycling allocator routes every free through the arena so the
+    Pairing: VBR {e must} reuse through the arena — registered with
+    [~reuse:Arena] ({!Registry.reuse}), i.e. the [Recycle] allocator
+    behind the [Direct] pool — the recycling allocator routes every free
+    through the arena so the
     generation (= version) advances on each reuse.  A generation-preserving
     pool ([Pool.Shared]) would reintroduce exactly the ABA the versions
     exist to exclude. *)
+
+let name = "vbr"
+
+(* Frees without any grace period and relies on version re-validation: a
+   read of reclaimed memory is the checkpoint rollback, not a violation. *)
+let discipline = Memory.Discipline.(make Lenient Skip)
 
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
@@ -43,7 +50,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     locals : local array;
   }
 
-  let name = "vbr"
+  let name = name
+  let discipline = discipline
   let supports_crash_recovery = false
   let allows_retired_traversal = false
   let sandboxed = true

@@ -28,44 +28,7 @@
       DEBRA+'s signal handshake (signal, handler rprotects, ack, then scan)
       guarantees the scan sees every recovery announcement. *)
 
-type access_discipline = Lenient | Epoch | Hazard
-type free_discipline = Skip | Grace_session | Grace_qpoint | Hazard_scan
-
-module Config = struct
-  type t = {
-    scheme : string;
-    access : access_discipline;
-    free : free_discipline;
-    track_limbo : bool;
-  }
-
-  let make ?(track_limbo = true) ~scheme ~access ~free () =
-    { scheme; access; free; track_limbo }
-
-  let of_flags ~scheme ~supports_crash_recovery:_ ~allows_retired_traversal
-      ~sandboxed () =
-    if sandboxed then
-      (* StackTrack: reading reclaimed memory is the abort mechanism, and a
-         scan cannot see other processes' unpublished register pointers.
-         VBR lands here too: it frees without any grace period and relies on
-         version re-validation, so a read of reclaimed memory is its
-         checkpoint rollback, not a violation. *)
-      make ~scheme ~access:Lenient ~free:Skip ()
-    else
-      match scheme with
-      | "none" -> make ~scheme ~access:Epoch ~free:Skip ~track_limbo:false ()
-      | "qsbr" -> make ~scheme ~access:Epoch ~free:Grace_qpoint ()
-      | "threadscan" -> make ~scheme ~access:Epoch ~free:Hazard_scan ()
-      | "hyaline" ->
-          (* batch reference counts: a batch is freed only after every
-             session charged at seal time has closed — exactly the
-             retire-time session snapshot [Grace_session] replays *)
-          make ~scheme ~access:Epoch ~free:Grace_session ()
-      | _ ->
-          if allows_retired_traversal then
-            make ~scheme ~access:Epoch ~free:Grace_session ()
-          else make ~scheme ~access:Hazard ~free:Hazard_scan ()
-end
+open Memory.Discipline
 
 (* [Double_retire] and [Free_without_retire] were deleted as checks: the
    typestate surface ({!Reclaim.Intf.RECORD_MANAGER.Typed}) makes both
@@ -121,7 +84,8 @@ type pstate = {
 }
 
 type t = {
-  config : Config.t;
+  scheme : string;
+  discipline : Memory.Discipline.t;
   heap : Memory.Heap.t;
   group : Runtime.Group.t;
   records : (int, rinfo) Hashtbl.t;
@@ -135,9 +99,10 @@ type t = {
   seen : (kind * int, unit) Hashtbl.t;  (* de-dup per (kind, record) *)
 }
 
-let create ~config ~heap ~group =
+let create ~scheme ~discipline ~heap ~group =
   {
-    config;
+    scheme;
+    discipline;
     heap;
     group;
     records = Hashtbl.create 4096;
@@ -228,7 +193,7 @@ let holds_any tbl key = Hashtbl.mem tbl key
 let check_free t ctx r key =
   let ptr = key in
   let dead pid = Runtime.Group.is_crashed t.group pid in
-  (match t.config.free with
+  (match t.discipline.free with
   | Skip -> ()
   | Grace_session ->
       Array.iter
@@ -262,7 +227,7 @@ let check_free t ctx r key =
                    "pid %d holds a protection registered before retire (%s)"
                    pid (provenance r)))
         t.procs);
-  if t.config.free <> Skip then
+  if t.discipline.free <> Skip then
     Array.iteri
       (fun pid p ->
         if (not (dead pid)) && holds_any p.rprotects key then
@@ -289,7 +254,7 @@ let on_free t ctx key ~via =
           r.state <- Freed
       | Retired ->
           check_free t ctx r key;
-          if t.config.track_limbo then t.ledger <- t.ledger - 1;
+          if t.discipline.track_limbo then t.ledger <- t.ledger - 1;
           r.state <- Freed
       | Freed ->
           flag t ctx Double_free ~ptr:key
@@ -320,7 +285,7 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
           | Published -> ()
           | Retired ->
               if
-                t.config.access = Hazard
+                t.discipline.access = Hazard
                 && not (holds_before ps.hazards key ~retire:r.retire_seq)
               then
                 flag t ctx Unprotected_access ~ptr:key
@@ -330,7 +295,7 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
                         registered before retire (%s)"
                        (provenance r))
           | Freed ->
-              if t.config.access <> Lenient then
+              if t.discipline.access <> Lenient then
                 flag t ctx Use_after_free ~ptr:key
                   ~detail:
                     (Printf.sprintf "access to freed record (%s)"
@@ -355,8 +320,8 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
           r.state <- Retired;
           r.retire_seq <- t.seq;
           r.retire_pid <- pid;
-          if t.config.track_limbo then t.ledger <- t.ledger + 1;
-          (match t.config.free with
+          if t.discipline.track_limbo then t.ledger <- t.ledger + 1;
+          (match t.discipline.free with
           | Grace_session ->
               let open_sessions = ref [] in
               Array.iteri
@@ -401,7 +366,7 @@ let with_checks t f =
     f
 
 let leak_check t ~limbo_size =
-  if t.config.track_limbo && t.ledger <> limbo_size then begin
+  if t.discipline.track_limbo && t.ledger <> limbo_size then begin
     t.seq <- t.seq + 1;
     let dkey = (Leak, Memory.Ptr.null) in
     if not (Hashtbl.mem t.seen dkey) then begin
@@ -441,8 +406,7 @@ let report t =
   else
     let buf = Buffer.create 256 in
     let fmt = Format.formatter_of_buffer buf in
-    Format.fprintf fmt "%d violation(s) under scheme %s:@." t.nviols
-      t.config.scheme;
+    Format.fprintf fmt "%d violation(s) under scheme %s:@." t.nviols t.scheme;
     List.iter (fun v -> Format.fprintf fmt "  %a@." pp_violation v) (violations t);
     Format.pp_print_flush fmt ();
     Buffer.contents buf

@@ -5,7 +5,7 @@
     (fresh → published → retired → freed → recycled) and of every process'
     protection/quiescence state.  Scheme-specific invariants — what makes a
     free premature, which accesses need a covering hazard — are selected by
-    a {!Config.t} derived from the reclaimer's capability flags.
+    the scheme's declared {!Memory.Discipline.t}.
 
     The sanitizer is a checker, not a scheme: it never blocks a free or an
     access, it only records {!violation}s (de-duplicated per record and
@@ -15,62 +15,6 @@
 
     See DESIGN.md §"Sanitizer" for the state machine and the per-scheme
     invariant table. *)
-
-(** What an instrumented field access is checked against.
-
-    - [Lenient]: accesses are not checked (StackTrack: reading reclaimed
-      memory is the sanctioned transaction-abort mechanism).
-    - [Epoch]: only access to a {e freed} record is a violation — retired
-      records remain safe to traverse (EBR/QSBR/DEBRA family, ThreadScan).
-    - [Hazard]: additionally, access to a {e retired} record is a violation
-      unless the accessing process registered a protection {e before} the
-      retire (HP, RC). *)
-type access_discipline = Lenient | Epoch | Hazard
-
-(** What a free of a retired record is checked against.
-
-    - [Skip]: frees are not checked ([none] never frees; StackTrack frees
-      under other processes' unpublished register pointers by design).
-    - [Grace_session]: a free is premature while any process is still inside
-      the operation (session) that was open when the record was retired
-      (EBR, DEBRA, DEBRA+).
-    - [Grace_qpoint]: a free is premature while any process has not passed a
-      quiescent point since the retire (QSBR).
-    - [Hazard_scan]: a free is premature while any process holds a
-      protection registered before the retire (HP, RC, ThreadScan). *)
-type free_discipline = Skip | Grace_session | Grace_qpoint | Hazard_scan
-
-module Config : sig
-  type t = {
-    scheme : string;
-    access : access_discipline;
-    free : free_discipline;
-    track_limbo : bool;
-        (** maintain the shadow limbo ledger and check it in {!leak_check};
-            off for [none] (leaks by design) and for deliberately broken
-            schemes under test *)
-  }
-
-  val make :
-    ?track_limbo:bool ->
-    scheme:string ->
-    access:access_discipline ->
-    free:free_discipline ->
-    unit ->
-    t
-
-  (** Derive the discipline from a reclaimer's capability flags (plus
-      name-based refinements: ["qsbr"] has quiescent {e points} rather than
-      sessions, ["threadscan"] scans roots rather than waiting for grace,
-      ["none"] never frees). *)
-  val of_flags :
-    scheme:string ->
-    supports_crash_recovery:bool ->
-    allows_retired_traversal:bool ->
-    sandboxed:bool ->
-    unit ->
-    t
-end
 
 (** Violation kinds.  Double-retire and free-without-retire are no longer
     checked here: the typestate API ({!Reclaim.Intf.RECORD_MANAGER.Typed})
@@ -96,8 +40,15 @@ type violation = {
 
 type t
 
+(** [create ~scheme ~discipline ~heap ~group]: [scheme] names the
+    reclaimer in reports; [discipline] is its declared rule set (normally
+    [RM.Reclaimer.discipline]). *)
 val create :
-  config:Config.t -> heap:Memory.Heap.t -> group:Runtime.Group.t -> t
+  scheme:string ->
+  discipline:Memory.Discipline.t ->
+  heap:Memory.Heap.t ->
+  group:Runtime.Group.t ->
+  t
 
 (** [with_checks t f] attaches the sanitizer to the heap's event hub and to
     every context's instrumentation hook (composing with — not replacing —

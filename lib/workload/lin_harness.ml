@@ -66,19 +66,35 @@ let spec_of_ds = function
   | "stack" -> Lincheck.Spec.stack
   | _ -> Lincheck.Spec.set
 
+let machine_for cfg = Machine.Config.tiny ~contexts:cfg.nprocs ()
+
+let record rec_ ctx op f wrap =
+  let pid = ctx.Runtime.Ctx.pid in
+  let tok = H.invoke rec_ ~pid ~time:(Runtime.Ctx.now ctx) op in
+  let r = f () in
+  H.return_ rec_ tok ~time:(Runtime.Ctx.now ctx) (wrap r)
+
+(* The seeded set workload as explicit scripts: the prefill and each
+   process' operations depend on the seed alone, so the program under test
+   is the same on every schedule. *)
+let set_scripts cfg =
+  let prefill =
+    List.init cfg.prefill (fun i -> H.Add (1 + (((i + 1) * 7) mod cfg.key_range)))
+  in
+  let script pid =
+    let rng = Random.State.make [| cfg.seed; pid; 0x11c |] in
+    List.init cfg.ops_per_proc (fun _ ->
+        let key = 1 + Random.State.int rng cfg.key_range in
+        match Random.State.int rng 3 with
+        | 0 -> H.Add key
+        | 1 -> H.Remove key
+        | _ -> H.Mem key)
+  in
+  (prefill, Array.init cfg.nprocs script)
+
 module Mk (RM : Intf.RECORD_MANAGER) = struct
   module Face = Set_adapter.Face (RM)
   module Q = Ds.Ms_queue.Make (RM)
-
-  (* The queue face, open so tests can plug a seeded mutant in place of the
-     real Michael-Scott queue and watch the checker reject it. *)
-  module type QUEUE = sig
-    type t
-
-    val create : RM.t -> capacity:int -> t
-    val enqueue : t -> Runtime.Ctx.t -> int -> unit
-    val dequeue : t -> Runtime.Ctx.t -> int option
-  end
 
   let fresh cfg =
     let group = Runtime.Group.create ~seed:cfg.seed cfg.nprocs in
@@ -87,49 +103,28 @@ module Mk (RM : Intf.RECORD_MANAGER) = struct
     let rm = RM.create env in
     (group, rm)
 
-  let machine_for cfg = Machine.Config.tiny ~contexts:cfg.nprocs ()
-
-  let record rec_ ctx op f wrap =
-    let pid = ctx.Runtime.Ctx.pid in
-    let tok = H.invoke rec_ ~pid ~time:(Runtime.Ctx.now ctx) op in
-    let r = f () in
-    H.return_ rec_ tok ~time:(Runtime.Ctx.now ctx) (wrap r)
-
-  (* One run of the set workload under [policy]; a fresh world every call,
-     as stateless exploration requires.  The prefill runs uninstrumented
-     (no scheduler hooks yet) but {e is} recorded: it is part of the
-     history, so the checker's spec still starts from the empty set. *)
-  let run_set (module S : Face.SET) ?(unreliable = false) cfg policy =
+  (* One run of explicit per-process set scripts under [policy]; a fresh
+     world every call, as stateless exploration requires.  The prefill runs
+     uninstrumented (no scheduler hooks yet) but {e is} recorded: it is part
+     of the history, so the checker's spec still starts from the empty
+     set. *)
+  let run_ops (module S : Face.SET) ?(unreliable = false) cfg ~prefill
+      ~scripts policy =
     let group, rm = fresh cfg in
     if unreliable then group.Runtime.Group.signals_unreliable <- true;
     let s = S.create rm ~capacity:cfg.capacity in
     let rec_ = H.recorder ~nprocs:cfg.nprocs in
-    let ctx0 = Runtime.Group.ctx group 0 in
-    for i = 1 to cfg.prefill do
-      let key = 1 + ((i * 7) mod cfg.key_range) in
-      record rec_ ctx0 (H.Add key)
-        (fun () -> S.insert s ctx0 ~key ~value:key)
-        (fun b -> H.RBool b)
-    done;
+    let apply ctx op =
+      let run f = record rec_ ctx op f (fun b -> H.RBool b) in
+      match op with
+      | H.Add key -> run (fun () -> S.insert s ctx ~key ~value:key)
+      | H.Remove key -> run (fun () -> S.delete s ctx key)
+      | H.Mem key -> run (fun () -> S.contains s ctx key)
+      | _ -> invalid_arg "Lin_harness.run_ops: not a set operation"
+    in
+    List.iter (apply (Runtime.Group.ctx group 0)) prefill;
     let body pid () =
-      let ctx = Runtime.Group.ctx group pid in
-      let rng = Random.State.make [| cfg.seed; pid; 0x11c |] in
-      for _ = 1 to cfg.ops_per_proc do
-        let key = 1 + Random.State.int rng cfg.key_range in
-        match Random.State.int rng 3 with
-        | 0 ->
-            record rec_ ctx (H.Add key)
-              (fun () -> S.insert s ctx ~key ~value:key)
-              (fun b -> H.RBool b)
-        | 1 ->
-            record rec_ ctx (H.Remove key)
-              (fun () -> S.delete s ctx key)
-              (fun b -> H.RBool b)
-        | _ ->
-            record rec_ ctx (H.Mem key)
-              (fun () -> S.contains s ctx key)
-              (fun b -> H.RBool b)
-      done
+      List.iter (apply (Runtime.Group.ctx group pid)) scripts.(pid)
     in
     ignore
       (Sim.run ~machine:(machine_for cfg) ~max_steps:2_000_000 ~policy group
@@ -138,7 +133,7 @@ module Mk (RM : Intf.RECORD_MANAGER) = struct
 
   (* Queue workload: unique values per enqueue (pid-tagged), so a duplicated
      or lost dequeue is visible to the FIFO spec. *)
-  let run_queue_with (module Q : QUEUE) cfg policy =
+  let run_queue cfg policy =
     let group, rm = fresh cfg in
     let q = Q.create rm ~capacity:cfg.capacity in
     let rec_ = H.recorder ~nprocs:cfg.nprocs in
@@ -171,67 +166,56 @@ module Mk (RM : Intf.RECORD_MANAGER) = struct
          (Array.init cfg.nprocs body));
     H.snapshot rec_
 
-  let run_queue cfg policy = run_queue_with (module Q) cfg policy
-
   (* The lazy skip list holds spin locks across its update windows; under
      DEBRA+ those windows are signal-masked, which is only sound with
      acknowledgement-based (unreliable) signal delivery — see
      lib/ds/skiplist.ml. *)
+  let set_ops ~ds cfg ~prefill ~scripts policy =
+    match ds with
+    | "list" -> run_ops Face.hm_list cfg ~prefill ~scripts policy
+    | "bst" -> run_ops Face.bst cfg ~prefill ~scripts policy
+    | "skiplist" ->
+        run_ops Face.skiplist ~unreliable:RM.supports_crash_recovery cfg
+          ~prefill ~scripts policy
+    | ds -> invalid_arg ("Lin_harness: unknown structure " ^ ds)
+
   let run ~ds cfg policy =
     match ds with
-    | "list" -> run_set Face.hm_list cfg policy
-    | "bst" -> run_set Face.bst cfg policy
-    | "skiplist" ->
-        run_set Face.skiplist ~unreliable:RM.supports_crash_recovery cfg
-          policy
     | "queue" -> run_queue cfg policy
-    | ds -> invalid_arg ("Lin_harness: unknown structure " ^ ds)
+    | _ ->
+        let prefill, scripts = set_scripts cfg in
+        set_ops ~ds cfg ~prefill ~scripts policy
 end
 
-(* One pack per scheme, over the bench matrix's Record Managers (shared
-   pool behind the reusing schemes, so premature frees really recycle
-   memory and use-after-free has teeth). *)
-type pack = {
-  pname : string;
-  prun : ds:string -> config -> Sim.policy -> H.t;
+(* A scheme's harness, over the registry's Experiment 2 Record Manager
+   (shared pool behind the reusing schemes, so premature frees really
+   recycle memory and use-after-free has teeth). *)
+type harness = {
+  run : ds:string -> config -> Sim.policy -> H.t;
+  set_ops :
+    ds:string ->
+    config ->
+    prefill:H.op list ->
+    scripts:H.op list array ->
+    Sim.policy ->
+    H.t;
+      (** explicit per-process set scripts instead of the seeded workload *)
 }
 
-module P_none = Mk (Schemes.RM1_none)
-module P_ebr = Mk (Schemes.RM2_ebr)
-module P_qsbr = Mk (Schemes.RM2_qsbr)
-module P_debra = Mk (Schemes.RM2_debra)
-module P_debra_plus = Mk (Schemes.RM2_debra_plus)
-module P_hp = Mk (Schemes.RM2_hp)
-module P_rc = Mk (Schemes.RM2_rc)
-module P_ts = Mk (Schemes.RM2_ts)
-module P_st = Mk (Schemes.RM2_st)
-module P_vbr = Mk (Schemes.RM2_vbr)
-module P_hyaline = Mk (Schemes.RM2_hyaline)
+let harness : Registry.entry -> harness =
+  let memo =
+    Registry.memo (fun variant e ->
+        let module RM = (val Registry.rm variant e) in
+        let module M = Mk (RM) in
+        { run = M.run; set_ops = M.set_ops })
+  in
+  memo Registry.Exp2
 
-let packs =
-  [
-    { pname = "none"; prun = P_none.run };
-    { pname = "ebr"; prun = P_ebr.run };
-    { pname = "qsbr"; prun = P_qsbr.run };
-    { pname = "debra"; prun = P_debra.run };
-    { pname = "debra+"; prun = P_debra_plus.run };
-    { pname = "hp"; prun = P_hp.run };
-    { pname = "rc"; prun = P_rc.run };
-    { pname = "threadscan"; prun = P_ts.run };
-    { pname = "stacktrack"; prun = P_st.run };
-    { pname = "vbr"; prun = P_vbr.run };
-    { pname = "hyaline"; prun = P_hyaline.run };
-  ]
-
-let scheme_names = List.map (fun p -> p.pname) packs
-
-let pack_of scheme =
-  match List.find_opt (fun p -> p.pname = scheme) packs with
-  | Some p -> p
-  | None -> invalid_arg ("Lin_harness: unknown scheme " ^ scheme)
+let scheme_names = Registry.names
+let harness_of scheme = harness (Registry.find scheme)
 
 (** One run of a matrix cell under an explicit policy — the replay path. *)
-let run_once ~ds ~scheme cfg policy = (pack_of scheme).prun ~ds cfg policy
+let run_once ~ds ~scheme cfg policy = (harness_of scheme).run ~ds cfg policy
 
 (** Bounded exploration of one matrix cell; every schedule's history is
     checked against the structure's sequential spec, and any exception the
@@ -239,10 +223,10 @@ let run_once ~ds ~scheme cfg policy = (pack_of scheme).prun ~ds cfg policy
     rejects the cell with the schedule that triggered it. *)
 let explore ?(budget = 2) ?(max_runs = 2000) ?(wide = false) ?log
     ?(workers = 1) ~ds ~scheme cfg =
-  let p = pack_of scheme in
+  let p = harness_of scheme in
   let spec = spec_of_ds ds in
   Lincheck.Explore.explore ~budget ~max_runs ~wide ?log ~domains:workers
-    ~run_one:(fun policy -> p.prun ~ds cfg policy)
+    ~run_one:(fun policy -> p.run ~ds cfg policy)
     ~check:(fun h ->
       match Lincheck.Checker.check spec h with
       | Lincheck.Checker.Linearizable -> None

@@ -1,13 +1,10 @@
-(** The experiment matrix: one Record Manager instantiation per
-    (allocator, pool, reclaimer) combination the paper's experiments use,
-    uniform trial runners per data structure, and the panel driver that
-    sweeps process counts and prints one table per figure panel.
-
-    Numbered variants follow the paper's experiments: [RM1_*] = bump
-    allocator, no pool (Experiment 1: reclamation work without reuse);
-    [RM2_*] = bump allocator behind the shared pool (Experiment 2);
-    [RM3_*] = malloc-style allocator behind the shared pool
-    (Experiment 3). *)
+(** The experiment matrix: a uniform trial runner per (pairing variant,
+    scheme, structure), each panel's scheme columns, and the panel driver
+    that sweeps process counts and prints one table per figure panel.
+    Record Managers come from {!Reclaim.Registry}; the variants follow the
+    paper's experiments ([Exp1]: bump allocator, no pool; [Exp2]: bump
+    allocator behind the shared pool; [Exp3]: malloc-style allocator behind
+    the shared pool). *)
 
 open Reclaim
 
@@ -54,181 +51,86 @@ let exec_of cfg =
   Exec.Backend.runner ~machine:cfg.machine ?max_steps:cfg.max_steps
     cfg.backend
 
-(* Experiment 1: reclaimers do all their work, but records go back to the
-   bump allocator, which leaks them — no reuse, no pool. *)
-module RM1_none = Record_manager.Make (Alloc.Bump) (Pool.Direct) (None_reclaimer.Make)
-module RM1_debra = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Debra.Make)
-module RM1_debra_plus =
-  Record_manager.Make (Alloc.Bump) (Pool.Direct) (Debra_plus.Make)
-module RM1_hp = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Hp.Make)
-module RM1_ebr = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Ebr.Make)
-module RM1_ts = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Threadscan.Make)
-module RM1_st = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Stacktrack.Make)
+(* The Experiment 1/2 Record Managers under their registry pairings, by
+   module name (the repository benchmark's explore-b2 workload names
+   them). *)
+module RM1_none = (val Registry.rm Exp2 (Registry.find "none"))
+module RM2_ebr = (val Registry.rm Exp2 (Registry.find "ebr"))
+module RM2_qsbr = (val Registry.rm Exp2 (Registry.find "qsbr"))
+module RM2_debra = (val Registry.rm Exp2 (Registry.find "debra"))
+module RM2_debra_plus = (val Registry.rm Exp2 (Registry.find "debra+"))
+module RM2_hp = (val Registry.rm Exp2 (Registry.find "hp"))
+module RM2_rc = (val Registry.rm Exp2 (Registry.find "rc"))
+module RM2_ts = (val Registry.rm Exp2 (Registry.find "threadscan"))
+module RM2_st = (val Registry.rm Exp2 (Registry.find "stacktrack"))
+module RM2_vbr = (val Registry.rm Exp2 (Registry.find "vbr"))
+module RM2_hyaline = (val Registry.rm Exp2 (Registry.find "hyaline"))
 
-(* Experiment 2: records are actually reclaimed through the shared pool. *)
-module RM2_debra = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Debra.Make)
-module RM2_debra_plus =
-  Record_manager.Make (Alloc.Bump) (Pool.Shared) (Debra_plus.Make)
-module RM2_hp = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Hp.Make)
-module RM2_ebr = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Ebr.Make)
-module RM2_ts = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Threadscan.Make)
-module RM2_st = Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Stacktrack.Make)
-module RM2_qsbr = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Qsbr.Make)
-module RM2_rc = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Rc.Make)
-module RM2_hyaline = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Hyaline.Make)
-
-(* VBR must recycle through the arena: every free bumps the slot generation,
-   which is the version a stale pointer fails to re-validate (vbr.ml). *)
-module RM2_vbr = Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Vbr.Make)
-
-(* Experiment 3: malloc-style allocator behind the same pool. *)
-module RM3_none =
-  Record_manager.Make (Alloc.Malloc) (Pool.Direct) (None_reclaimer.Make)
-module RM3_debra = Record_manager.Make (Alloc.Malloc) (Pool.Shared) (Debra.Make)
-module RM3_debra_plus =
-  Record_manager.Make (Alloc.Malloc) (Pool.Shared) (Debra_plus.Make)
-module RM3_hp = Record_manager.Make (Alloc.Malloc) (Pool.Shared) (Hp.Make)
-
-module Make_bst_runner (RM : Intf.RECORD_MANAGER) = struct
+(* One trial runner per Record Manager, for any set structure: the
+   structures differ only in their face, and the lazy skip list keeps up
+   to ~2*max_level preds/succs protected per traversal. *)
+module Runner (RM : Intf.RECORD_MANAGER) = struct
   module R = Trial.Run (RM)
-  module T = R.Face.Bst
 
-  let runner label =
-    {
-      rname = label;
-      run =
-        (fun cfg ->
-          R.trial R.Face.bst ~machine:cfg.machine ~params:cfg.params
-            ~duration:cfg.duration ~capacity:cfg.capacity
-            ~sanitize:cfg.sanitize ?telemetry:cfg.telemetry ?history:cfg.history ?stall:cfg.stall
-            ?chaos:cfg.chaos ~budget:cfg.budget ?max_steps:cfg.max_steps
-            ~exec:(exec_of cfg) ~n:cfg.n ~range:cfg.range ~ins:cfg.ins
-            ~del:cfg.del ~seed:cfg.seed ());
-    }
+  let run ~ds =
+    let face, hp_slots =
+      match ds with
+      | "bst" -> (R.Face.bst, None)
+      | "list" -> (R.Face.hm_list, None)
+      | "skiplist" -> (R.Face.skiplist, Some ((2 * Ds.Skiplist.max_level) + 8))
+      | ds -> invalid_arg ("Schemes: no trial runner for structure " ^ ds)
+    in
+    fun cfg ->
+      let params =
+        match hp_slots with
+        | None -> cfg.params
+        | Some k -> { cfg.params with Intf.Params.hp_slots = k }
+      in
+      R.trial face ~machine:cfg.machine ~params ~duration:cfg.duration
+        ~capacity:cfg.capacity ~sanitize:cfg.sanitize ?telemetry:cfg.telemetry
+        ?history:cfg.history ?stall:cfg.stall ?chaos:cfg.chaos
+        ~budget:cfg.budget ?max_steps:cfg.max_steps ~exec:(exec_of cfg)
+        ~n:cfg.n ~range:cfg.range ~ins:cfg.ins ~del:cfg.del ~seed:cfg.seed ()
 end
 
-module Make_skiplist_runner (RM : Intf.RECORD_MANAGER) = struct
-  module R = Trial.Run (RM)
-  module S = R.Face.Skiplist
+let trial =
+  Registry.memo (fun variant e ->
+      let module RM = (val Registry.rm variant e) in
+      let module R = Runner (RM) in
+      R.run)
 
-  let runner label =
-    {
-      rname = label;
-      run =
-        (fun cfg ->
-          (* The lazy skip list keeps up to ~2*max_level preds/succs
-             protected per traversal. *)
-          let params =
-            {
-              cfg.params with
-              Intf.Params.hp_slots = (2 * Ds.Skiplist.max_level) + 8;
-            }
-          in
-          R.trial R.Face.skiplist ~machine:cfg.machine ~params
-            ~duration:cfg.duration ~capacity:cfg.capacity
-            ~sanitize:cfg.sanitize ?telemetry:cfg.telemetry ?history:cfg.history ?stall:cfg.stall
-            ?chaos:cfg.chaos ~budget:cfg.budget ?max_steps:cfg.max_steps
-            ~exec:(exec_of cfg) ~n:cfg.n ~range:cfg.range ~ins:cfg.ins
-            ~del:cfg.del ~seed:cfg.seed ());
-    }
-end
+(** The runner of scheme [name] on structure [ds] under [variant]'s
+    pairing (default [Exp2]). *)
+let runner ?(variant = Registry.Exp2) ~ds name =
+  { rname = name; run = trial variant (Registry.find name) ~ds }
 
-module Make_list_runner (RM : Intf.RECORD_MANAGER) = struct
-  module R = Trial.Run (RM)
-  module L = R.Face.Hm_list
+(* Each panel's columns, in order.  Experiments 1-3 (Figs. 8 and 10)
+   compare none, DEBRA, DEBRA+ and HP on the BST; the skip list is
+   lock-based, so DEBRA+ sits out there and StackTrack and ThreadScan join,
+   as in the paper. *)
+let paper_bst = [ "none"; "debra"; "debra+"; "hp" ]
+let paper_skiplist = [ "none"; "debra"; "hp"; "stacktrack"; "threadscan" ]
+let zoo = [ "none"; "ebr"; "qsbr"; "debra"; "debra+"; "hp"; "rc"; "vbr"; "hyaline" ]
 
-  let runner label =
-    {
-      rname = label;
-      run =
-        (fun cfg ->
-          R.trial R.Face.hm_list ~machine:cfg.machine ~params:cfg.params
-            ~duration:cfg.duration ~capacity:cfg.capacity
-            ~sanitize:cfg.sanitize ?telemetry:cfg.telemetry ?history:cfg.history ?stall:cfg.stall
-            ?chaos:cfg.chaos ~budget:cfg.budget ?max_steps:cfg.max_steps
-            ~exec:(exec_of cfg) ~n:cfg.n ~range:cfg.range ~ins:cfg.ins
-            ~del:cfg.del ~seed:cfg.seed ());
-    }
-end
-
-(* BST runners per experiment *)
-module B1_none = Make_bst_runner (RM1_none)
-module B1_debra = Make_bst_runner (RM1_debra)
-module B1_debra_plus = Make_bst_runner (RM1_debra_plus)
-module B1_hp = Make_bst_runner (RM1_hp)
-module B1_ebr = Make_bst_runner (RM1_ebr)
-module B2_debra = Make_bst_runner (RM2_debra)
-module B2_debra_plus = Make_bst_runner (RM2_debra_plus)
-module B2_hp = Make_bst_runner (RM2_hp)
-module B2_ebr = Make_bst_runner (RM2_ebr)
-module B2_qsbr = Make_bst_runner (RM2_qsbr)
-module B2_rc = Make_bst_runner (RM2_rc)
-module B2_ts = Make_bst_runner (RM2_ts)
-module B2_vbr = Make_bst_runner (RM2_vbr)
-module B2_hyaline = Make_bst_runner (RM2_hyaline)
-module B3_none = Make_bst_runner (RM3_none)
-module B3_debra = Make_bst_runner (RM3_debra)
-module B3_debra_plus = Make_bst_runner (RM3_debra_plus)
-module B3_hp = Make_bst_runner (RM3_hp)
-
-(* Skip-list runners (lock-based updates: no DEBRA+, as in the paper) *)
-module S1_none = Make_skiplist_runner (RM1_none)
-module S1_debra = Make_skiplist_runner (RM1_debra)
-module S1_hp = Make_skiplist_runner (RM1_hp)
-module S1_ts = Make_skiplist_runner (RM1_ts)
-module S1_st = Make_skiplist_runner (RM1_st)
-module S2_debra = Make_skiplist_runner (RM2_debra)
-module S2_hp = Make_skiplist_runner (RM2_hp)
-module S2_ts = Make_skiplist_runner (RM2_ts)
-module S2_st = Make_skiplist_runner (RM2_st)
-module S3_none = Make_skiplist_runner (RM3_none)
-module S3_debra = Make_skiplist_runner (RM3_debra)
-module S3_hp = Make_skiplist_runner (RM3_hp)
-
-let bst_runners_exp1 =
+let panels =
   [
-    B1_none.runner "none";
-    B1_debra.runner "debra";
-    B1_debra_plus.runner "debra+";
-    B1_hp.runner "hp";
+    (("bst", "exp1"), (Registry.Exp1, paper_bst));
+    (("bst", "zoo"), (Registry.Exp2, zoo));
+    (("bst", "exp2"), (Registry.Exp2, paper_bst));
+    (("bst", "exp3"), (Registry.Exp3, paper_bst));
+    (("skiplist", "exp1"), (Registry.Exp1, paper_skiplist));
+    (("skiplist", "exp2"), (Registry.Exp2, paper_skiplist));
+    (("skiplist", "exp3"), (Registry.Exp3, [ "none"; "debra"; "hp" ]));
+    ( ("list", "exp2"),
+      (Registry.Exp2, List.filter (fun s -> s <> "qsbr" && s <> "rc") zoo) );
   ]
 
-let bst_runners_exp2 =
-  [
-    B1_none.runner "none";
-    B2_debra.runner "debra";
-    B2_debra_plus.runner "debra+";
-    B2_hp.runner "hp";
-  ]
-
-let bst_runners_exp3 =
-  [
-    B3_none.runner "none";
-    B3_debra.runner "debra";
-    B3_debra_plus.runner "debra+";
-    B3_hp.runner "hp";
-  ]
-
-let skiplist_runners_exp1 =
-  [
-    S1_none.runner "none";
-    S1_debra.runner "debra";
-    S1_hp.runner "hp";
-    S1_st.runner "stacktrack";
-    S1_ts.runner "threadscan";
-  ]
-
-let skiplist_runners_exp2 =
-  [
-    S1_none.runner "none";
-    S2_debra.runner "debra";
-    S2_hp.runner "hp";
-    S2_st.runner "stacktrack";
-    S2_ts.runner "threadscan";
-  ]
-
-let skiplist_runners_exp3 =
-  [ S3_none.runner "none"; S3_debra.runner "debra"; S3_hp.runner "hp" ]
+(** The runners of panel [variant] ("exp1", "exp2", "exp3", "zoo") on
+    structure [ds]; [] for a combination no panel defines. *)
+let panel ~ds variant =
+  match List.assoc_opt (ds, variant) panels with
+  | None -> []
+  | Some (v, names) -> List.map (runner ~variant:v ~ds) names
 
 (* Panel driver: one table per (structure, range, mix); schemes as columns,
    process counts as rows; cells in Mops/s with % overhead vs the first
@@ -289,50 +191,8 @@ let mix_name ins del =
   if ins + del = 100 then Printf.sprintf "%di-%dd" ins del
   else Printf.sprintf "%di-%dd-%ds" ins del (100 - ins - del)
 
-(* Every implemented scheme on the same BST workload: the "scheme zoo". *)
-let bst_runners_zoo =
-  [
-    B1_none.runner "none";
-    B2_ebr.runner "ebr";
-    B2_qsbr.runner "qsbr";
-    B2_debra.runner "debra";
-    B2_debra_plus.runner "debra+";
-    B2_hp.runner "hp";
-    B2_rc.runner "rc";
-    B2_vbr.runner "vbr";
-    B2_hyaline.runner "hyaline";
-  ]
-
-(* Name-indexed lookup for command-line drivers. *)
-let by_name =
-  [
-    (("bst", "exp1"), bst_runners_exp1);
-    (("bst", "zoo"), bst_runners_zoo);
-    (("bst", "exp2"), bst_runners_exp2);
-    (("bst", "exp3"), bst_runners_exp3);
-    (("skiplist", "exp1"), skiplist_runners_exp1);
-    (("skiplist", "exp2"), skiplist_runners_exp2);
-    (("skiplist", "exp3"), skiplist_runners_exp3);
-    ( ("list", "exp2"),
-      let module L_none = Make_list_runner (RM1_none) in
-      let module L_ebr = Make_list_runner (RM2_ebr) in
-      let module L_debra = Make_list_runner (RM2_debra) in
-      let module L_dplus = Make_list_runner (RM2_debra_plus) in
-      let module L_hp = Make_list_runner (RM2_hp) in
-      let module L_vbr = Make_list_runner (RM2_vbr) in
-      let module L_hyaline = Make_list_runner (RM2_hyaline) in
-      [
-        L_none.runner "none";
-        L_ebr.runner "ebr";
-        L_debra.runner "debra";
-        L_dplus.runner "debra+";
-        L_hp.runner "hp";
-        L_vbr.runner "vbr";
-        L_hyaline.runner "hyaline";
-      ] );
-  ]
-
 let find_runner ~ds ~variant ~scheme =
-  match List.assoc_opt (ds, variant) by_name with
-  | None -> None
-  | Some runners -> List.find_opt (fun r -> r.rname = scheme) runners
+  match List.assoc_opt (ds, variant) panels with
+  | Some (v, names) when List.mem scheme names ->
+      Some (runner ~variant:v ~ds scheme)
+  | _ -> None

@@ -67,12 +67,6 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
 
   module type SET = Face.SET
 
-  (* Base scheme name ("debra+", "hp", ...) out of "debra+(pool,bump)". *)
-  let base_scheme =
-    match String.index_opt RM.scheme_name '(' with
-    | Some i -> String.sub RM.scheme_name 0 i
-    | None -> RM.scheme_name
-
   let trial (module S : SET) ?(machine = Machine.Config.intel_i7_4770)
       ?(params = Reclaim.Intf.Params.default) ?(duration = 2_000_000)
       ?(capacity = 0) ?(sanitize = false) ?telemetry ?history ?stall ?chaos
@@ -124,13 +118,8 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     let san =
       if sanitize then
         Some
-          (Sanitizer.create
-             ~config:
-               (Sanitizer.Config.of_flags ~scheme:base_scheme
-                  ~supports_crash_recovery:RM.supports_crash_recovery
-                  ~allows_retired_traversal:RM.allows_retired_traversal
-                  ~sandboxed:RM.sandboxed ())
-             ~heap ~group)
+          (Sanitizer.create ~scheme:RM.Reclaimer.name
+             ~discipline:RM.Reclaimer.discipline ~heap ~group)
       else None
     in
     let ctx0 = Runtime.Group.ctx group 0 in

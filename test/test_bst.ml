@@ -131,48 +131,30 @@ module Harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     ]
 end
 
-module RM_none =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Direct)
-    (Reclaim.None_reclaimer.Make)
-module RM_ebr =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Ebr.Make)
-module RM_debra =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra.Make)
-module RM_debra_plus =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra_plus.Make)
-module RM_hp =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Hp.Make)
-module RM_malloc_dplus =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Malloc) (Reclaim.Pool.Shared)
-    (Reclaim.Debra_plus.Make)
-module RM_qsbr =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Qsbr.Make)
-module RM_rc =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Rc.Make)
+module Registry = Reclaim.Registry
 
-module H_none = Harness (RM_none)
-module H_ebr = Harness (RM_ebr)
-module H_debra = Harness (RM_debra)
-module H_debra_plus = Harness (RM_debra_plus)
-module H_hp = Harness (RM_hp)
-module H_malloc = Harness (RM_malloc_dplus)
-module H_qsbr = Harness (RM_qsbr)
-module H_rc = Harness (RM_rc)
+(* Each scheme under its Experiment 2 pairing (Exp3 for the malloc case). *)
+let rm ?(variant = Registry.Exp2) scheme =
+  Registry.rm variant (Registry.find scheme)
+
+let cases ?variant ?(label = "") scheme =
+  let module RM = (val rm ?variant scheme) in
+  let module H = Harness (RM) in
+  H.cases (if label = "" then scheme else label)
+
+let crash_limbo scheme =
+  let module RM = (val rm scheme) in
+  let module H = Harness (RM) in
+  H.crash_limbo ~ops:2000 ()
 
 let test_crash_debra_grows () =
-  let limbo = H_debra.crash_limbo ~ops:2000 () in
+  let limbo = crash_limbo "debra" in
   Alcotest.(check bool)
     (Printf.sprintf "debra limbo grows (got %d)" limbo)
     true (limbo > 1500)
 
 let test_crash_debra_plus_bounded () =
-  let limbo = H_debra_plus.crash_limbo ~ops:2000 () in
+  let limbo = crash_limbo "debra+" in
   Alcotest.(check bool)
     (Printf.sprintf "debra+ limbo bounded (got %d)" limbo)
     true (limbo < 1500)
@@ -180,8 +162,10 @@ let test_crash_debra_plus_bounded () =
 (* The update word packs (state, descriptor slot, descriptor generation)
    into one CASable integer; roundtrip it over the descriptor arena. *)
 let test_update_word_packing () =
-  let group, _heap, rm = H_debra.setup ~n:1 ~seed:2 ~params:params_small in
-  let module T = H_debra.T in
+  let module RM_debra = (val rm "debra") in
+  let module H = Harness (RM_debra) in
+  let group, _heap, rm = H.setup ~n:1 ~seed:2 ~params:params_small in
+  let module T = H.T in
   let t = T.create rm ~capacity:1024 in
   let ctx = Runtime.Group.ctx group 0 in
   Alcotest.(check int) "clean-null" 0 (T.pack t ~state:T.clean ~info:Memory.Ptr.null);
@@ -199,25 +183,23 @@ let test_update_word_packing () =
 
 let () =
   Alcotest.run "efrb_bst"
-    [
-      ("none", H_none.cases "none");
-      ("ebr", H_ebr.cases "ebr");
-      ("debra", H_debra.cases "debra");
-      ("debra+", H_debra_plus.cases "debra+");
-      ("hp", H_hp.cases "hp");
-      ("malloc+debra+", H_malloc.cases "malloc");
-      ("qsbr", H_qsbr.cases "qsbr");
-      ("rc", H_rc.cases "rc");
-      ( "fault-tolerance",
-        [
-          Alcotest.test_case "crashed process blocks DEBRA" `Quick
-            test_crash_debra_grows;
-          Alcotest.test_case "DEBRA+ stays bounded across crash" `Quick
-            test_crash_debra_plus_bounded;
-        ] );
-      ( "descriptors",
-        [
-          Alcotest.test_case "update word packing" `Quick
-            test_update_word_packing;
-        ] );
-    ]
+    (List.map
+       (fun s -> (s, cases s))
+       [ "none"; "ebr"; "debra"; "debra+"; "hp" ]
+    @ [
+        ("malloc+debra+", cases ~variant:Exp3 ~label:"malloc" "debra+");
+        ("qsbr", cases "qsbr");
+        ("rc", cases "rc");
+        ( "fault-tolerance",
+          [
+            Alcotest.test_case "crashed process blocks DEBRA" `Quick
+              test_crash_debra_grows;
+            Alcotest.test_case "DEBRA+ stays bounded across crash" `Quick
+              test_crash_debra_plus_bounded;
+          ] );
+        ( "descriptors",
+          [
+            Alcotest.test_case "update word packing" `Quick
+              test_update_word_packing;
+          ] );
+      ])

@@ -25,7 +25,7 @@ let or_wedged f =
    frees, the final structure must pass its invariant walk, and limbo
    must stay within the paper's bound. *)
 
-module BP = Workload.Schemes.B2_debra_plus
+module BP = Workload.Trial.Run (Workload.Schemes.RM2_debra_plus)
 
 let crash_mid_op ~policy ~seed () =
   let n = 6 in
@@ -35,8 +35,7 @@ let crash_mid_op ~policy ~seed () =
   in
   let o =
     or_wedged (fun () ->
-        BP.R.trial
-          (module BP.T)
+        BP.trial BP.Face.bst
           ~params ~duration:400_000 ~sanitize:true ~chaos:plan
           ~max_steps:20_000_000 ~policy ~n ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -71,8 +70,7 @@ let crash_in_handler () =
   in
   let o =
     or_wedged (fun () ->
-        BP.R.trial
-          (module BP.T)
+        BP.trial BP.Face.bst
           ~params ~duration:400_000 ~sanitize:true ~chaos:plan
           ~max_steps:20_000_000 ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -93,8 +91,8 @@ let crash_in_handler () =
    keeps batches charged to sessions the corpse opened before dying (its
    seal skips crashed processes), so limbo stays within the same bound. *)
 
-module BV = Workload.Schemes.B2_vbr
-module BH = Workload.Schemes.B2_hyaline
+module BV = Workload.Trial.Run (Workload.Schemes.RM2_vbr)
+module BH = Workload.Trial.Run (Workload.Schemes.RM2_hyaline)
 
 let crash_mid_op_vbr ~policy ~seed () =
   let n = 6 in
@@ -104,8 +102,7 @@ let crash_mid_op_vbr ~policy ~seed () =
   in
   let o =
     or_wedged (fun () ->
-        BV.R.trial
-          (module BV.T)
+        BV.trial BV.Face.bst
           ~params ~duration:400_000 ~sanitize:true ~chaos:plan
           ~max_steps:20_000_000 ~policy ~n ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -128,8 +125,7 @@ let crash_mid_op_hyaline ~policy ~seed () =
   in
   let o =
     or_wedged (fun () ->
-        BH.R.trial
-          (module BH.T)
+        BH.trial BH.Face.bst
           ~params ~duration:400_000 ~sanitize:true ~chaos:plan
           ~max_steps:20_000_000 ~policy ~n ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -149,7 +145,7 @@ let crash_mid_op_hyaline ~policy ~seed () =
    (the global scan lock) must not wedge the others — survivors steal
    the lock and treat the corpse's missing ack as vacuous. *)
 
-module BT = Workload.Schemes.B2_ts
+module BT = Workload.Trial.Run (Workload.Schemes.RM2_ts)
 
 let threadscan_crashed_collector ~seed () =
   let plan =
@@ -157,8 +153,7 @@ let threadscan_crashed_collector ~seed () =
   in
   let o =
     or_wedged (fun () ->
-        BT.R.trial
-          (module BT.T)
+        BT.trial BT.Face.bst
           ~params ~duration:300_000 ~sanitize:true ~chaos:plan
           ~max_steps:20_000_000 ~n:4 ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -174,9 +169,7 @@ let threadscan_crashed_collector ~seed () =
    then checks conservation (nothing duplicated, nothing from thin air)
    and per-producer FIFO order over everything dequeued or drained. *)
 
-module RM_q =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra_plus.Make)
+module RM_q = Workload.Schemes.RM2_debra_plus
 
 let queue_crash_fifo ~seed () =
   let n = 4 in
@@ -241,15 +234,14 @@ let queue_crash_fifo ~seed () =
    scheme with a working emergency-reclamation path completes, while
    [none] (which never frees) must exhaust the budget and report it. *)
 
-module BN = Workload.Schemes.B1_none
+module BN = Workload.Trial.Run (Workload.Schemes.RM1_none)
 
 let oom_emergency_drain () =
   let seed = 31 in
   let headroom = 6 * 6 * params.Reclaim.Intf.Params.block_capacity in
   let o =
     or_wedged (fun () ->
-        BP.R.trial
-          (module BP.T)
+        BP.trial BP.Face.bst
           ~params ~duration:400_000 ~sanitize:true ~budget:headroom
           ~max_steps:20_000_000 ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -259,8 +251,7 @@ let oom_emergency_drain () =
     o.Workload.Trial.violations;
   let o_none =
     or_wedged (fun () ->
-        BN.R.trial
-          (module BN.T)
+        BN.trial BN.Face.bst
           ~params ~duration:400_000 ~budget:headroom ~max_steps:20_000_000
           ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -274,8 +265,7 @@ let oom_vbr_hyaline () =
   let headroom = 6 * 6 * params.Reclaim.Intf.Params.block_capacity in
   let o_vbr =
     or_wedged (fun () ->
-        BV.R.trial
-          (module BV.T)
+        BV.trial BV.Face.bst
           ~params ~duration:400_000 ~sanitize:true ~budget:headroom
           ~max_steps:20_000_000 ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -285,8 +275,7 @@ let oom_vbr_hyaline () =
     o_vbr.Workload.Trial.violations;
   let o_hyaline =
     or_wedged (fun () ->
-        BH.R.trial
-          (module BH.T)
+        BH.trial BH.Face.bst
           ~params ~duration:400_000 ~sanitize:true ~budget:headroom
           ~max_steps:20_000_000 ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
   in
@@ -306,8 +295,7 @@ let determinism ~policy () =
       Chaos.random_plan ~seed ~nprocs:6 [ `Crash; `Drop ]
     in
     or_wedged (fun () ->
-        BP.R.trial
-          (module BP.T)
+        BP.trial BP.Face.bst
           ~params ~duration:300_000 ~sanitize:true ~chaos:plan
           ~max_steps:20_000_000 ~policy ~n:6 ~range:512 ~ins:50 ~del:50 ~seed
           ())

@@ -21,12 +21,8 @@ let par_case name speed f =
       end
       else f ())
 
-module RM_debra =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra.Make)
-module RM_hp =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Hp.Make)
+module RM_debra = (val Reclaim.Registry.(rm Exp2 (find "debra")))
+module RM_hp = (val Reclaim.Registry.(rm Exp2 (find "hp")))
 
 module H (RM : Reclaim.Intf.RECORD_MANAGER) = struct
   module L = Ds.Hm_list.Make (RM)
@@ -83,9 +79,7 @@ module H (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     Alcotest.(check int) "conserved" (total enq) (total deq + Q.size q)
 end
 
-module RM_dplus =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra_plus.Make)
+module RM_dplus = (val Reclaim.Registry.(rm Exp2 (find "debra+")))
 
 module H_debra = H (RM_debra)
 module H_hp = H (RM_hp)

@@ -83,26 +83,6 @@ let par_case name speed f =
       end
       else f ())
 
-module RM_debra =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra.Make)
-module RM_dplus =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra_plus.Make)
-module RM_hp =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Hp.Make)
-
-(* VBR recycles through the arena so every free bumps the slot's
-   generation (the version); Hyaline batches retires behind shared
-   per-batch reference counters. *)
-module RM_vbr =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Recycle) (Reclaim.Pool.Direct)
-    (Reclaim.Vbr.Make)
-module RM_hyaline =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Hyaline.Make)
-
 (* Quiescent shutdown, then flush: every grace period expires, so the
    epoch-based schemes must drain limbo to exactly zero — any remainder is
    a leaked record.  HP frees whatever no hazard slot still covers. *)
@@ -195,11 +175,24 @@ module Domains_smoke (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     flush_and_count (module RM) rm group ~strict
 end
 
-module D_debra = Domains_smoke (RM_debra)
-module D_dplus = Domains_smoke (RM_dplus)
-module D_hp = Domains_smoke (RM_hp)
-module D_vbr = Domains_smoke (RM_vbr)
-module D_hyaline = Domains_smoke (RM_hyaline)
+(* The stack and list smoke cases of one scheme, under its Experiment 2
+   pairing: [(scheme, seed, (stack domains, list domains, list key range),
+   strict)], the list case on [seed + 1]. *)
+let smoke_cases (scheme, seed, (n_stack, n_list, range), strict) =
+  let module RM =
+    (val Reclaim.Registry.rm Exp2 (Reclaim.Registry.find scheme))
+  in
+  let module D = Domains_smoke (RM) in
+  [
+    par_case
+      (Printf.sprintf "%s stack, %d domains" scheme n_stack)
+      `Quick
+      (D.test_stack ~n:(clamp n_stack) ~ops:2000 ~seed ~strict);
+    par_case
+      (Printf.sprintf "%s list, %d domains" scheme n_list)
+      `Quick
+      (D.test_list ~n:(clamp n_list) ~ops:1500 ~range ~seed:(seed + 1) ~strict);
+  ]
 
 (* A domain that dies mid-run is marked crashed in the group while its
    survivors run to completion — the ESRCH wiring Domain_exec promotes
@@ -343,33 +336,14 @@ let () =
           Alcotest.test_case "mops" `Quick test_clock_mops;
         ] );
       ( "domains-smoke",
-        [
-          par_case "debra stack, 4 domains" `Quick
-            (D_debra.test_stack ~n:(clamp 4) ~ops:2000 ~seed:21 ~strict:true);
-          par_case "debra list, 3 domains" `Quick
-            (D_debra.test_list ~n:(clamp 3) ~ops:1500 ~range:64 ~seed:22
-               ~strict:true);
-          par_case "debra+ stack, 3 domains" `Quick
-            (D_dplus.test_stack ~n:(clamp 3) ~ops:2000 ~seed:23 ~strict:true);
-          par_case "debra+ list, 4 domains" `Quick
-            (D_dplus.test_list ~n:(clamp 4) ~ops:1500 ~range:32 ~seed:24
-               ~strict:true);
-          par_case "hp stack, 4 domains" `Quick
-            (D_hp.test_stack ~n:(clamp 4) ~ops:2000 ~seed:25 ~strict:false);
-          par_case "hp list, 2 domains" `Quick
-            (D_hp.test_list ~n:(clamp 2) ~ops:1500 ~range:64 ~seed:26
-               ~strict:false);
-          par_case "vbr stack, 4 domains" `Quick
-            (D_vbr.test_stack ~n:(clamp 4) ~ops:2000 ~seed:27 ~strict:true);
-          par_case "vbr list, 3 domains" `Quick
-            (D_vbr.test_list ~n:(clamp 3) ~ops:1500 ~range:64 ~seed:28
-               ~strict:true);
-          par_case "hyaline stack, 3 domains" `Quick
-            (D_hyaline.test_stack ~n:(clamp 3) ~ops:2000 ~seed:29 ~strict:true);
-          par_case "hyaline list, 4 domains" `Quick
-            (D_hyaline.test_list ~n:(clamp 4) ~ops:1500 ~range:32 ~seed:30
-               ~strict:true);
-        ] );
+        List.concat_map smoke_cases
+          [
+            ("debra", 21, (4, 3, 64), true);
+            ("debra+", 23, (3, 4, 32), true);
+            ("hp", 25, (4, 2, 64), false);
+            ("vbr", 27, (4, 3, 64), true);
+            ("hyaline", 29, (3, 4, 32), true);
+          ] );
       ( "runner",
         [
           Alcotest.test_case "crash marked in group" `Quick

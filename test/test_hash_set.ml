@@ -60,24 +60,12 @@ module Harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     ]
 end
 
-module RM_debra =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra.Make)
-module RM_dplus =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra_plus.Make)
-module RM_hp =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Hp.Make)
+(* Each scheme under its Experiment 2 pairing. *)
+let cases scheme =
+  let module RM =
+    (val Reclaim.Registry.rm Exp2 (Reclaim.Registry.find scheme))
+  in
+  let module H = Harness (RM) in
+  (scheme, H.cases scheme)
 
-module H_debra = Harness (RM_debra)
-module H_dplus = Harness (RM_dplus)
-module H_hp = Harness (RM_hp)
-
-let () =
-  Alcotest.run "hash_set"
-    [
-      ("debra", H_debra.cases "debra");
-      ("debra+", H_dplus.cases "debra+");
-      ("hp", H_hp.cases "hp");
-    ]
+let () = Alcotest.run "hash_set" (List.map cases [ "debra"; "debra+"; "hp" ])

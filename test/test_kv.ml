@@ -116,10 +116,7 @@ let sequential structure () =
 module Ttl_harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
   module S = Kv.Store.Make (RM)
 
-  let base_scheme =
-    match String.index_opt RM.scheme_name '(' with
-    | Some i -> String.sub RM.scheme_name 0 i
-    | None -> RM.scheme_name
+  let scheme = RM.Reclaimer.name
 
   let run () =
     let n = 3 in
@@ -130,13 +127,8 @@ module Ttl_harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     in
     let heap = (S.heaps t).(0) in
     let san =
-      Sanitizer.create
-        ~config:
-          (Sanitizer.Config.of_flags ~scheme:base_scheme
-             ~supports_crash_recovery:RM.supports_crash_recovery
-             ~allows_retired_traversal:RM.allows_retired_traversal
-             ~sandboxed:RM.sandboxed ())
-        ~heap ~group
+      Sanitizer.create ~scheme ~discipline:RM.Reclaimer.discipline ~heap
+        ~group
     in
     let retires = ref 0 in
     let sub =
@@ -171,17 +163,21 @@ module Ttl_harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
         S.flush t ctx0;
         Sanitizer.leak_check san ~limbo_size:(S.limbo t));
     Memory.Heap.remove_sink heap sub;
-    Alcotest.(check string) (base_scheme ^ ": sanitizer clean") ""
+    Alcotest.(check string) (scheme ^ ": sanitizer clean") ""
       (Sanitizer.report san);
-    Alcotest.(check bool) (base_scheme ^ ": retires flowed") true (!retires > 0);
+    Alcotest.(check bool) (scheme ^ ": retires flowed") true (!retires > 0);
     Alcotest.(check bool)
-      (base_scheme ^ ": expiry observed")
+      (scheme ^ ": expiry observed")
       true (!expired_misses > 0)
 end
 
-module Ttl_debra = Ttl_harness (Schemes.RM2_debra)
-module Ttl_debra_plus = Ttl_harness (Schemes.RM2_debra_plus)
-module Ttl_hp = Ttl_harness (Schemes.RM2_hp)
+let ttl_retire scheme =
+  Alcotest.test_case scheme `Quick (fun () ->
+      let module RM =
+        (val Reclaim.Registry.rm Exp2 (Reclaim.Registry.find scheme))
+      in
+      let module T = Ttl_harness (RM) in
+      T.run ())
 
 (* ---------- sim determinism for one loadgen seed ---------- *)
 
@@ -282,11 +278,7 @@ let () =
           (fun s -> Alcotest.test_case s `Quick (sequential s))
           [ "hm_list"; "skiplist"; "bst"; "hash" ] );
       ( "ttl-retire-sanitized",
-        [
-          Alcotest.test_case "debra" `Quick Ttl_debra.run;
-          Alcotest.test_case "debra+" `Quick Ttl_debra_plus.run;
-          Alcotest.test_case "hp" `Quick Ttl_hp.run;
-        ] );
+        List.map ttl_retire [ "debra"; "debra+"; "hp" ] );
       ( "loadgen",
         [
           Alcotest.test_case "plan replay" `Quick loadgen_plan;

@@ -234,25 +234,29 @@ let test_replay_deterministic () =
    the rejection is the checker's): two one-shot dequeuers over a two
    element queue; the missing head re-validation lets both claim the same
    value under one well-placed preemption. *)
-module MN = Lh.Mk (Workload.Schemes.RM1_none)
-module MQ = Mutant_queue.Make (Workload.Schemes.RM1_none)
+module RM_none = Workload.Schemes.RM1_none
+module MQ = Mutant_queue.Make (RM_none)
 
 let run_mutant_queue policy =
   let cfg = { smoke_cfg with nprocs = 2 } in
-  let group, rm = MN.fresh cfg in
+  let group = Runtime.Group.create ~seed:cfg.seed cfg.nprocs in
+  let rm =
+    RM_none.create
+      (Reclaim.Intf.Env.create ~params:cfg.params group (Memory.Heap.create ()))
+  in
   let q = MQ.create rm ~capacity:64 in
   let rec_ = H.recorder ~nprocs:2 in
   let ctx0 = Runtime.Group.ctx group 0 in
   List.iter
     (fun v ->
-      MN.record rec_ ctx0 (H.Enq v) (fun () -> MQ.enqueue q ctx0 v) (fun () -> H.RUnit))
+      Lh.record rec_ ctx0 (H.Enq v) (fun () -> MQ.enqueue q ctx0 v) (fun () -> H.RUnit))
     [ 901; 902 ];
   let body pid () =
     let ctx = Runtime.Group.ctx group pid in
-    MN.record rec_ ctx H.Deq (fun () -> MQ.dequeue q ctx) (fun r -> H.RVal r)
+    Lh.record rec_ ctx H.Deq (fun () -> MQ.dequeue q ctx) (fun r -> H.RVal r)
   in
   ignore
-    (Sim.run ~machine:(MN.machine_for cfg) ~max_steps:200_000 ~policy group
+    (Sim.run ~machine:(Lh.machine_for cfg) ~max_steps:200_000 ~policy group
        (Array.init 2 body));
   H.snapshot rec_
 
@@ -340,85 +344,69 @@ let test_parallel_explore_equivalent () =
   in
   check_equiv "mutant queue" serial par
 
-(* Broken EBR (no grace period): a reader suspended mid-traversal resumes
-   into a record the deleter has already freed — the arena traps it on some
-   explored schedule, and that schedule replays. *)
-module MBE = Lh.Mk (Broken_schemes.RM_broken_ebr)
-
-let run_broken_ebr policy =
-  let cfg = { smoke_cfg with nprocs = 2 } in
-  let group, rm = MBE.fresh cfg in
-  let (module S) = MBE.Face.hm_list in
-  let s = S.create rm ~capacity:cfg.capacity in
-  let rec_ = H.recorder ~nprocs:2 in
-  let ctx0 = Runtime.Group.ctx group 0 in
-  for k = 1 to 4 do
-    MBE.record rec_ ctx0 (H.Add k)
-      (fun () -> S.insert s ctx0 ~key:k ~value:k)
-      (fun b -> H.RBool b)
-  done;
-  let bodies =
-    [|
-      (fun () ->
-        (* deleter: frees every node immediately on retire *)
-        let ctx = Runtime.Group.ctx group 0 in
-        for k = 1 to 4 do
-          MBE.record rec_ ctx (H.Remove k)
-            (fun () -> S.delete s ctx k)
-            (fun b -> H.RBool b)
-        done);
-      (fun () ->
-        (* reader: traverses across the nodes being freed *)
-        let ctx = Runtime.Group.ctx group 1 in
-        for _ = 1 to 2 do
-          MBE.record rec_ ctx (H.Mem 4)
-            (fun () -> S.contains s ctx 4)
-            (fun b -> H.RBool b)
-        done);
-    |]
-  in
-  ignore
-    (Sim.run ~machine:(MBE.machine_for cfg) ~max_steps:200_000 ~policy group
-       bodies);
-  H.snapshot rec_
+(* The broken schemes (broken_schemes.ml) face one workload shape: a
+   deleter (pid 0) removes keys 1..[keys] from a prefilled list while a
+   reader (pid 1) searches for the last key [reads] times, traversing
+   across the nodes being freed.  Each mutant frees a node the suspended
+   reader still holds, and the arena traps the reader's resumed access on
+   some explored schedule. *)
+let run_broken ?(cfg = { smoke_cfg with nprocs = 2 }) ~keys ~reads e policy =
+  (Lh.harness e).Lh.set_ops ~ds:"list" cfg
+    ~prefill:(List.init keys (fun i -> H.Add (i + 1)))
+    ~scripts:
+      [|
+        List.init keys (fun i -> H.Remove (i + 1));
+        List.init reads (fun _ -> H.Mem keys);
+      |]
+    policy
 
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let test_broken_ebr_rejected () =
+(* Explore [run] to a rejection, which must be the arena's use-after-free
+   trap; with [replays], re-running the printed schedule alone must trap
+   again. *)
+let check_broken_rejected ~label ~max_runs ?(replays = true) run =
   match
-    Explore.explore ~budget:2 ~max_runs:800 ~run_one:run_broken_ebr
+    Explore.explore ~budget:2 ~max_runs ~run_one:run
       ~check:(fun h ->
         match Checker.check Spec.set h with
         | Checker.Linearizable -> None
         | v -> Some (Checker.verdict_to_string v))
       ()
   with
-  | Explore.Pass _ -> Alcotest.fail "broken EBR slipped past exploration"
+  | Explore.Pass _ -> Alcotest.failf "broken %s slipped past exploration" label
   | Explore.Fail { schedule; reason; stats; _ } ->
       Printf.printf
-        "broken EBR rejected after %d schedules\n  schedule: %s\n  reason: %s\n"
-        stats.Explore.runs
+        "broken %s rejected after %d schedules\n  schedule: %s\n  reason: %s\n"
+        label stats.Explore.runs
         (Explore.schedule_to_string schedule)
         reason;
       Alcotest.(check bool)
         "trapped as use-after-free" true
         (contains_sub ~sub:"Use_after_free" reason);
-      let replay_trapped =
-        match run_broken_ebr (Explore.policy_of_schedule schedule) with
-        | (_ : H.t) -> false
-        | exception Memory.Arena.Use_after_free _ -> true
-      in
-      Alcotest.(check bool) "schedule replays to the same trap" true
-        replay_trapped
+      if replays then begin
+        let replay_trapped =
+          match run (Explore.policy_of_schedule schedule) with
+          | (_ : H.t) -> false
+          | exception Memory.Arena.Use_after_free _ -> true
+        in
+        Alcotest.(check bool) "schedule replays to the same trap" true
+          replay_trapped
+      end
 
-(* Broken HP (no post-announce validation): the deleter accumulates enough
-   retires to scan and free; a reader that announced too late resumes into
-   a freed record. *)
-module MBH = Lh.Mk (Broken_schemes.RM_broken_hp)
+(* Broken EBR (no grace period): the deleter frees every node immediately
+   on retire. *)
+let test_broken_ebr_rejected () =
+  check_broken_rejected ~label:"EBR" ~max_runs:800
+    (run_broken ~keys:4 ~reads:2 Broken_schemes.broken_ebr)
 
+(* Broken HP (no post-announce validation): the deleter's 8th retire
+   crosses the scan threshold and frees everything not (validly)
+   announced; a reader that announced too late resumes into a freed
+   record. *)
 let broken_hp_cfg =
   {
     smoke_cfg with
@@ -432,205 +420,24 @@ let broken_hp_cfg =
       };
   }
 
-let run_broken_hp policy =
-  let cfg = broken_hp_cfg in
-  let group, rm = MBH.fresh cfg in
-  let (module S) = MBH.Face.hm_list in
-  let s = S.create rm ~capacity:cfg.capacity in
-  let rec_ = H.recorder ~nprocs:2 in
-  let ctx0 = Runtime.Group.ctx group 0 in
-  for k = 1 to 9 do
-    MBH.record rec_ ctx0 (H.Add k)
-      (fun () -> S.insert s ctx0 ~key:k ~value:k)
-      (fun b -> H.RBool b)
-  done;
-  let bodies =
-    [|
-      (fun () ->
-        (* deleter: the 8th retire crosses the scan threshold and frees
-           everything not (validly) announced *)
-        let ctx = Runtime.Group.ctx group 0 in
-        for k = 1 to 9 do
-          MBH.record rec_ ctx (H.Remove k)
-            (fun () -> S.delete s ctx k)
-            (fun b -> H.RBool b)
-        done);
-      (fun () ->
-        (* reader: one long traversal through the doomed prefix *)
-        let ctx = Runtime.Group.ctx group 1 in
-        MBH.record rec_ ctx (H.Mem 9)
-          (fun () -> S.contains s ctx 9)
-          (fun b -> H.RBool b));
-    |]
-  in
-  ignore
-    (Sim.run ~machine:(MBH.machine_for cfg) ~max_steps:400_000 ~policy group
-       bodies);
-  H.snapshot rec_
-
 let test_broken_hp_rejected () =
-  match
-    Explore.explore ~budget:2 ~max_runs:1500 ~run_one:run_broken_hp
-      ~check:(fun h ->
-        match Checker.check Spec.set h with
-        | Checker.Linearizable -> None
-        | v -> Some (Checker.verdict_to_string v))
-      ()
-  with
-  | Explore.Pass _ -> Alcotest.fail "broken HP slipped past exploration"
-  | Explore.Fail { schedule; reason; stats; _ } ->
-      Printf.printf
-        "broken HP rejected after %d schedules\n  schedule: %s\n  reason: %s\n"
-        stats.Explore.runs
-        (Explore.schedule_to_string schedule)
-        reason;
-      Alcotest.(check bool)
-        "trapped as use-after-free" true
-        (contains_sub ~sub:"Use_after_free" reason)
+  check_broken_rejected ~label:"HP" ~max_runs:1500 ~replays:false
+    (run_broken ~cfg:broken_hp_cfg ~keys:9 ~reads:1 Broken_schemes.broken_hp)
 
 (* Broken VBR (no version re-validation, no sandbox): retire reclaims full
-   blocks immediately — correct VBR behaviour — but a reader suspended
-   mid-traversal resumes into a reclaimed record without re-checking the
-   version, and the recycling arena's generation trap fires. *)
-module MBV = Lh.Mk (Broken_schemes.RM_broken_vbr)
-
-let run_broken_vbr policy =
-  let cfg = { smoke_cfg with nprocs = 2 } in
-  let group, rm = MBV.fresh cfg in
-  let (module S) = MBV.Face.hm_list in
-  let s = S.create rm ~capacity:cfg.capacity in
-  let rec_ = H.recorder ~nprocs:2 in
-  let ctx0 = Runtime.Group.ctx group 0 in
-  for k = 1 to 8 do
-    MBV.record rec_ ctx0 (H.Add k)
-      (fun () -> S.insert s ctx0 ~key:k ~value:k)
-      (fun b -> H.RBool b)
-  done;
-  let bodies =
-    [|
-      (fun () ->
-        (* deleter: the 5th retire fills a block and frees it in place *)
-        let ctx = Runtime.Group.ctx group 0 in
-        for k = 1 to 8 do
-          MBV.record rec_ ctx (H.Remove k)
-            (fun () -> S.delete s ctx k)
-            (fun b -> H.RBool b)
-        done);
-      (fun () ->
-        (* reader: traverses across the blocks being reclaimed *)
-        let ctx = Runtime.Group.ctx group 1 in
-        for _ = 1 to 2 do
-          MBV.record rec_ ctx (H.Mem 8)
-            (fun () -> S.contains s ctx 8)
-            (fun b -> H.RBool b)
-        done);
-    |]
-  in
-  ignore
-    (Sim.run ~machine:(MBV.machine_for cfg) ~max_steps:400_000 ~policy group
-       bodies);
-  H.snapshot rec_
-
+   blocks immediately — correct VBR behaviour — but the reader resumes
+   into a reclaimed record without re-checking the version, and the
+   recycling arena's generation trap fires. *)
 let test_broken_vbr_rejected () =
-  match
-    Explore.explore ~budget:2 ~max_runs:1500 ~run_one:run_broken_vbr
-      ~check:(fun h ->
-        match Checker.check Spec.set h with
-        | Checker.Linearizable -> None
-        | v -> Some (Checker.verdict_to_string v))
-      ()
-  with
-  | Explore.Pass _ -> Alcotest.fail "broken VBR slipped past exploration"
-  | Explore.Fail { schedule; reason; stats; _ } ->
-      Printf.printf
-        "broken VBR rejected after %d schedules\n  schedule: %s\n  reason: %s\n"
-        stats.Explore.runs
-        (Explore.schedule_to_string schedule)
-        reason;
-      Alcotest.(check bool)
-        "trapped as use-after-free" true
-        (contains_sub ~sub:"Use_after_free" reason);
-      let replay_trapped =
-        match run_broken_vbr (Explore.policy_of_schedule schedule) with
-        | (_ : H.t) -> false
-        | exception Memory.Arena.Use_after_free _ -> true
-      in
-      Alcotest.(check bool) "schedule replays to the same trap" true
-        replay_trapped
+  check_broken_rejected ~label:"VBR" ~max_runs:1500
+    (run_broken ~keys:8 ~reads:2 Broken_schemes.broken_vbr)
 
 (* Broken Hyaline (lost batch reference): the seal initializes the batch
    refcount one short, so the batch frees while the last charged session —
-   a reader suspended mid-traversal — is still open; the reader resumes
-   into a freed record. *)
-module MBY = Lh.Mk (Broken_schemes.RM_broken_hyaline)
-
-let run_broken_hyaline policy =
-  let cfg = { smoke_cfg with nprocs = 2 } in
-  let group, rm = MBY.fresh cfg in
-  let (module S) = MBY.Face.hm_list in
-  let s = S.create rm ~capacity:cfg.capacity in
-  let rec_ = H.recorder ~nprocs:2 in
-  let ctx0 = Runtime.Group.ctx group 0 in
-  for k = 1 to 8 do
-    MBY.record rec_ ctx0 (H.Add k)
-      (fun () -> S.insert s ctx0 ~key:k ~value:k)
-      (fun b -> H.RBool b)
-  done;
-  let bodies =
-    [|
-      (fun () ->
-        (* deleter: the 4th retire seals the batch with the short count;
-           its next operation boundary drops the last counted reference *)
-        let ctx = Runtime.Group.ctx group 0 in
-        for k = 1 to 8 do
-          MBY.record rec_ ctx (H.Remove k)
-            (fun () -> S.delete s ctx k)
-            (fun b -> H.RBool b)
-        done);
-      (fun () ->
-        (* reader: charged at seal, but the lost reference means the batch
-           frees before this session closes *)
-        let ctx = Runtime.Group.ctx group 1 in
-        for _ = 1 to 2 do
-          MBY.record rec_ ctx (H.Mem 8)
-            (fun () -> S.contains s ctx 8)
-            (fun b -> H.RBool b)
-        done);
-    |]
-  in
-  ignore
-    (Sim.run ~machine:(MBY.machine_for cfg) ~max_steps:400_000 ~policy group
-       bodies);
-  H.snapshot rec_
-
+   the suspended reader's — is still open. *)
 let test_broken_hyaline_rejected () =
-  match
-    Explore.explore ~budget:2 ~max_runs:1500 ~run_one:run_broken_hyaline
-      ~check:(fun h ->
-        match Checker.check Spec.set h with
-        | Checker.Linearizable -> None
-        | v -> Some (Checker.verdict_to_string v))
-      ()
-  with
-  | Explore.Pass _ -> Alcotest.fail "broken Hyaline slipped past exploration"
-  | Explore.Fail { schedule; reason; stats; _ } ->
-      Printf.printf
-        "broken Hyaline rejected after %d schedules\n\
-        \  schedule: %s\n\
-        \  reason: %s\n"
-        stats.Explore.runs
-        (Explore.schedule_to_string schedule)
-        reason;
-      Alcotest.(check bool)
-        "trapped as use-after-free" true
-        (contains_sub ~sub:"Use_after_free" reason);
-      let replay_trapped =
-        match run_broken_hyaline (Explore.policy_of_schedule schedule) with
-        | (_ : H.t) -> false
-        | exception Memory.Arena.Use_after_free _ -> true
-      in
-      Alcotest.(check bool) "schedule replays to the same trap" true
-        replay_trapped
+  check_broken_rejected ~label:"Hyaline" ~max_runs:1500
+    (run_broken ~keys:8 ~reads:2 Broken_schemes.broken_hyaline)
 
 (* ------------------------------------------------------------------ *)
 

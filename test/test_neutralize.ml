@@ -7,9 +7,7 @@
    Also sweeps many seeds at small scale: each seed is a different
    deterministic interleaving of the same contended workload. *)
 
-module RM_dplus =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra_plus.Make)
+module RM_dplus = (val Reclaim.Registry.(rm Exp2 (find "debra+")))
 
 module T = Ds.Efrb_bst.Make (RM_dplus)
 module L = Ds.Hm_list.Make (RM_dplus)

@@ -14,9 +14,9 @@
 
 open Protocheck
 
-module CE = Cell.Make (Broken_schemes.RM_broken_ebr)
-module CH = Cell.Make (Broken_schemes.RM_broken_hp)
-module MB = Mutant_bst.Make (Matrix.RM_hp)
+module Registry = Reclaim.Registry
+module RM_hp = (val Registry.rm Check (Registry.find "hp"))
+module MB = Mutant_bst.Make (RM_hp)
 
 let has_kind k (ce : Report.counterexample) =
   List.exists (fun v -> v.Engine.kind = k) ce.violations
@@ -38,7 +38,7 @@ let test_clean_matrix () =
     cells
 
 let test_broken_ebr_rejected () =
-  let c = CE.check ~scheme:"broken-ebr" Report.List in
+  let c = Matrix.cell Broken_schemes.broken_ebr Report.List in
   Alcotest.(check bool) "rejected" false (Report.clean c);
   match c.Report.counterexample with
   | None -> Alcotest.fail "no counterexample path recorded"
@@ -50,7 +50,7 @@ let test_broken_ebr_rejected () =
         (v.Engine.trace <> [])
 
 let test_broken_hp_rejected () =
-  let c = CH.check ~scheme:"broken-hp" Report.List in
+  let c = Matrix.cell Broken_schemes.broken_hp Report.List in
   Alcotest.(check bool) "rejected" false (Report.clean c);
   match c.Report.counterexample with
   | None -> Alcotest.fail "no counterexample path recorded"
@@ -70,10 +70,9 @@ let test_mutant_bst_rejected () =
   let group = Runtime.Group.create ~seed:7 1 in
   let heap = Memory.Heap.create () in
   let env = Reclaim.Intf.Env.create ~params:Cell.params group heap in
-  let rm = Matrix.RM_hp.create env in
+  let rm = RM_hp.create env in
   let config =
-    Engine.config_of_flags ~scheme:"hp" ~allows_retired_traversal:false
-      ~sandboxed:false ~strict:true ()
+    Engine.config ~scheme:"hp" ~strict:true RM_hp.Reclaimer.discipline
   in
   let eng = Engine.create ~config ~nprocs:1 () in
   let detach = Engine.attach eng env in
@@ -101,7 +100,7 @@ let test_mutant_bst_rejected () =
    retire of the same unlinked witness is an [Invalid_argument] at the API
    boundary, before any reclaimer state is touched. *)
 let test_typed_double_retire_rejected () =
-  let module RM = Matrix.RM_ebr in
+  let module RM = (val Registry.rm Check (Registry.find "ebr")) in
   let module T = RM.Typed in
   let group = Runtime.Group.create ~seed:3 1 in
   let heap = Memory.Heap.create () in

@@ -8,18 +8,24 @@ open Reclaim
 let params_tiny =
   { Intf.Params.default with Intf.Params.block_capacity = 4; incr_thresh = 1 }
 
-module RM_debra = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Debra.Make)
+(* The registry's [Check] pairings: shared pool behind the epoch schemes,
+   direct pool behind the hazard-scan family. *)
+let check name = Registry.rm Check (Registry.find name)
+
+module RM_debra = (val check "debra")
+
 (* Protection-survival tests use the Direct pool: the bump allocator bumps
    the slot generation on deallocate, so [Arena.is_valid] is a faithful
    "was it freed?" oracle.  (The Shared pool reuses records without freeing
    them, which is correct but undetectable through generations.) *)
 module RM_debra_plus =
   Record_manager.Make (Alloc.Bump) (Pool.Direct) (Debra_plus.Make)
-module RM_hp = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Hp.Make)
-module RM_ebr = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Ebr.Make)
-module RM_ts = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Threadscan.Make)
-module RM_qsbr = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Qsbr.Make)
-module RM_rc = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Rc.Make)
+
+module RM_hp = (val check "hp")
+module RM_ebr = (val check "ebr")
+module RM_ts = (val check "threadscan")
+module RM_qsbr = (val check "qsbr")
+module RM_rc = (val check "rc")
 
 module Setup (RM : Intf.RECORD_MANAGER) = struct
   let make ?(params = params_tiny) ?(n = 2) ?(seed = 1) () =
@@ -394,16 +400,10 @@ let test_threadscan_unsound_retired_chain () =
     "ThreadScan frees a record reachable from a registered retired record"
     true !uaf
 
-module RM_st =
-  Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Stacktrack.Make)
-module RM_none =
-  Record_manager.Make (Alloc.Bump) (Pool.Direct) (None_reclaimer.Make)
-
 (* VBR rides the recycling allocator: frees route through the arena and
    bump the slot generation, which IS the version [protect] re-checks. *)
-module RM_vbr = Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Vbr.Make)
-module RM_hyaline =
-  Record_manager.Make (Alloc.Bump) (Pool.Shared) (Hyaline.Make)
+module RM_vbr = (val check "vbr")
+
 (* Direct pool for the gating test: frees bump the generation, so
    [Arena.is_valid] is a faithful freed-oracle (same trick as RM_debra_plus
    above). *)
@@ -512,7 +512,7 @@ let test_hyaline_batch_refcount_gates () =
    which counts every Retire and Free on the event bus independently of the
    reclaimer's own bookkeeping. *)
 module Drain (RM : Intf.RECORD_MANAGER) = struct
-  let run ~scheme () =
+  let run () =
     let group = Runtime.Group.create ~seed:7 2 in
     let heap = Memory.Heap.create () in
     let env = Intf.Env.create ~params:params_tiny group heap in
@@ -521,13 +521,10 @@ module Drain (RM : Intf.RECORD_MANAGER) = struct
       Memory.Heap.new_arena heap ~name:"d" ~mut_fields:1 ~const_fields:1
         ~capacity:4096
     in
-    let config =
-      Sanitizer.Config.of_flags ~scheme
-        ~supports_crash_recovery:RM.supports_crash_recovery
-        ~allows_retired_traversal:RM.allows_retired_traversal
-        ~sandboxed:RM.sandboxed ()
+    let discipline = RM.Reclaimer.discipline in
+    let san =
+      Sanitizer.create ~scheme:RM.Reclaimer.name ~discipline ~heap ~group
     in
-    let san = Sanitizer.create ~config ~heap ~group in
     let ctx0 = Runtime.Group.ctx group 0 in
     let ctx1 = Runtime.Group.ctx group 1 in
     Sanitizer.with_checks san (fun () ->
@@ -544,7 +541,7 @@ module Drain (RM : Intf.RECORD_MANAGER) = struct
               RM.enter_qstate rm ctx)
             [ ctx0; ctx1 ]
         done;
-        if config.Sanitizer.Config.track_limbo then
+        if discipline.Memory.Discipline.track_limbo then
           Alcotest.(check int) "mid-run: shadow ledger mirrors limbo"
             (RM.limbo_size rm)
             (Sanitizer.retired_unfreed san);
@@ -560,41 +557,21 @@ module Drain (RM : Intf.RECORD_MANAGER) = struct
         Sanitizer.leak_check san ~limbo_size:(RM.limbo_size rm));
     Alcotest.(check string) "no violations" "" (Sanitizer.report san);
     Alcotest.(check int) "limbo empty after flush" 0 (RM.limbo_size rm);
-    if config.Sanitizer.Config.track_limbo then
+    if discipline.Memory.Discipline.track_limbo then
       Alcotest.(check int) "shadow ledger empty" 0
         (Sanitizer.retired_unfreed san)
 end
 
-module D_ebr = Drain (RM_ebr)
-module D_qsbr = Drain (RM_qsbr)
-module D_debra = Drain (RM_debra)
-module D_debra_plus = Drain (RM_debra_plus)
-module D_hp = Drain (RM_hp)
-module D_rc = Drain (RM_rc)
-module D_ts = Drain (RM_ts)
-module D_st = Drain (RM_st)
-module D_none = Drain (RM_none)
-module D_vbr = Drain (RM_vbr)
-module D_hyaline = Drain (RM_hyaline)
+(* Every registered scheme, under its [Check] pairing. *)
+let drain (e : Registry.entry) =
+  let module RM = (val Registry.rm Check e) in
+  let module D = Drain (RM) in
+  Alcotest.test_case e.name `Quick D.run
 
 let () =
   Alcotest.run "reclaim"
     [
-      ( "limbo-drains",
-        [
-          Alcotest.test_case "ebr" `Quick (D_ebr.run ~scheme:"ebr");
-          Alcotest.test_case "qsbr" `Quick (D_qsbr.run ~scheme:"qsbr");
-          Alcotest.test_case "debra" `Quick (D_debra.run ~scheme:"debra");
-          Alcotest.test_case "debra+" `Quick
-            (D_debra_plus.run ~scheme:"debra+");
-          Alcotest.test_case "hp" `Quick (D_hp.run ~scheme:"hp");
-          Alcotest.test_case "rc" `Quick (D_rc.run ~scheme:"rc");
-          Alcotest.test_case "threadscan" `Quick (D_ts.run ~scheme:"threadscan");
-          Alcotest.test_case "stacktrack" `Quick (D_st.run ~scheme:"stacktrack");
-          Alcotest.test_case "none" `Quick (D_none.run ~scheme:"none");
-          Alcotest.test_case "vbr" `Quick (D_vbr.run ~scheme:"vbr");
-          Alcotest.test_case "hyaline" `Quick (D_hyaline.run ~scheme:"hyaline");
-        ] );
+      ("limbo-drains", List.map drain Registry.all);
       ( "vbr",
         [
           Alcotest.test_case "reclaims despite stalled reader" `Quick

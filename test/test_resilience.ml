@@ -219,11 +219,8 @@ let shed_under_pressure () =
   in
   let heap = (Store.heaps store).(0) in
   let san =
-    Sanitizer.create
-      ~config:
-        (Sanitizer.Config.of_flags ~scheme:"debra+" ~supports_crash_recovery:true
-           ~allows_retired_traversal:true ~sandboxed:false ())
-      ~heap ~group
+    Sanitizer.create ~scheme:"debra+"
+      ~discipline:Schemes.RM2_debra_plus.Reclaimer.discipline ~heap ~group
   in
   (* A brownout watermark of 1 retired block: any retire pressure at all
      puts the shard in brownout, so low-priority calls shed. *)

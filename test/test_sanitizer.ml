@@ -5,9 +5,11 @@
      schedules, produces ZERO violations and drains its limbo to zero after
      a quiescent shutdown (the shadow ledger agrees with the reclaimer's own
      limbo_size);
-   - two deliberately broken reclaimers are caught and correctly
-     classified: an EBR that skips the grace period (premature-free) and an
-     HP that skips the post-announce validation (unprotected-access).
+   - the deliberately broken reclaimers (broken_schemes.ml) are caught and
+     correctly classified against the disciplines they declare: an EBR
+     that skips the grace period (premature-free), an HP that skips the
+     post-announce validation (unprotected-access), a VBR that skips its
+     version re-validation, and a Hyaline that loses a batch reference.
 
    ThreadScan runs with a delete-buffer threshold its workload never
    reaches, so all collection happens in the final flush: TS's signal-scan
@@ -40,39 +42,14 @@ let ops_per_proc = 60
 let key_range = 16
 let capacity = 4096
 
-(* The real matrix: shared pool behind the epoch schemes, direct pool for
-   the HP family (generation checks then give a faithful freed-oracle),
-   recycling allocator for StackTrack, as in the benchmark matrix. *)
-module RM_ebr = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Ebr.Make)
-module RM_qsbr = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Qsbr.Make)
-module RM_debra = Record_manager.Make (Alloc.Bump) (Pool.Shared) (Debra.Make)
-module RM_debra_plus =
-  Record_manager.Make (Alloc.Bump) (Pool.Shared) (Debra_plus.Make)
-module RM_hp = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Hp.Make)
-module RM_rc = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Rc.Make)
-module RM_ts = Record_manager.Make (Alloc.Bump) (Pool.Direct) (Threadscan.Make)
-module RM_st =
-  Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Stacktrack.Make)
-module RM_none =
-  Record_manager.Make (Alloc.Bump) (Pool.Direct) (None_reclaimer.Make)
-
-(* VBR must ride the recycling allocator: its versions ARE the arena
-   generation counters, so every free has to route through the arena and
-   bump the slot generation.  Hyaline pairs like the other epoch schemes. *)
-module RM_vbr = Record_manager.Make (Alloc.Recycle) (Pool.Direct) (Vbr.Make)
-module RM_hyaline =
-  Record_manager.Make (Alloc.Bump) (Pool.Shared) (Hyaline.Make)
-
+(* Every scheme runs under the registry's [Check] pairing: shared pool
+   behind the epoch schemes, direct pool for the hazard-scan family
+   (generation checks then give a faithful freed-oracle), recycling
+   allocator for StackTrack and VBR. *)
 module Fuzz (RM : Intf.RECORD_MANAGER) = struct
   module L = Ds.Hm_list.Make (RM)
   module B = Ds.Efrb_bst.Make (RM)
   module Q = Ds.Ms_queue.Make (RM)
-
-  let config ~scheme =
-    Sanitizer.Config.of_flags ~scheme
-      ~supports_crash_recovery:RM.supports_crash_recovery
-      ~allows_retired_traversal:RM.allows_retired_traversal
-      ~sandboxed:RM.sandboxed ()
 
   (* Quiescent shutdown: cycle every process through enough operation
      boundaries that every grace period expires and every announcement is
@@ -89,15 +66,15 @@ module Fuzz (RM : Intf.RECORD_MANAGER) = struct
 
   (* Build the structure, run one `Random_walk schedule, shut down
      quiescently, reconcile the leak ledger — all under the sanitizer. *)
-  let exercise ?config:cfg ~scheme ~seed build =
+  let exercise ~seed build =
     let group = Runtime.Group.create ~seed nprocs in
     let heap = Memory.Heap.create () in
     let env = Intf.Env.create ~params:fuzz_params group heap in
     let rm = RM.create env in
-    let config =
-      match cfg with Some c -> c | None -> config ~scheme
+    let san =
+      Sanitizer.create ~scheme:RM.Reclaimer.name
+        ~discipline:RM.Reclaimer.discipline ~heap ~group
     in
-    let san = Sanitizer.create ~config ~heap ~group in
     let crashed = ref false in
     (try
        Sanitizer.with_checks san (fun () ->
@@ -152,6 +129,18 @@ module Fuzz (RM : Intf.RECORD_MANAGER) = struct
           else ignore (Q.dequeue t ctx)
         done)
 
+  (* Per-pid disjoint keys, so every delete succeeds and every process
+     retires a steady stream (see the broken VBR test). *)
+  let build_list_churn group rm =
+    let t = L.create rm ~capacity in
+    Array.init nprocs (fun pid () ->
+        let ctx = Runtime.Group.ctx group pid in
+        for i = 1 to 100 do
+          let key = (pid * 64) + (i mod 48) in
+          ignore (L.insert t ctx ~key ~value:1);
+          ignore (L.delete t ctx key)
+        done)
+
   let assert_clean ~name (san, rm, crashed) =
     Alcotest.(check bool) (name ^ ": no crash") false crashed;
     Alcotest.(check string) (name ^ ": violations") "" (Sanitizer.report san);
@@ -165,69 +154,70 @@ module Fuzz (RM : Intf.RECORD_MANAGER) = struct
       true
       (Sanitizer.accesses_checked san > 0)
 
-  let clean ~scheme build_name build () =
+  let scheme = RM.Reclaimer.name
+
+  let clean build_name build () =
     List.iter
       (fun seed ->
         let name = Printf.sprintf "%s/%s/seed=%d" scheme build_name seed in
-        assert_clean ~name (exercise ~scheme ~seed build))
+        assert_clean ~name (exercise ~seed build))
       seeds
 
-  let tests ~scheme =
+  let tests =
     [
       Alcotest.test_case
         (Printf.sprintf "%s list clean" scheme)
         `Quick
-        (clean ~scheme "hm_list" build_list);
+        (clean "hm_list" build_list);
       Alcotest.test_case
         (Printf.sprintf "%s bst clean" scheme)
         `Quick
-        (clean ~scheme "efrb_bst" build_bst);
+        (clean "efrb_bst" build_bst);
       Alcotest.test_case
         (Printf.sprintf "%s queue clean" scheme)
         `Quick
-        (clean ~scheme "ms_queue" build_queue);
+        (clean "ms_queue" build_queue);
     ]
+
+  (* One sanitized run of a workload: the sanitizer and whether the arena
+     trapped (only the broken schemes may). *)
+  let run ~seed workload =
+    let build =
+      match workload with
+      | `List -> build_list
+      | `List_churn -> build_list_churn
+    in
+    let san, _rm, crashed = exercise ~seed build in
+    (san, crashed)
 end
 
-module F_ebr = Fuzz (RM_ebr)
-module F_qsbr = Fuzz (RM_qsbr)
-module F_debra = Fuzz (RM_debra)
-module F_debra_plus = Fuzz (RM_debra_plus)
-module F_hp = Fuzz (RM_hp)
-module F_rc = Fuzz (RM_rc)
-module F_ts = Fuzz (RM_ts)
-module F_st = Fuzz (RM_st)
-module F_none = Fuzz (RM_none)
-module F_vbr = Fuzz (RM_vbr)
-module F_hyaline = Fuzz (RM_hyaline)
+type fuzz = {
+  tests : unit Alcotest.test_case list;
+  run : seed:int -> [ `List | `List_churn ] -> Sanitizer.t * bool;
+}
+
+let fuzz : Registry.entry -> fuzz =
+  let memo =
+    Registry.memo (fun variant e ->
+        let module RM = (val Registry.rm variant e) in
+        let module F = Fuzz (RM) in
+        { tests = F.tests; run = F.run })
+  in
+  memo Registry.Check
 
 (* ------------------------------------------------------------------ *)
 (* Deliberately broken schemes: the sanitizer must catch and classify. *)
 
-(* The broken reclaimers themselves live in broken_schemes.ml, shared with
-   the linearizability/exploration suite (test_lincheck.ml). *)
-module F_broken_ebr = Fuzz (Broken_schemes.RM_broken_ebr)
-module F_broken_hp = Fuzz (Broken_schemes.RM_broken_hp)
-module F_broken_vbr = Fuzz (Broken_schemes.RM_broken_vbr)
-module F_broken_hyaline = Fuzz (Broken_schemes.RM_broken_hyaline)
-
-(* The broken runs are expected to crash the arena sooner or later; the
-   shadow ledger is meaningless for them.  What matters is the
-   classification: premature-free for the missing grace period,
-   unprotected-access for the missing validation. *)
-let broken_config ~scheme ~access ~free =
-  Sanitizer.Config.make ~track_limbo:false ~scheme ~access ~free ()
-
+(* The broken runs are expected to crash the arena sooner or later; what
+   matters is the classification against the discipline each mutant
+   declares: premature-free for a missing grace period, unprotected-access
+   for a missing validation. *)
 let test_broken_ebr () =
   let caught =
     List.exists
       (fun seed ->
-        let san, _rm, _crashed =
-          F_broken_ebr.exercise
-            ~config:
-              (broken_config ~scheme:"broken-ebr" ~access:Sanitizer.Epoch
-                 ~free:Sanitizer.Grace_session)
-            ~scheme:"broken-ebr" ~seed F_broken_ebr.build_list
+        let san, _crashed =
+          (fuzz Broken_schemes.broken_ebr).run ~seed `List
         in
         Sanitizer.has san Sanitizer.Premature_free)
       seeds
@@ -237,12 +227,8 @@ let test_broken_ebr () =
 let test_broken_ebr_classification () =
   (* Single-seed determinism: the first concurrent retire is already
      premature (the retirer itself is still inside its session). *)
-  let san, _rm, _crashed =
-    F_broken_ebr.exercise
-      ~config:
-        (broken_config ~scheme:"broken-ebr" ~access:Sanitizer.Epoch
-           ~free:Sanitizer.Grace_session)
-      ~scheme:"broken-ebr" ~seed:11 F_broken_ebr.build_list
+  let san, _crashed =
+    (fuzz Broken_schemes.broken_ebr).run ~seed:11 `List
   in
   Alcotest.(check bool)
     "at least one violation" true
@@ -262,12 +248,8 @@ let test_broken_hp () =
   let caught =
     List.exists
       (fun seed ->
-        let san, _rm, _crashed =
-          F_broken_hp.exercise
-            ~config:
-              (broken_config ~scheme:"broken-hp" ~access:Sanitizer.Hazard
-                 ~free:Sanitizer.Hazard_scan)
-            ~scheme:"broken-hp" ~seed F_broken_hp.build_list
+        let san, _crashed =
+          (fuzz Broken_schemes.broken_hp).run ~seed `List
         in
         Sanitizer.has san Sanitizer.Unprotected_access)
       seeds
@@ -289,26 +271,12 @@ let test_broken_hp () =
    process, so the random mixed workload (where a process may win only a
    handful of deletes) can legitimately end the run with every bag still
    below a full block. *)
-let build_list_churn group rm =
-  let t = F_broken_vbr.L.create rm ~capacity in
-  Array.init nprocs (fun pid () ->
-      let ctx = Runtime.Group.ctx group pid in
-      for i = 1 to 100 do
-        let key = (pid * 64) + (i mod 48) in
-        ignore (F_broken_vbr.L.insert t ctx ~key ~value:1);
-        ignore (F_broken_vbr.L.delete t ctx key)
-      done)
-
 let test_broken_vbr () =
   let caught =
     List.exists
       (fun seed ->
-        let san, _rm, crashed =
-          F_broken_vbr.exercise
-            ~config:
-              (broken_config ~scheme:"broken-vbr" ~access:Sanitizer.Epoch
-                 ~free:Sanitizer.Grace_session)
-            ~scheme:"broken-vbr" ~seed build_list_churn
+        let san, crashed =
+          (fuzz Broken_schemes.broken_vbr).run ~seed `List_churn
         in
         Sanitizer.has san Sanitizer.Premature_free
         || Sanitizer.has san Sanitizer.Use_after_free
@@ -325,12 +293,8 @@ let test_broken_hyaline () =
   let caught =
     List.exists
       (fun seed ->
-        let san, _rm, _crashed =
-          F_broken_hyaline.exercise
-            ~config:
-              (broken_config ~scheme:"broken-hyaline" ~access:Sanitizer.Epoch
-                 ~free:Sanitizer.Grace_session)
-            ~scheme:"broken-hyaline" ~seed F_broken_hyaline.build_list
+        let san, _crashed =
+          (fuzz Broken_schemes.broken_hyaline).run ~seed `List
         in
         Sanitizer.has san Sanitizer.Premature_free)
       seeds
@@ -338,12 +302,8 @@ let test_broken_hyaline () =
   Alcotest.(check bool) "premature-free caught" true caught
 
 let test_broken_hyaline_classification () =
-  let san, _rm, _crashed =
-    F_broken_hyaline.exercise
-      ~config:
-        (broken_config ~scheme:"broken-hyaline" ~access:Sanitizer.Epoch
-           ~free:Sanitizer.Grace_session)
-      ~scheme:"broken-hyaline" ~seed:11 F_broken_hyaline.build_list
+  let san, _crashed =
+    (fuzz Broken_schemes.broken_hyaline).run ~seed:11 `List
   in
   Alcotest.(check bool)
     "at least one violation" true
@@ -373,11 +333,15 @@ let test_state_machine_direct () =
   in
   let ctx0 = Runtime.Group.ctx group 0 in
   let ctx1 = Runtime.Group.ctx group 1 in
-  let config =
-    Sanitizer.Config.make ~scheme:"toy" ~access:Sanitizer.Epoch
-      ~free:Sanitizer.Grace_session ()
+  let discipline =
+    {
+      Memory.Discipline.access = Epoch;
+      free = Grace_session;
+      quiescence = Interval;
+      track_limbo = true;
+    }
   in
-  let san = Sanitizer.create ~config ~heap ~group in
+  let san = Sanitizer.create ~scheme:"toy" ~discipline ~heap ~group in
   Sanitizer.with_checks san (fun () ->
       let p = Memory.Arena.claim_fresh ctx0 arena in
       Memory.Arena.write ctx0 arena p 0 1;
@@ -401,28 +365,21 @@ let test_state_machine_direct () =
 
 let () =
   Alcotest.run "sanitizer"
-    [
-      ("state-machine", [ Alcotest.test_case "direct" `Quick test_state_machine_direct ]);
-      ("ebr", F_ebr.tests ~scheme:"ebr");
-      ("qsbr", F_qsbr.tests ~scheme:"qsbr");
-      ("debra", F_debra.tests ~scheme:"debra");
-      ("debra+", F_debra_plus.tests ~scheme:"debra+");
-      ("hp", F_hp.tests ~scheme:"hp");
-      ("rc", F_rc.tests ~scheme:"rc");
-      ("threadscan", F_ts.tests ~scheme:"threadscan");
-      ("stacktrack", F_st.tests ~scheme:"stacktrack");
-      ("none", F_none.tests ~scheme:"none");
-      ("vbr", F_vbr.tests ~scheme:"vbr");
-      ("hyaline", F_hyaline.tests ~scheme:"hyaline");
-      ( "broken",
-        [
-          Alcotest.test_case "broken ebr caught" `Quick test_broken_ebr;
-          Alcotest.test_case "broken ebr classified" `Quick
-            test_broken_ebr_classification;
-          Alcotest.test_case "broken hp caught" `Quick test_broken_hp;
-          Alcotest.test_case "broken vbr caught" `Quick test_broken_vbr;
-          Alcotest.test_case "broken hyaline caught" `Quick test_broken_hyaline;
-          Alcotest.test_case "broken hyaline classified" `Quick
-            test_broken_hyaline_classification;
-        ] );
-    ]
+    ((("state-machine",
+       [ Alcotest.test_case "direct" `Quick test_state_machine_direct ])
+     :: List.map (fun (e : Registry.entry) -> (e.name, (fuzz e).tests))
+          Registry.all)
+    @ [
+        ( "broken",
+          [
+            Alcotest.test_case "broken ebr caught" `Quick test_broken_ebr;
+            Alcotest.test_case "broken ebr classified" `Quick
+              test_broken_ebr_classification;
+            Alcotest.test_case "broken hp caught" `Quick test_broken_hp;
+            Alcotest.test_case "broken vbr caught" `Quick test_broken_vbr;
+            Alcotest.test_case "broken hyaline caught" `Quick
+              test_broken_hyaline;
+            Alcotest.test_case "broken hyaline classified" `Quick
+              test_broken_hyaline_classification;
+          ] );
+      ])

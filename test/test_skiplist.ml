@@ -93,41 +93,19 @@ module Harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     ]
 end
 
-module RM_none =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Direct)
-    (Reclaim.None_reclaimer.Make)
-module RM_ebr =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Ebr.Make)
-module RM_debra =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra.Make)
-module RM_hp =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Hp.Make)
-module RM_malloc =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Malloc) (Reclaim.Pool.Shared)
-    (Reclaim.Debra.Make)
-(* StackTrack's sandboxing needs arena-visible frees (generation bumps)
-   to detect reclaimed-memory accesses, so it pairs with Recycle+Direct. *)
-module RM_st =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Recycle) (Reclaim.Pool.Direct)
-    (Reclaim.Stacktrack.Make)
-module RM_ts =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Threadscan.Make)
+module Registry = Reclaim.Registry
 
-module RM_dplus =
-  Reclaim.Record_manager.Make (Reclaim.Alloc.Bump) (Reclaim.Pool.Shared)
-    (Reclaim.Debra_plus.Make)
+(* Each scheme under its Experiment 2 pairing (Exp3 for the malloc case;
+   StackTrack's arena-visible frees come with its registry pairing). *)
+let rm ?(variant = Registry.Exp2) scheme =
+  Registry.rm variant (Registry.find scheme)
 
-module H_none = Harness (RM_none)
-module H_ebr = Harness (RM_ebr)
-module H_debra = Harness (RM_debra)
-module H_hp = Harness (RM_hp)
-module H_malloc = Harness (RM_malloc)
-module H_st = Harness (RM_st)
-module H_ts = Harness (RM_ts)
+let cases ?variant ?(label = "") scheme =
+  let module RM = (val rm ?variant scheme) in
+  let module H = Harness (RM) in
+  H.cases (if label = "" then scheme else label)
+
+module RM_dplus = (val rm "debra+")
 
 (* DEBRA+ neutralization coverage.  Aggressive thresholds so signals
    actually fire; [S.create] flips the group to unreliable ack-based
@@ -267,13 +245,7 @@ end
 
 let () =
   Alcotest.run "skiplist"
-    [
-      ("none", H_none.cases "none");
-      ("ebr", H_ebr.cases "ebr");
-      ("debra", H_debra.cases "debra");
-      ("hp", H_hp.cases "hp");
-      ("malloc+debra", H_malloc.cases "malloc");
-      ("stacktrack", H_st.cases "stacktrack");
-      ("threadscan", H_ts.cases "threadscan");
-      ("debra+", Neutralize.cases);
-    ]
+    (List.map (fun s -> (s, cases s)) [ "none"; "ebr"; "debra"; "hp" ]
+    @ [ ("malloc+debra", cases ~variant:Exp3 ~label:"malloc" "debra") ]
+    @ List.map (fun s -> (s, cases s)) [ "stacktrack"; "threadscan" ]
+    @ [ ("debra+", Neutralize.cases) ])

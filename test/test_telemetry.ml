@@ -157,7 +157,7 @@ let test_trace_well_formed () =
     Telemetry.Recorder.create ~sample_every:30_000 ~trace ~cycles_per_ns:3.0
       ~nprocs:4 ()
   in
-  let r = Workload.Schemes.B2_debra_plus.runner "debra+" in
+  let r = Workload.Schemes.runner ~ds:"bst" "debra+" in
   let o = r.Workload.Schemes.run (small_cfg ~telemetry:rec_ ()) in
   Alcotest.(check bool) "trial ran" true (o.Workload.Trial.ops > 0);
   Alcotest.(check bool) "latency collected" true
@@ -211,7 +211,7 @@ let test_metrics_json () =
     Telemetry.Recorder.create ~sample_every:30_000 ~cycles_per_ns:3.0
       ~nprocs:4 ()
   in
-  let r = Workload.Schemes.B2_debra.runner "debra" in
+  let r = Workload.Schemes.runner ~ds:"bst" "debra" in
   let _o = r.Workload.Schemes.run (small_cfg ~telemetry:rec_ ()) in
   let open Telemetry.Json in
   let doc = of_string (to_string (Telemetry.Recorder.metrics_json rec_)) in
@@ -291,7 +291,7 @@ let test_telemetry_with_sanitizer () =
     Telemetry.Recorder.create ~sample_every:30_000 ~trace ~cycles_per_ns:3.0
       ~nprocs:4 ()
   in
-  let r = Workload.Schemes.B2_debra_plus.runner "debra+" in
+  let r = Workload.Schemes.runner ~ds:"bst" "debra+" in
   let cfg = small_cfg ~telemetry:rec_ () in
   let o = r.Workload.Schemes.run { cfg with Workload.Schemes.sanitize = true } in
   Alcotest.(check (option int)) "no violations" (Some 0)
@@ -345,9 +345,9 @@ let test_estall_bound () =
   let at_stall s =
     List.fold_left (fun acc (t, v) -> if t <= stall_at then v else acc) 0 s
   in
-  let dplus = run (Workload.Schemes.B2_debra_plus.runner "debra+") in
-  let debra = run (Workload.Schemes.B2_debra.runner "debra") in
-  let ebr = run (Workload.Schemes.B2_ebr.runner "ebr") in
+  let dplus = run (Workload.Schemes.runner ~ds:"bst" "debra+") in
+  let debra = run (Workload.Schemes.runner ~ds:"bst" "debra") in
+  let ebr = run (Workload.Schemes.runner ~ds:"bst" "ebr") in
   (* DEBRA+ neutralizes the stalled process: bounded plateau. *)
   Alcotest.(check bool)
     (Printf.sprintf "debra+ peak %d under bound %d" (peak dplus) bound)
