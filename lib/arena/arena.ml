@@ -31,17 +31,19 @@ type t = {
   words_per_record : int;
   mutable checking : bool;
   budget : budget;
-  events : Smr_event.hub;
+  scope : int;  (* heap scope its events are emitted under *)
   live : int Atomic.t;
   peak : int Atomic.t;
   allocs : int Atomic.t;
   frees : int Atomic.t;
 }
 
-let create ?events ?budget ~heap_id ~name ~mut_fields ~const_fields ~capacity
+let create ?scope ?budget ~heap_id ~name ~mut_fields ~const_fields ~capacity
     () =
   assert (capacity > 0 && mut_fields >= 0 && const_fields >= 0);
-  let events = match events with Some h -> h | None -> Smr_event.hub () in
+  let scope =
+    match scope with Some s -> s | None -> Runtime.Ctx.new_scope ()
+  in
   let budget = match budget with Some b -> b | None -> budget_unlimited () in
   let words_per_record = mut_fields + const_fields in
   {
@@ -61,7 +63,7 @@ let create ?events ?budget ~heap_id ~name ~mut_fields ~const_fields ~capacity
     words_per_record;
     checking = true;
     budget;
-    events;
+    scope;
     live = Atomic.make 0;
     peak = Atomic.make 0;
     allocs = Atomic.make 0;
@@ -70,8 +72,12 @@ let create ?events ?budget ~heap_id ~name ~mut_fields ~const_fields ~capacity
 
 let name t = t.name
 let heap_id t = t.heap_id
-let events t = t.events
-let emit t ctx ev = Smr_event.emit t.events ctx ev
+let emit t ctx ev = Runtime.Ctx.emit ctx ~scope:t.scope ev
+
+(* Per-access events are built only under an event subscriber. *)
+let emit_access t ctx p kind =
+  if Runtime.Ctx.observed ctx then emit t ctx (Smr_event.Access (p, kind))
+
 let capacity t = t.capacity
 let record_bytes t = 8 * (t.words_per_record + 1) (* +1: header word *)
 let set_checking t b = t.checking <- b
@@ -207,7 +213,7 @@ let const_index t p f =
 
 let read ctx t p f =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Read;
-  emit t ctx (Smr_event.Access (p, Smr_event.Read));
+  emit_access t ctx p Smr_event.Read;
   check t p;
   Atomic.get t.data_mut.(mut_index t p f)
 
@@ -217,13 +223,13 @@ let read_opt ctx t p f =
 
 let write ctx t p f v =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Write;
-  emit t ctx (Smr_event.Access (p, Smr_event.Write));
+  emit_access t ctx p Smr_event.Write;
   check t p;
   Atomic.set t.data_mut.(mut_index t p f) v
 
 let cas ctx t p f ~expect v =
   Runtime.Ctx.access ctx ~line:(line_of t (Ptr.slot p) f) Runtime.Ctx.Cas;
-  emit t ctx (Smr_event.Access (p, Smr_event.Cas));
+  emit_access t ctx p Smr_event.Cas;
   check t p;
   Atomic.compare_and_set t.data_mut.(mut_index t p f) expect v
 
@@ -231,7 +237,7 @@ let get_const ctx t p f =
   Runtime.Ctx.access ctx
     ~line:(line_of t (Ptr.slot p) (t.mut_fields + f))
     Runtime.Ctx.Read;
-  emit t ctx (Smr_event.Access (p, Smr_event.Read));
+  emit_access t ctx p Smr_event.Read;
   check t p;
   t.data_const.(const_index t p f)
 
@@ -239,7 +245,7 @@ let set_const ctx t p f v =
   Runtime.Ctx.access ctx
     ~line:(line_of t (Ptr.slot p) (t.mut_fields + f))
     Runtime.Ctx.Write;
-  emit t ctx (Smr_event.Access (p, Smr_event.Write));
+  emit_access t ctx p Smr_event.Write;
   check t p;
   t.data_const.(const_index t p f) <- v
 

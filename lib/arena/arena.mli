@@ -38,12 +38,12 @@ type budget = { mutable limit : int; b_live : int Atomic.t }
 
 val budget_unlimited : unit -> budget
 
-(** [create ?events ?budget …] builds an arena.  When [events] is given,
-    lifecycle and access events are published on that hub (see
-    {!Smr_event}); arenas of one heap share the heap's hub, and likewise its
-    record [budget]. *)
+(** [create ?scope ?budget …] builds an arena.  Lifecycle and access
+    events are emitted on the acting context's probe under [scope] (a fresh
+    one when omitted; see {!Smr_event}); arenas of one heap share the
+    heap's scope, and likewise its record [budget]. *)
 val create :
-  ?events:Smr_event.hub ->
+  ?scope:int ->
   ?budget:budget ->
   heap_id:int ->
   name:string ->
@@ -56,10 +56,6 @@ val create :
 val name : t -> string
 val heap_id : t -> int
 
-(** The arena's event hub and a shorthand for publishing on it. *)
-
-val events : t -> Smr_event.hub
-val emit : t -> Runtime.Ctx.t -> Smr_event.t -> unit
 val capacity : t -> int
 val record_bytes : t -> int
 

@@ -1,22 +1,25 @@
 type t = {
   mutable arenas : Arena.t array;
-  events : Smr_event.hub;
+  scope : int;  (* event scope shared by every arena of this heap *)
   budget : Arena.budget;  (* live-record budget shared by all arenas *)
 }
 
 let create () =
-  { arenas = [||]; events = Smr_event.hub (); budget = Arena.budget_unlimited () }
-let events t = t.events
-let emit t ctx ev = Smr_event.emit t.events ctx ev
-let add_sink t sink = Smr_event.add_sink t.events sink
-let remove_sink t sub = Smr_event.remove_sink t.events sub
+  {
+    arenas = [||];
+    scope = Runtime.Ctx.new_scope ();
+    budget = Arena.budget_unlimited ();
+  }
+
+let scope t = t.scope
+let emit t ctx ev = Runtime.Ctx.emit ctx ~scope:t.scope ev
 
 let new_arena t ~name ~mut_fields ~const_fields ~capacity =
   let id = Array.length t.arenas in
   if id >= Ptr.max_arenas then
     invalid_arg "Heap.new_arena: too many arenas in one heap";
   let a =
-    Arena.create ~events:t.events ~budget:t.budget ~heap_id:id ~name
+    Arena.create ~scope:t.scope ~budget:t.budget ~heap_id:id ~name
       ~mut_fields ~const_fields ~capacity ()
   in
   t.arenas <- Array.append t.arenas [| a |];

@@ -6,17 +6,15 @@ type t
 
 val create : unit -> t
 
-(** Every arena of a heap shares one event hub (see {!Smr_event}).
-    [add_sink] attaches a consumer (a shadow checker, a telemetry recorder —
-    several may be attached at once) and returns the subscription that
-    [remove_sink] cancels; [emit] lets reclamation code publish protocol
-    events (retire, protect, quiescence) on the same bus as the arenas'
-    lifecycle events. *)
+(** Every arena of a heap emits its events under the heap's [scope] (see
+    {!Smr_event}).  A consumer (a shadow checker, a telemetry recorder)
+    subscribes to the group's probes with [~scope:(scope heap)] and so sees
+    this heap's events only, even when several heaps share one group.
+    [emit] lets reclamation code publish protocol events (retire, protect,
+    quiescence) on the same stream as the arenas' lifecycle events. *)
 
-val events : t -> Smr_event.hub
+val scope : t -> int
 val emit : t -> Runtime.Ctx.t -> Smr_event.t -> unit
-val add_sink : t -> Smr_event.sink -> Smr_event.subscription
-val remove_sink : t -> Smr_event.subscription -> unit
 
 (** [new_arena t ~name ~mut_fields ~const_fields ~capacity] creates an arena
     registered in this heap (at most {!Ptr.max_arenas}). *)

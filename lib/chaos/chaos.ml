@@ -123,7 +123,6 @@ type t = {
   crash_at : (int * crash_kind) option array;  (* per pid, access-count keyed *)
   mutable handler_nth : int;  (* group-wide nth handler run; -1 = never *)
   mutable handler_runs_total : int;
-  handler_runs : int array;
   armed : bool array;  (* crash at the pid's next access (Neutralizer) *)
   neutralizer_nth : int;  (* group-wide signal ordinal arming it; -1 = never *)
   mutable signals_sent_total : int;
@@ -135,10 +134,7 @@ type t = {
   route_installed : bool;
   (* memory *)
   saved_budget : int;
-  mutable sink : Memory.Smr_event.subscription option;
-  mutable restores : (unit -> unit) list;  (* hook removers *)
-  saved_handlers : (Runtime.Ctx.t -> unit) array;
-  mutable installed : bool;
+  mutable probe : Runtime.Ctx.subscriber option;  (* [None] once uninstalled *)
   (* outcome *)
   mutable crashes : int;
   mutable handler_crashes : int;
@@ -182,7 +178,6 @@ let install ?(in_op = fun (_ : Runtime.Ctx.t) -> true) plan ~group ~heap =
       crash_at;
       handler_nth = !handler_nth;
       handler_runs_total = 0;
-      handler_runs = Array.make n 0;
       armed = Array.make n false;
       neutralizer_nth = !neutralizer_nth;
       signals_sent_total = 0;
@@ -192,10 +187,7 @@ let install ?(in_op = fun (_ : Runtime.Ctx.t) -> true) plan ~group ~heap =
       pending = Array.make n [];
       route_installed = !drops <> [] || !delays <> [];
       saved_budget;
-      sink = None;
-      restores = [];
-      saved_handlers = Array.map (fun c -> c.Runtime.Ctx.handler) group.Runtime.Group.ctxs;
-      installed = true;
+      probe = None;
       crashes = 0;
       handler_crashes = 0;
       dropped = 0;
@@ -205,9 +197,10 @@ let install ?(in_op = fun (_ : Runtime.Ctx.t) -> true) plan ~group ~heap =
     }
   in
   (* Per-access trigger: count, land due delayed signals, fire crashes.
-     Raising {!Runtime.Ctx.Crashed} out of the hook unwinds the victim's
-     body; the runner marks the pid crashed ([ESRCH] from then on). *)
-  let hook (c : Runtime.Ctx.t) ~line:_ (_ : Runtime.Ctx.access_kind) =
+     Raising {!Runtime.Ctx.Crashed} out of the subscriber unwinds the
+     victim's body; the runner marks the pid crashed ([ESRCH] from then
+     on). *)
+  let access (c : Runtime.Ctx.t) ~line:_ (_ : Runtime.Ctx.access_kind) =
     let pid = c.Runtime.Ctx.pid in
     t.acc.(pid) <- t.acc.(pid) + 1;
     (match t.pending.(pid) with
@@ -241,47 +234,43 @@ let install ?(in_op = fun (_ : Runtime.Ctx.t) -> true) plan ~group ~heap =
         end
     | _ -> ()
   in
-  t.restores <-
-    Array.to_list
-      (Array.map (fun c -> Runtime.Ctx.add_hook c hook) group.Runtime.Group.ctxs);
   (* Handler-crash fault: die on entry to the nth handler invocation
      group-wide, before any recovery code (rprotect scan, Neutralized) gets
      to run.  The trigger is global because which pid gets neutralized, and
      how often, depends on the scheme's signalling pattern. *)
-  Array.iter
-    (fun (c : Runtime.Ctx.t) ->
-      let pid = c.Runtime.Ctx.pid in
-      let orig = c.Runtime.Ctx.handler in
-      c.Runtime.Ctx.handler <-
-        (fun c ->
-          t.handler_runs.(pid) <- t.handler_runs.(pid) + 1;
-          t.handler_runs_total <- t.handler_runs_total + 1;
-          if t.handler_nth >= 0 && t.handler_runs_total >= t.handler_nth
-          then begin
-            t.handler_nth <- -1;
-            t.crashes <- t.crashes + 1;
-            t.handler_crashes <- t.handler_crashes + 1;
-            note t
-              (Printf.sprintf
-                 "crash: pid %d inside signal handler (handler run %d \
-                  group-wide)"
-                 pid t.handler_runs_total);
-            raise Runtime.Ctx.Crashed
-          end;
-          orig c))
-    group.Runtime.Group.ctxs;
-  (* Neutralizer-crash fault: watch the event bus for the nth signal sent
-     group-wide and arm the sender's next access. *)
-  if t.neutralizer_nth >= 0 then
-    t.sink <-
+  let handler_entry (c : Runtime.Ctx.t) =
+    t.handler_runs_total <- t.handler_runs_total + 1;
+    if t.handler_nth >= 0 && t.handler_runs_total >= t.handler_nth then begin
+      t.handler_nth <- -1;
+      t.crashes <- t.crashes + 1;
+      t.handler_crashes <- t.handler_crashes + 1;
+      note t
+        (Printf.sprintf
+           "crash: pid %d inside signal handler (handler run %d group-wide)"
+           c.Runtime.Ctx.pid t.handler_runs_total);
+      raise Runtime.Ctx.Crashed
+    end
+  in
+  (* Neutralizer-crash fault: watch the heap's events for the nth signal
+     sent group-wide and arm the sender's next access. *)
+  let event =
+    if t.neutralizer_nth < 0 then None
+    else
       Some
-        (Memory.Heap.add_sink heap (fun ctx ev ->
-             match ev with
-             | Memory.Smr_event.Signal_sent _ ->
-                 t.signals_sent_total <- t.signals_sent_total + 1;
-                 if t.signals_sent_total = t.neutralizer_nth then
-                   t.armed.(ctx.Runtime.Ctx.pid) <- true
-             | _ -> ()));
+        (fun (ctx : Runtime.Ctx.t) ev ->
+          match ev with
+          | Memory.Smr_event.Signal_sent _ ->
+              t.signals_sent_total <- t.signals_sent_total + 1;
+              if t.signals_sent_total = t.neutralizer_nth then
+                t.armed.(ctx.Runtime.Ctx.pid) <- true
+          | _ -> ())
+  in
+  let probe =
+    Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap) ~access
+      ~handler_entry ?event ()
+  in
+  Runtime.Group.subscribe group probe;
+  t.probe <- Some probe;
   (* Signal-delivery faults: interpose on the route.  Each send to a target
      gets an arrival ordinal; drop/delay windows match on it.  A delayed
      delivery is a [`Drop] here plus a later pending-flag set by the access
@@ -318,16 +307,13 @@ let install ?(in_op = fun (_ : Runtime.Ctx.t) -> true) plan ~group ~heap =
   t
 
 let uninstall t =
-  if t.installed then begin
-    t.installed <- false;
-    List.iter (fun restore -> restore ()) t.restores;
-    Array.iteri
-      (fun pid c -> c.Runtime.Ctx.handler <- t.saved_handlers.(pid))
-      t.group.Runtime.Group.ctxs;
-    if t.route_installed then Runtime.Group.reset_signal_route t.group;
-    Option.iter (fun s -> Memory.Heap.remove_sink t.heap s) t.sink;
-    Memory.Heap.set_record_budget t.heap t.saved_budget
-  end
+  match t.probe with
+  | None -> ()
+  | Some probe ->
+      t.probe <- None;
+      Runtime.Group.unsubscribe t.group probe;
+      if t.route_installed then Runtime.Group.reset_signal_route t.group;
+      Memory.Heap.set_record_budget t.heap t.saved_budget
 
 let summary t =
   {

@@ -1,11 +1,11 @@
 (** Deterministic fault-injection engine.
 
     A {!plan} is a seeded, fully explicit list of faults; {!install} arms
-    them against a running group by composing with the same hooks the
-    simulator and the sanitizer use ({!Runtime.Ctx.add_hook}, the heap's
-    SMR event bus, and the group's signal route).  Every trigger is keyed
-    to a process' instrumented-access count — never to wall-clock or
-    virtual time read mid-run — so a plan replayed against the same
+    them against a running group through one probe subscriber per group
+    (accesses, handler entries and the heap's SMR events; see
+    {!Runtime.Ctx.subscribe}) and the group's signal route.  Every trigger
+    is keyed to a process' instrumented-access count — never to wall-clock
+    or virtual time read mid-run — so a plan replayed against the same
     workload, machine and scheduling policy fires at exactly the same
     point in the interleaving.
 

@@ -22,7 +22,7 @@ let limitations =
     "sampling cadence and tick timestamps are approximate (wall-clock \
      sleeps, not exact boundaries)";
     "no livelock diagnosis: a wedged run hangs instead of raising Stuck";
-    "not deterministic: sanitizer, event-bus telemetry sinks and chaos \
+    "not deterministic: sanitizer, telemetry event counters and chaos \
      triggers that need a global order (handler/neutralizer crashes, \
      signal drop/delay windows) are unavailable";
   ]

@@ -48,7 +48,7 @@ module type RUNNER = sig
       virtual-time tick boundaries are exact, chaos plans fire at fixed
       points, and host-side recording cannot race.  [false] on real
       parallelism: the trial pipeline then degrades the sim-only features
-      (sanitizer, non-per-process chaos triggers, event-bus telemetry)
+      (sanitizer, non-per-process chaos triggers, telemetry event counters)
       instead of racing on them. *)
   val deterministic : bool
 

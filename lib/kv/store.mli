@@ -47,7 +47,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) : sig
   val shard_sizes : t -> int array
 
   val heaps : t -> Memory.Heap.t array
-  (** Per-shard heaps, for attaching sanitizers or telemetry sinks. *)
+  (** Per-shard heaps, whose scopes sanitizers and telemetry subscribe to. *)
 
   val limbo : t -> int
 

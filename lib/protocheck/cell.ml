@@ -132,8 +132,8 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
     | Report.Queue -> script_queue
     | Report.Skiplist -> script_skiplist
 
-  (* One symbolic path: a fresh world, the engine on both event streams,
-     the oracle answering [Adversary] exactly at the [deny] indices. *)
+  (* One symbolic path: a fresh world, the engine on its event stream, the
+     oracle answering [Adversary] exactly at the [deny] indices. *)
   let run_path ~config ~structure ~deny =
     let group = Runtime.Group.create ~seed:1 1 in
     let heap = Memory.Heap.create () in
@@ -141,8 +141,11 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
     let rm = RM.create env in
     let eng = Engine.create ~config ~nprocs:1 () in
     let orc = Oracle.create ~deny () in
-    let detach_engine = Engine.attach eng env in
-    let detach_oracle = Oracle.attach orc env in
+    let probe =
+      Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
+        ~event:(Engine.on_event eng) ~decide:(Oracle.decide orc) ()
+    in
+    Runtime.Group.subscribe group probe;
     let outcome =
       try
         script structure group rm;
@@ -153,8 +156,7 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
       | Memory.Arena.Use_after_free _ -> `Crashed "use-after-free trap"
       | Memory.Arena.Double_free _ -> `Crashed "double-free trap"
     in
-    detach_engine ();
-    detach_oracle ();
+    Runtime.Group.unsubscribe group probe;
     {
       outcome;
       violations = Engine.violations eng;

@@ -1,11 +1,11 @@
 (** The protocheck analysis engine: an abstract interpreter over the SMR
     protocol event streams.
 
-    The engine consumes two streams at once — the {!Memory.Smr_event} hub
-    (the same lifecycle/protection/quiescence stream the runtime sanitizer
-    replays) and the witness-level {!Reclaim.Intf.Protocol} events emitted
-    by the typed Record Manager surface — and checks every path the
-    {!Oracle} drives the structure down against the protocol rules:
+    The engine consumes one {!Memory.Smr_event} stream carrying both the
+    lifecycle/protection/quiescence events the runtime sanitizer replays
+    and the witness-level {!Reclaim.Intf.Protocol} events emitted by the
+    typed Record Manager surface, and checks every path the {!Oracle}
+    drives the structure down against the protocol rules:
 
     - E0 [Use_after_free]/[Double_free]: no access to, and no second free
       of, a freed incarnation (skipped under [Lenient], i.e. StackTrack,
@@ -23,7 +23,7 @@
       session-based schemes, quiescent-point counters for QSBR, pre-retire
       hazards for the scan-based family, recovery announcements always).
     - R4 [Retire_without_unlink]: a retire must consume an [unlinked]
-      witness — a hub [Retire] with no pending {!Protocol.Unlink} for the
+      witness — a [Retire] with no pending {!Protocol.Unlink} for the
       record means the structure bypassed the typed surface.
     - R5 [Skipped_validation]: an [acquire] the oracle adversarially
       failed that a hazard-class scheme granted anyway means the scheme
@@ -105,8 +105,6 @@ type pstate = {
   rprotects : (int, int list ref) Hashtbl.t;
 }
 
-type entry = Hub of Memory.Smr_event.t | Proto of Reclaim.Intf.Protocol.event
-
 let trace_cap = 48
 
 type t = {
@@ -117,7 +115,7 @@ type t = {
   mutable viols : violation list;  (* newest first *)
   mutable nviols : int;
   seen : (kind * int, unit) Hashtbl.t;
-  ring : (int * int * entry) option array;  (* (seq, pid, entry) *)
+  ring : (int * int * Memory.Smr_event.t) option array;  (* (seq, pid, ev) *)
   mutable rpos : int;
   event_budget : int;
 }
@@ -144,40 +142,36 @@ let create ?(event_budget = 500_000) ~config ~nprocs () =
     event_budget;
   }
 
-let describe_entry = function
-  | Hub ev -> (
-      let p fmt ptr = Printf.sprintf fmt (Memory.Ptr.to_string ptr) in
-      match ev with
-      | Memory.Smr_event.Alloc ptr -> p "alloc %s" ptr
-      | Free ptr -> p "free %s" ptr
-      | Access (ptr, Memory.Smr_event.Read) -> p "read %s" ptr
-      | Access (ptr, Write) -> p "write %s" ptr
-      | Access (ptr, Cas) -> p "cas %s" ptr
-      | Pool_put ptr -> p "pool-put %s" ptr
-      | Pool_take ptr -> p "pool-take %s" ptr
-      | Retire ptr -> p "retire %s" ptr
-      | Protect ptr -> p "protect %s" ptr
-      | Unprotect ptr -> p "unprotect %s" ptr
-      | Unprotect_all -> "unprotect-all"
-      | Enter_q -> "enter-qstate"
-      | Leave_q -> "leave-qstate"
-      | Rprotect ptr -> p "rprotect %s" ptr
-      | Runprotect_all -> "runprotect-all"
-      | Epoch_advance e -> Printf.sprintf "epoch-advance %d" e
-      | Signal_sent target -> Printf.sprintf "signal-sent %d" target
-      | Sweep n -> Printf.sprintf "sweep %d" n)
-  | Proto ev -> (
-      let p fmt ptr = Printf.sprintf fmt (Memory.Ptr.to_string ptr) in
-      match ev with
-      | Reclaim.Intf.Protocol.Fresh ptr -> p "FRESH %s" ptr
-      | Publish ptr -> p "PUBLISH %s" ptr
-      | Abandon ptr -> p "ABANDON %s" ptr
-      | Root ptr -> p "ROOT %s" ptr
-      | Unlink ptr -> p "UNLINK %s" ptr
-      | Acquire { p = ptr; granted; adversary } ->
-          Printf.sprintf "ACQUIRE %s granted=%b adversary=%b"
-            (Memory.Ptr.to_string ptr)
-            granted adversary)
+let describe_event ev =
+  let p fmt ptr = Printf.sprintf fmt (Memory.Ptr.to_string ptr) in
+  match ev with
+  | Memory.Smr_event.Alloc ptr -> p "alloc %s" ptr
+  | Free ptr -> p "free %s" ptr
+  | Access (ptr, Memory.Smr_event.Read) -> p "read %s" ptr
+  | Access (ptr, Write) -> p "write %s" ptr
+  | Access (ptr, Cas) -> p "cas %s" ptr
+  | Pool_put ptr -> p "pool-put %s" ptr
+  | Pool_take ptr -> p "pool-take %s" ptr
+  | Retire ptr -> p "retire %s" ptr
+  | Protect ptr -> p "protect %s" ptr
+  | Unprotect ptr -> p "unprotect %s" ptr
+  | Unprotect_all -> "unprotect-all"
+  | Enter_q -> "enter-qstate"
+  | Leave_q -> "leave-qstate"
+  | Rprotect ptr -> p "rprotect %s" ptr
+  | Runprotect_all -> "runprotect-all"
+  | Epoch_advance e -> Printf.sprintf "epoch-advance %d" e
+  | Signal_sent target -> Printf.sprintf "signal-sent %d" target
+  | Sweep n -> Printf.sprintf "sweep %d" n
+  | Fresh ptr -> p "FRESH %s" ptr
+  | Publish ptr -> p "PUBLISH %s" ptr
+  | Abandon ptr -> p "ABANDON %s" ptr
+  | Root ptr -> p "ROOT %s" ptr
+  | Unlink ptr -> p "UNLINK %s" ptr
+  | Acquire { p = ptr; granted; adversary } ->
+      Printf.sprintf "ACQUIRE %s granted=%b adversary=%b"
+        (Memory.Ptr.to_string ptr)
+        granted adversary
 
 let snapshot_trace t =
   let out = ref [] in
@@ -186,12 +180,12 @@ let snapshot_trace t =
     | None -> ()
     | Some (seq, pid, e) ->
         out :=
-          Printf.sprintf "#%d pid%d %s" seq pid (describe_entry e) :: !out
+          Printf.sprintf "#%d pid%d %s" seq pid (describe_event e) :: !out
   done;
   List.rev !out
 
-let push_trace t pid entry =
-  t.ring.(t.rpos) <- Some (t.seq, pid, entry);
+let push_trace t pid ev =
+  t.ring.(t.rpos) <- Some (t.seq, pid, ev);
   t.rpos <- (t.rpos + 1) mod trace_cap
 
 let flag t ~pid kind ~ptr ~detail =
@@ -364,10 +358,12 @@ let bump t =
       (Diverged
          (Printf.sprintf "event budget (%d) exhausted" t.event_budget))
 
-let on_hub t ctx (ev : Memory.Smr_event.t) =
+(* The event callback, for a probe subscriber scoped to the analyzed
+   heap. *)
+let on_event t ctx (ev : Memory.Smr_event.t) =
   bump t;
   let pid = ctx.Runtime.Ctx.pid in
-  push_trace t pid (Hub ev);
+  push_trace t pid ev;
   let ps = t.procs.(pid) in
   match ev with
   | Alloc p | Pool_take p ->
@@ -396,12 +392,6 @@ let on_hub t ctx (ev : Memory.Smr_event.t) =
       ps.in_session <- false;
       ps.qcount <- ps.qcount + 1
   | Epoch_advance _ | Signal_sent _ | Sweep _ -> ()
-
-let on_protocol t ctx (ev : Reclaim.Intf.Protocol.event) =
-  bump t;
-  let pid = ctx.Runtime.Ctx.pid in
-  push_trace t pid (Proto ev);
-  match ev with
   | Fresh p ->
       let r = record t (Memory.Ptr.unmark p) ~default:Fresh in
       r.typed <- true;
@@ -423,22 +413,9 @@ let on_protocol t ctx (ev : Reclaim.Intf.Protocol.event) =
             "protect granted although the validation was forced to fail: \
              the scheme skipped its post-announce verify"
 
-(* Attach to a world: hub sink + typed-surface monitor.  Returns the
-   detach closure. *)
-let attach t (env : Reclaim.Intf.Env.t) =
-  let sub =
-    Memory.Heap.add_sink env.Reclaim.Intf.Env.heap (fun ctx ev ->
-        on_hub t ctx ev)
-  in
-  env.Reclaim.Intf.Env.monitor <- Some (fun ctx ev -> on_protocol t ctx ev);
-  fun () ->
-    Memory.Heap.remove_sink env.Reclaim.Intf.Env.heap sub;
-    env.Reclaim.Intf.Env.monitor <- None
-
 let violations t = List.rev t.viols
 let violation_count t = t.nviols
 let has t kind = List.exists (fun v -> v.kind = kind) t.viols
-let events_seen t = t.seq
 
 let pp_violation fmt v =
   Format.fprintf fmt "[%s] pid %d, event #%d, record %s: %s" (kind_name v.kind)

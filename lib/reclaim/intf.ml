@@ -55,43 +55,10 @@ module Params = struct
     }
 end
 
-(** The witness-level SMR protocol, as seen by a checker sitting {e above}
-    the {!Memory.Smr_event} bus.  The bus reports what the reclaimer and
-    the arenas physically did (protect slots, retires, frees, field
-    accesses); these events report what the data structure {e claimed} when
-    it went through the typed Record Manager surface
-    ({!RECORD_MANAGER.Typed}): which records are private, which CAS
-    published or unlinked what, which sentinels are permanent.  A protocol
-    analyzer (lib/protocheck) consumes both streams; production runs attach
-    neither hook and pay one option check per witness operation. *)
-module Protocol = struct
-  type event =
-    | Fresh of Memory.Ptr.t
-        (** record allocated through the typed surface: private to its owner
-            until published *)
-    | Publish of Memory.Ptr.t  (** fresh record became reachable *)
-    | Abandon of Memory.Ptr.t  (** fresh record deallocated unpublished *)
-    | Root of Memory.Ptr.t  (** permanent sentinel: never retired *)
-    | Acquire of { p : Memory.Ptr.t; granted : bool; adversary : bool }
-        (** a [Typed.acquire] attempt; [adversary] marks a verification the
-            oracle forced to fail — a scheme that still [granted] it skipped
-            its validation step *)
-    | Unlink of Memory.Ptr.t
-        (** an unlink witness was issued: the record provably left the
-            structure *)
-
-  (** Decision points a branching oracle may steer: every guard acquisition
-      and every lifecycle CAS.  [Grant] lets the operation proceed as the
-      memory says; [Adversary] simulates a concurrent defeat (a failed
-      validation, a lost CAS) without touching memory, so a single-process
-      analyzer can drive the structure down both branches of every
-      decision. *)
-  type point = Acquire_point of Memory.Ptr.t | Cas_point of Memory.Ptr.t
-
-  type decision = Grant | Adversary
-  type monitor = Runtime.Ctx.t -> event -> unit
-  type oracle = Runtime.Ctx.t -> point -> decision
-end
+(** The witness events of the typed surface ({!RECORD_MANAGER.Typed}) and
+    its decision points: part of the one {!Memory.Smr_event} type, on the
+    same stream as the reclaimers' and arenas' events. *)
+module Protocol = Memory.Smr_event
 
 module Env = struct
   (** Shared environment handed to every component: the process group, the
@@ -102,11 +69,6 @@ module Env = struct
     heap : Memory.Heap.t;
     block_pools : Bag.Block_pool.t array;
     params : Params.t;
-    mutable monitor : Protocol.monitor option;
-        (** protocol-event hook for the typed surface; [None] in production *)
-    mutable oracle : Protocol.oracle option;
-        (** branching oracle for guard/CAS decision points; [None] means
-            every decision is [Grant] *)
   }
 
   let create ?(params = Params.default) group heap =
@@ -118,23 +80,18 @@ module Env = struct
         Array.init n (fun _ ->
             Bag.Block_pool.create ~block_capacity:params.Params.block_capacity ());
       params;
-      monitor = None;
-      oracle = None;
     }
 
   let nprocs t = Runtime.Group.nprocs t.group
 
-  (** Publish an SMR protocol event on the heap's event bus (free when no
-      sink is attached; see {!Memory.Smr_event}). *)
+  (** Publish an SMR event, lifecycle or witness, under the heap's scope
+      (see {!Memory.Smr_event}). *)
   let emit t ctx ev = Memory.Heap.emit t.heap ctx ev
 
-  (** Publish a witness-level protocol event (free when no monitor). *)
-  let observe t ctx ev =
-    match t.monitor with None -> () | Some f -> f ctx ev
-
-  (** Consult the branching oracle; [Grant] when none is attached. *)
-  let decide t ctx point =
-    match t.oracle with None -> Protocol.Grant | Some f -> f ctx point
+  (** Ask the steering subscriber at a decision point; [Grant] when none
+      is attached (see {!Runtime.Ctx.decide}). *)
+  let decide t ctx point p =
+    Runtime.Ctx.decide ctx ~scope:(Memory.Heap.scope t.heap) point p
 end
 
 module type ALLOCATOR = sig
@@ -412,9 +369,9 @@ module type RECORD_MANAGER = sig
 
       Every wrapper delegates to exactly the untyped call it names, so a
       converted structure performs the identical instrumented access
-      sequence; the additional {!Protocol} events flow only to an attached
-      monitor.  The untyped surface above remains for harnesses, drains and
-      scheme tests. *)
+      sequence; the additional {!Protocol} events are built only when the
+      context's probe has an event subscriber.  The untyped surface above
+      remains for harnesses, drains and scheme tests. *)
   module Typed : sig
     type session
     (** Evidence of being inside one operation attempt under the Fig. 5

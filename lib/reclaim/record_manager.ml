@@ -123,17 +123,18 @@ module Make
 
   (* The typestate facade.  Every wrapper performs exactly the instrumented
      calls of the untyped spelling it replaces — witness bookkeeping is
-     plain OCaml state and the protocol hooks are a single option check
-     when no monitor/oracle is attached — so converting a data structure
-     to this surface changes no schedule and no golden trace. *)
+     plain OCaml state, and witness events are built only when the
+     context's probe has an event subscriber — so converting a data structure to this surface changes no schedule
+     and no golden trace. *)
   module Typed = struct
     type session = S
     type guard = { gp : Memory.Ptr.t }
     type fresh = { fp : Memory.Ptr.t; mutable spent : bool }
     type unlinked = { up : Memory.Ptr.t; mutable consumed : bool }
 
-    let observe t ctx ev = Intf.Env.observe t.env ctx ev
-    let decide t ctx point = Intf.Env.decide t.env ctx point
+    let observe t ctx ev = Intf.Env.emit t.env ctx ev
+    let observed = Runtime.Ctx.observed
+    let decide t ctx point p = Intf.Env.decide t.env ctx point p
 
     let run_op t ctx ~recover body =
       untyped_run_op t ctx ~recover (fun () -> body S)
@@ -143,7 +144,7 @@ module Make
 
     let alloc t ctx arena =
       let p = untyped_alloc t ctx arena in
-      observe t ctx (Intf.Protocol.Fresh p);
+      if observed ctx then observe t ctx (Intf.Protocol.Fresh p);
       { fp = p; spent = false }
 
     let fresh_ptr f = f.fp
@@ -163,37 +164,40 @@ module Make
 
     let sentinel t ctx f =
       spend f ~by:"sentinel";
-      observe t ctx (Intf.Protocol.Root f.fp);
+      if observed ctx then observe t ctx (Intf.Protocol.Root f.fp);
       f.fp
 
     let expose t ctx f =
       spend f ~by:"expose";
-      observe t ctx (Intf.Protocol.Publish f.fp);
+      if observed ctx then observe t ctx (Intf.Protocol.Publish f.fp);
       f.fp
 
     let abandon t ctx f =
       spend f ~by:"abandon";
-      observe t ctx (Intf.Protocol.Abandon f.fp);
+      if observed ctx then observe t ctx (Intf.Protocol.Abandon f.fp);
       Pool.release t.pool ctx f.fp
 
     let acquire t ctx (_ : session) p ~verify =
-      match decide t ctx (Intf.Protocol.Acquire_point p) with
+      match decide t ctx Intf.Protocol.Acquire_point p with
       | Intf.Protocol.Grant ->
           let granted = Reclaimer.protect t.reclaimer ctx p ~verify in
-          observe t ctx
-            (Intf.Protocol.Acquire { p; granted; adversary = false });
+          if observed ctx then
+            observe t ctx
+              (Intf.Protocol.Acquire { p; granted; adversary = false });
           if granted then Some { gp = p } else None
       | Intf.Protocol.Adversary ->
           (* Simulate a concurrent removal between announce and validate:
              the verification fails.  A scheme that needs no validation
              (epoch-style) legitimately grants; a hazard-style scheme that
-             grants anyway skipped its validation step, which the monitor
-             will flag.  Either way the caller is steered down its restart
-             branch. *)
+             grants anyway skipped its validation step, which the protocol
+             analyzer will flag.  Either way the caller is steered down its
+             restart branch. *)
           let granted =
             Reclaimer.protect t.reclaimer ctx p ~verify:(fun () -> false)
           in
-          observe t ctx (Intf.Protocol.Acquire { p; granted; adversary = true });
+          if observed ctx then
+            observe t ctx
+              (Intf.Protocol.Acquire { p; granted; adversary = true });
           if granted then Reclaimer.unprotect t.reclaimer ctx p;
           None
 
@@ -217,19 +221,20 @@ module Make
       Memory.Arena.get_const ctx arena g.gp field
 
     let cas_at t ctx arena container field ~expect word ~publishes ~unlinks =
-      match decide t ctx (Intf.Protocol.Cas_point container) with
+      match decide t ctx Intf.Protocol.Cas_point container with
       | Intf.Protocol.Adversary -> None
       | Intf.Protocol.Grant ->
           if Memory.Arena.cas ctx arena container field ~expect word then begin
             List.iter
               (fun f ->
                 spend f ~by:"cas_at";
-                observe t ctx (Intf.Protocol.Publish f.fp))
+                if observed ctx then
+                  observe t ctx (Intf.Protocol.Publish f.fp))
               publishes;
             Some
               (List.map
                  (fun p ->
-                   observe t ctx (Intf.Protocol.Unlink p);
+                   if observed ctx then observe t ctx (Intf.Protocol.Unlink p);
                    { up = p; consumed = false })
                  unlinks)
           end
@@ -255,25 +260,25 @@ module Make
       cas_at t ctx arena g.gp field ~expect word ~publishes:[] ~unlinks
 
     let svar_cas_unlink t ctx sv ~expect word ~unlinks =
-      match decide t ctx (Intf.Protocol.Cas_point expect) with
+      match decide t ctx Intf.Protocol.Cas_point expect with
       | Intf.Protocol.Adversary -> None
       | Intf.Protocol.Grant ->
           if Runtime.Svar.cas ctx sv ~expect word then
             Some
               (List.map
                  (fun p ->
-                   observe t ctx (Intf.Protocol.Unlink p);
+                   if observed ctx then observe t ctx (Intf.Protocol.Unlink p);
                    { up = p; consumed = false })
                  unlinks)
           else None
 
     let publish_locked t ctx (_ : session) f =
       spend f ~by:"publish_locked";
-      observe t ctx (Intf.Protocol.Publish f.fp);
+      if observed ctx then observe t ctx (Intf.Protocol.Publish f.fp);
       f.fp
 
     let unlink_locked t ctx (_ : session) p =
-      observe t ctx (Intf.Protocol.Unlink p);
+      if observed ctx then observe t ctx (Intf.Protocol.Unlink p);
       { up = p; consumed = false }
 
     let unlinked_ptr w = w.up

@@ -24,11 +24,30 @@ type t = {
   sig_pending : bool Atomic.t;
   mutable sig_mask : int;
   mutable handler : t -> unit;
-  mutable hook : t -> line:int -> access_kind -> unit;
+  probe : probe;
+  mutable access_impl : t -> line:int -> access_kind -> unit;
   mutable now_impl : unit -> int;
   mutable stall_impl : int -> unit;
   mutable rng : Random.State.t;
   stats : stats;
+}
+
+(* The probe: the subscribers, and per channel the callbacks composed from
+   them — rebuilt only when a subscription changes. *)
+and probe = {
+  mutable subs : subscriber list;  (* subscription order *)
+  mutable accesses : (t -> line:int -> access_kind -> unit) array;
+  mutable events : (int * (t -> Event.t -> unit)) array;  (* (scope, f) *)
+  mutable entries : (t -> unit) array;
+  mutable steer : (int * (t -> Event.point -> int -> Event.decision)) option;
+}
+
+and subscriber = {
+  scope : int;  (* heap scope of [event]/[decide]; [-1] = every scope *)
+  access : (t -> line:int -> access_kind -> unit) option;
+  event : (t -> Event.t -> unit) option;
+  handler_entry : (t -> unit) option;
+  decide : (t -> Event.point -> int -> Event.decision) option;
 }
 
 let fresh_stats () =
@@ -54,7 +73,15 @@ let make ~pid ~nprocs ~seed =
     sig_pending = Atomic.make false;
     sig_mask = 0;
     handler = (fun _ -> ());
-    hook = (fun _ ~line:_ _ -> ());
+    probe =
+      {
+        subs = [];
+        accesses = [||];
+        events = [||];
+        entries = [||];
+        steer = None;
+      };
+    access_impl = (fun _ ~line:_ _ -> ());
     now_impl = (fun () -> 0);
     stall_impl = (fun _ -> ());
     rng = Random.State.make [| seed; pid |];
@@ -64,6 +91,7 @@ let make ~pid ~nprocs ~seed =
 let poll ctx =
   if ctx.sig_mask = 0 && Atomic.get ctx.sig_pending then begin
     Atomic.set ctx.sig_pending false;
+    Array.iter (fun f -> f ctx) ctx.probe.entries;
     ctx.handler ctx
   end
 
@@ -86,15 +114,58 @@ let access ctx ~line kind =
   | Cas -> s.cass <- s.cass + 1
   | Fence -> s.fences <- s.fences + 1
   | Work c -> s.local_work <- s.local_work + c);
-  ctx.hook ctx ~line kind
+  let fs = ctx.probe.accesses in
+  for i = 0 to Array.length fs - 1 do
+    fs.(i) ctx ~line kind
+  done;
+  ctx.access_impl ctx ~line kind
+
+let subscriber ?(scope = -1) ?access ?event ?handler_entry ?decide () =
+  { scope; access; event; handler_entry; decide }
+
+let recompose p =
+  let chan get = Array.of_list (List.filter_map get p.subs) in
+  let scoped s = Option.map (fun f -> (s.scope, f)) in
+  p.accesses <- chan (fun s -> s.access);
+  p.events <- chan (fun s -> scoped s s.event);
+  p.entries <- chan (fun s -> s.handler_entry);
+  p.steer <- List.find_map (fun s -> scoped s s.decide) p.subs
+
+let subscribe ctx s =
+  let p = ctx.probe in
+  if List.memq s p.subs then invalid_arg "Ctx.subscribe: already subscribed";
+  if Option.is_some s.decide && Option.is_some p.steer then
+    invalid_arg "Ctx.subscribe: the decide slot is taken";
+  p.subs <- p.subs @ [ s ];
+  recompose p
+
+let unsubscribe ctx s =
+  let p = ctx.probe in
+  p.subs <- List.filter (fun s' -> s' != s) p.subs;
+  recompose p
+
+let in_scope s scope = s < 0 || s = scope
+let observed ctx = Array.length ctx.probe.events > 0
+
+let emit ctx ~scope ev =
+  let es = ctx.probe.events in
+  for i = 0 to Array.length es - 1 do
+    let s, f = es.(i) in
+    if in_scope s scope then f ctx ev
+  done
+
+let decide ctx ~scope point p =
+  match ctx.probe.steer with
+  | Some (s, f) when in_scope s scope -> f ctx point p
+  | _ -> Event.Grant
+
+let scopes = Atomic.make 0
+let new_scope () = Atomic.fetch_and_add scopes 1
 
 let add_hook ctx f =
-  let prev = ctx.hook in
-  ctx.hook <-
-    (fun c ~line kind ->
-      f c ~line kind;
-      prev c ~line kind);
-  fun () -> ctx.hook <- prev
+  let s = subscriber ~access:f () in
+  subscribe ctx s;
+  fun () -> unsubscribe ctx s
 
 let work ctx cost = access ctx ~line:0 (Work cost)
 let fence ctx = access ctx ~line:0 Fence

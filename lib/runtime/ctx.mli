@@ -3,8 +3,8 @@
     Every per-process operation in the library takes a [Ctx.t] explicitly,
     mirroring the [pid]-indexed pseudocode of the paper.  The context carries
     the process id, the simulated-signal state (the substitute for POSIX
-    signals, see DESIGN.md), instrumentation hooks used by the machine
-    simulator, and per-process statistics.
+    signals, see DESIGN.md), its probe (the one observation seam, see
+    below), the execution backend's slots, and per-process statistics.
 
     The fundamental guarantee provided here is the one DEBRA+ requires of the
     operating system: after another process sets this process' signal flag,
@@ -43,6 +43,8 @@ type stats = {
   mutable signals_ignored : int;  (** signals received while quiescent *)
 }
 
+type probe
+
 type t = {
   pid : int;
   nprocs : int;
@@ -53,9 +55,12 @@ type t = {
   mutable handler : t -> unit;
       (** signal handler; invoked at the next instrumented access after
           [sig_pending] is set.  Default: ignore. *)
-  mutable hook : t -> line:int -> access_kind -> unit;
-      (** instrumentation hook; the simulator charges cache-model costs and
-          yields to the scheduler here.  Default: no-op. *)
+  probe : probe;  (** this context's subscribers (see {!subscribe}) *)
+  mutable access_impl : t -> line:int -> access_kind -> unit;
+      (** the backend's per-access step, run after every subscriber: the
+          simulator charges cache-model costs and yields to the scheduler
+          here.  Set and restored by the backend with [now_impl] and
+          [stall_impl].  Default: no-op. *)
   mutable now_impl : unit -> int;
       (** current time in cycles (virtual under the simulator, scaled
           wall-clock under domains). *)
@@ -87,13 +92,63 @@ val mask : t -> unit
 val unmask : t -> unit
 
 (** [access ctx ~line kind] records one instrumented shared-memory access:
-    polls the signal flag, updates statistics, and invokes the hook. *)
+    polls the signal flag, updates statistics, runs the access subscribers,
+    then the backend's [access_impl]. *)
 val access : t -> line:int -> access_kind -> unit
 
-(** [add_hook ctx f] composes [f] in front of the currently-installed hook
-    (both run on every access, [f] first) and returns a thunk restoring the
-    previous hook.  Layers that install hooks — the simulator, the sanitizer
-    — must compose rather than overwrite so they can stack. *)
+(** {1 The probe}
+
+    Every observer of a process' steps — sanitizer, telemetry, fault
+    injector, protocol analyzer — subscribes to the context's probe.  A
+    {!subscriber} bundles up to four callbacks:
+
+    - [access]: each instrumented access, after the signal poll and before
+      the backend's [access_impl] (the simulator's cache charge and yield);
+    - [event]: each {!Event.t} emitted on this context under a heap scope
+      the subscriber's [scope] matches (omitted: every scope);
+    - [handler_entry]: on entry to each handler run, before the handler
+      (raising {!Crashed} here kills the process inside its handler);
+    - [decide]: the steering slot for the typed surface's decision points;
+      at most one subscriber per context holds it.
+
+    Channels run subscribers in subscription order; [unsubscribe] removes
+    exactly one, in any order.  Dispatch is rebuilt only on (un)subscribe;
+    an empty channel costs one branch. *)
+
+type subscriber
+
+val subscriber :
+  ?scope:int ->
+  ?access:(t -> line:int -> access_kind -> unit) ->
+  ?event:(t -> Event.t -> unit) ->
+  ?handler_entry:(t -> unit) ->
+  ?decide:(t -> Event.point -> int -> Event.decision) ->
+  unit ->
+  subscriber
+
+(** @raise Invalid_argument if [s] is already subscribed to [ctx], or
+    would take a held decide slot. *)
+val subscribe : t -> subscriber -> unit
+
+val unsubscribe : t -> subscriber -> unit
+
+(** [true] when some subscriber listens for events.  Hot emitters test it
+    {e before} building an event, so an unobserved emission allocates
+    nothing. *)
+val observed : t -> bool
+
+val emit : t -> scope:int -> Event.t -> unit
+
+(** [decide ctx ~scope point p] is the steering subscriber's answer at
+    [point] about record [p]; [Grant] without one in scope. *)
+val decide : t -> scope:int -> Event.point -> int -> Event.decision
+
+(** A fresh event scope; every heap takes one. *)
+val new_scope : unit -> int
+
+(** [add_hook ctx f] subscribes [f] as an access observer of [ctx] and
+    returns the thunk that unsubscribes it — that subscriber only, so
+    hooks may be removed in any order. *)
 val add_hook : t -> (t -> line:int -> access_kind -> unit) -> unit -> unit
 
 (** [work ctx cost] charges [cost] cycles of local computation. *)

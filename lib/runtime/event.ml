@@ -1,0 +1,63 @@
+(** The one closed event type a context's probe delivers (see {!Ctx}),
+    re-exported as [Memory.Smr_event]; pointer payloads are [Memory.Ptr.t],
+    an [int].  It covers the record lifecycle, the protection and
+    quiescence protocols, the reclamation control plane (observability
+    only), and the witness events of the typed Record Manager surface
+    (consumed by lib/protocheck).  A shadow checker sees every transition
+    before the arena's own generation check can raise: [Free] and [Access]
+    fire before validation, and protection events fire while the
+    announcement is visible to concurrent scanners. *)
+
+type access = Read | Write | Cas
+
+type t =
+  | Alloc of int  (** record claimed from its arena *)
+  | Free of int  (** record released to its arena (generation bumped) *)
+  | Access of int * access  (** instrumented field access *)
+  | Pool_put of int
+      (** record entered a reuse pool {e without} passing through the arena:
+          it may be handed out again with the same generation *)
+  | Pool_take of int  (** record left a reuse pool to be reused *)
+  | Retire of int  (** record handed to a reclaimer *)
+  | Protect of int  (** announcement visible (HP slot, RC count, TS root) *)
+  | Unprotect of int  (** announcement about to be retracted *)
+  | Unprotect_all  (** all of this process' announcements retracted *)
+  | Enter_q  (** process entered a quiescent state / passed a q-point *)
+  | Leave_q  (** process left its quiescent state (operation begins) *)
+  | Rprotect of int  (** DEBRA+ recovery announcement visible *)
+  | Runprotect_all  (** all recovery announcements retracted *)
+  | Epoch_advance of int
+      (** this process' CAS moved the global epoch/clock to the payload *)
+  | Signal_sent of int  (** neutralization signal sent to process [target] *)
+  | Sweep of int
+      (** a reclamation sweep (rotation, scan, batch drain) handed the
+          payload's worth of records to the pool *)
+  | Fresh of int
+      (** witness: record allocated through the typed surface, private to
+          its owner until published *)
+  | Publish of int  (** witness: fresh record became reachable *)
+  | Abandon of int  (** witness: fresh record deallocated unpublished *)
+  | Root of int  (** witness: permanent sentinel, never retired *)
+  | Acquire of { p : int; granted : bool; adversary : bool }
+      (** witness: a [Typed.acquire] attempt; [adversary] marks a
+          verification the steering subscriber forced to fail — a scheme
+          that still [granted] it skipped its validation step *)
+  | Unlink of int
+      (** witness: an unlink was issued; the record provably left the
+          structure *)
+
+(** Decision points a steering subscriber may answer, each asked about one
+    record: every guard acquisition and every lifecycle CAS (on the
+    container) of the typed surface.  [Grant] lets
+    the operation proceed as the memory says; [Adversary] simulates a
+    concurrent defeat (a failed validation, a lost CAS) without touching
+    memory, so a single-process analyzer can drive the structure down both
+    branches of every decision. *)
+type point = Acquire_point | Cas_point
+
+type decision = Grant | Adversary
+
+(** [true] for the witness events only the typed surface emits. *)
+let is_witness = function
+  | Fresh _ | Publish _ | Abandon _ | Root _ | Acquire _ | Unlink _ -> true
+  | _ -> false

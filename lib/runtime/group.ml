@@ -50,3 +50,6 @@ let send_signal t ~from ~target =
   end
 
 let sum_stats t f = Array.fold_left (fun acc c -> acc + f c.Ctx.stats) 0 t.ctxs
+
+let subscribe t s = Array.iter (fun c -> Ctx.subscribe c s) t.ctxs
+let unsubscribe t s = Array.iter (fun c -> Ctx.unsubscribe c s) t.ctxs

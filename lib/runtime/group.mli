@@ -54,5 +54,11 @@ val reset_signal_route : t -> unit
     returned. *)
 val send_signal : t -> from:Ctx.t -> target:int -> bool
 
+(** [subscribe t s] / [unsubscribe t s] attach [s] to / detach it from
+    every member's probe (see {!Ctx.subscribe}). *)
+
+val subscribe : t -> Ctx.subscriber -> unit
+val unsubscribe : t -> Ctx.subscriber -> unit
+
 (** Sum of a per-process statistic over the group. *)
 val sum_stats : t -> (Ctx.stats -> int) -> int

@@ -92,7 +92,6 @@ type t = {
   procs : pstate array;
   mutable seq : int;
   mutable ledger : int;  (* retired, not yet freed *)
-  mutable events : int;
   mutable accesses : int;
   mutable viols : violation list;  (* newest first *)
   mutable nviols : int;
@@ -117,7 +116,6 @@ let create ~scheme ~discipline ~heap ~group =
           });
     seq = 0;
     ledger = 0;
-    events = 0;
     accesses = 0;
     viols = [];
     nviols = 0;
@@ -272,7 +270,6 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
   | Free p -> on_free t ctx (Memory.Ptr.unmark p) ~via:"arena free"
   | Pool_put p -> on_free t ctx (Memory.Ptr.unmark p) ~via:"pool put"
   | Access (p, _) -> (
-      t.events <- t.events + 1;
       let key = Memory.Ptr.unmark p in
       match Hashtbl.find_opt t.records key with
       | None ->
@@ -344,26 +341,25 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
   | Enter_q ->
       ps.in_session <- false;
       ps.qcount <- ps.qcount + 1
-  | Epoch_advance _ | Signal_sent _ | Sweep _ ->
+  | Epoch_advance _ | Signal_sent _ | Sweep _ | Fresh _ | Publish _
+  | Abandon _ | Root _ | Acquire _ | Unlink _ ->
       (* Reclamation control-plane events: observability only, no shadow
          state transitions.  Soundness is judged from the lifecycle and
-         protection events alone. *)
+         protection events alone.  (Witness events are filtered before
+         [on_event].) *)
       ()
 
 let with_checks t f =
-  let sub = Memory.Heap.add_sink t.heap (fun ctx ev -> on_event t ctx ev) in
-  let restores =
-    Array.map
-      (fun ctx ->
-        Runtime.Ctx.add_hook ctx (fun _ ~line:_ _ ->
-            t.accesses <- t.accesses + 1))
-      t.group.Runtime.Group.ctxs
+  let s =
+    Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope t.heap)
+      ~event:(fun ctx ev ->
+        (* Witness events belong to the protocol analyzer. *)
+        if not (Memory.Smr_event.is_witness ev) then on_event t ctx ev)
+      ~access:(fun _ ~line:_ _ -> t.accesses <- t.accesses + 1)
+      ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Memory.Heap.remove_sink t.heap sub;
-      Array.iter (fun restore -> restore ()) restores)
-    f
+  Runtime.Group.subscribe t.group s;
+  Fun.protect ~finally:(fun () -> Runtime.Group.unsubscribe t.group s) f
 
 let leak_check t ~limbo_size =
   if t.discipline.track_limbo && t.ledger <> limbo_size then begin
@@ -392,7 +388,6 @@ let violations t = List.rev t.viols
 let violation_count t = t.nviols
 let has t kind = List.exists (fun v -> v.kind = kind) t.viols
 let retired_unfreed t = t.ledger
-let events_seen t = t.seq
 let accesses_checked t = t.accesses
 
 let pp_violation fmt v =

@@ -50,11 +50,10 @@ val create :
   group:Runtime.Group.t ->
   t
 
-(** [with_checks t f] attaches the sanitizer to the heap's event hub and to
-    every context's instrumentation hook (composing with — not replacing —
-    hooks installed by e.g. the simulator), runs [f], and detaches, even on
-    exception.  Nesting is not supported: one sanitizer per heap at a
-    time. *)
+(** [with_checks t f] subscribes the sanitizer to every group context's
+    probe (the heap's events and every access), runs [f], and
+    unsubscribes, even on exception.  Other subscribers are unaffected.
+    Nesting is not supported: one sanitizer per heap at a time. *)
 val with_checks : t -> (unit -> 'a) -> 'a
 
 (** [leak_check t ~limbo_size] reconciles the shadow ledger (records retired
@@ -72,10 +71,9 @@ val has : t -> kind -> bool
 val retired_unfreed : t -> int
 (** current shadow limbo ledger *)
 
-val events_seen : t -> int
 val accesses_checked : t -> int
-(** instrumented accesses observed through the context hook; nonzero proves
-    the hook chain is wired *)
+(** instrumented accesses observed through the probe; nonzero proves the
+    access subscription is wired *)
 
 val kind_name : kind -> string
 val pp_violation : Format.formatter -> violation -> unit

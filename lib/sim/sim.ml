@@ -54,7 +54,7 @@ let () =
 
 type _ Effect.t +=
   | Yield : unit Effect.t
-      (* charge the cycles the hook left in the run's [charge] cell; a
+      (* charge the cycles the access step left in the run's [charge] cell; a
          constant effect, so yielding allocates no effect value *)
   | Stall : int -> unit Effect.t  (* park for this many cycles *)
 
@@ -111,7 +111,7 @@ let handler : (unit, outcome) Effect.Deep.handler =
 (* A scheduling choice point under [`Systematic]: the runnable hardware
    contexts, with the process at the front of each run queue and the cache
    line of the instrumented access it will perform when resumed (-1 before
-   its first access).  The hook records the line *before* performing
+   its first access).  The access step records the line *before* performing
    [Yield], so a suspended fiber's pending access is already visible —
    exactly what conflict-driven exploration needs. *)
 type candidate = { cand_core : int; cand_pid : int; cand_line : int }
@@ -164,20 +164,17 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
     rnext.(rprev.(c)) <- rnext.(c);
     rprev.(rnext.(c)) <- rprev.(c)
   in
-  (* Install simulator hooks. *)
-  let saved_hooks = Array.map (fun c -> c.Ctx.hook) group.Group.ctxs in
+  (* Install the simulator's backend slots.  Every access first runs the
+     context's probe subscribers (a sanitizer, a fault injector: they
+     observe the access), then this step: charge the cache model and yield
+     to the scheduler. *)
   let last_line = Array.make n (-1) in
   let charge = ref 0 in
   let install pid =
     let ctx = Group.ctx group pid in
     let context = core_of pid in
-    (* Chain any hook installed before the run (e.g. a sanitizer's) rather
-       than overwriting it: it observes the access, then we charge the cache
-       model and yield to the scheduler. *)
-    let prev = saved_hooks.(pid) in
-    ctx.Ctx.hook <-
-      (fun c ~line kind ->
-        prev c ~line kind;
+    ctx.Ctx.access_impl <-
+      (fun _ ~line kind ->
         last_line.(pid) <- line;
         charge := Machine.Cache.access cache ~context kind ~line;
         perform Yield);
@@ -387,13 +384,13 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
         if every <= 0 then invalid_arg "Sim.run: tick interval must be > 0";
         Some (every, f, ref every)
   in
-  (* Restore hooks so post-run code executes directly — also on a Stuck
-     escape, so a caller that catches the diagnostic is left with working
-     contexts. *)
-  let restore_hooks () =
-    Array.iteri
-      (fun pid ctx ->
-        ctx.Ctx.hook <- saved_hooks.(pid);
+  (* Reset the backend slots so post-run code executes directly — also on
+     a Stuck escape, so a caller that catches the diagnostic is left with
+     working contexts. *)
+  let restore_backend () =
+    Array.iter
+      (fun ctx ->
+        ctx.Ctx.access_impl <- (fun _ ~line:_ _ -> ());
         ctx.Ctx.now_impl <- (fun () -> 0);
         ctx.Ctx.stall_impl <- (fun _ -> ()))
       group.Group.ctxs
@@ -449,9 +446,9 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
          Int_heap.push coreheap core.time c
      done
    with e ->
-     restore_hooks ();
+     restore_backend ();
      raise e);
-  restore_hooks ();
+  restore_backend ();
   (match !failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ());

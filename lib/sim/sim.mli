@@ -57,10 +57,10 @@ val stuck_to_string : stuck_info -> string
     [cand_pid] is the process at the front of core [cand_core]'s run queue
     and [cand_line] the cache line of the instrumented access it will
     perform when next resumed ([-1] before its first access).  The
-    simulator's hook records the line {e before} suspending the fiber, so
-    pending accesses of descheduled processes are visible — the information
-    a conflict-driven (DPOR/sleep-set style) explorer needs to decide where
-    preemption can matter. *)
+    simulator's access step records the line {e before} suspending the
+    fiber, so pending accesses of descheduled processes are visible — the
+    information a conflict-driven (DPOR/sleep-set style) explorer needs to
+    decide where preemption can matter. *)
 type candidate = { cand_core : int; cand_pid : int; cand_line : int }
 
 (** Scheduling policy.  [`Min_time] (the default) always runs the hardware
@@ -84,9 +84,11 @@ type policy =
   | `Systematic of step:int -> candidate array -> int ]
 
 (** [run ~machine group bodies] runs [bodies.(pid)] for each pid to
-    completion and returns the outcome.  Installs simulator hooks on each
-    context for the duration of the run.  Exceptions other than
-    [Ctx.Crashed] escaping a body abort the simulation and are re-raised.
+    completion and returns the outcome.  Sets each context's backend slots
+    ([access_impl], [now_impl], [stall_impl]) for the duration of the run;
+    probe subscribers are left alone and run before each access step.
+    Exceptions other than [Ctx.Crashed] escaping a body abort the
+    simulation and are re-raised.
 
     [?tick:(interval, f)] fires [f now] once per [interval]-cycle boundary
     of global virtual time, in order and with the nominal boundary time —

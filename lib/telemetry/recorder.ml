@@ -4,8 +4,8 @@ type gauge = {
   mutable samples : (int * int array) list;  (* newest first *)
 }
 
-(* Event-bus counters: a flat record, bumped on the emission fast path when
-   telemetry is attached — no hashing, no allocation. *)
+(* Event counters: a flat record, bumped on the emission path when
+   telemetry is subscribed — no hashing, no allocation. *)
 type counts = {
   mutable allocs : int;
   mutable frees : int;
@@ -172,9 +172,9 @@ let merge_locals t ls =
         l.l_hists)
     ls
 
-let sink t : Memory.Smr_event.sink =
+let on_event t =
   let c = t.counts in
-  fun ctx ev ->
+  fun (ctx : Runtime.Ctx.t) (ev : Memory.Smr_event.t) ->
     match ev with
     | Memory.Smr_event.Alloc _ -> c.allocs <- c.allocs + 1
     | Free _ -> c.frees <- c.frees + 1
@@ -212,7 +212,8 @@ let sink t : Memory.Smr_event.sink =
               ~args:[ ("released", Json.Int released) ]
               ())
     | Access _ | Protect _ | Unprotect _ | Unprotect_all | Enter_q | Leave_q
-    | Rprotect _ | Runprotect_all ->
+    | Rprotect _ | Runprotect_all | Fresh _ | Publish _ | Abandon _ | Root _
+    | Acquire _ | Unlink _ ->
         ()
 
 let histogram t kind = List.assoc_opt kind t.hists

@@ -1,5 +1,5 @@
 (** The telemetry recorder: one object that a trial threads through the
-    simulator tick hook, the SMR event bus and the operation loop, and that
+    simulator tick hook, the SMR event stream and the operation loop, and that
     renders everything it collected as a metrics JSON document and
     (optionally) a Chrome trace.
 
@@ -14,11 +14,11 @@
       registered gauge and appends one sample per series.  Gauges are
       uninstrumented reads of simulation state (limbo populations, epoch
       lag, pool occupancy, bytes in use) performed in scheduler context.
-    - {b Event counters.}  {!sink} attached to the heap's {!Memory.Smr_event}
-      bus counts lifecycle traffic (allocs, frees, retires, pool puts and
-      takes) and the reclamation control plane (epoch advances,
-      neutralization signals, sweeps); control-plane events also become
-      trace instants. *)
+    - {b Event counters.}  {!on_event}, subscribed to the group's probes
+      for the heap's {!Memory.Smr_event}s, counts lifecycle traffic
+      (allocs, frees, retires, pool puts and takes) and the reclamation
+      control plane (epoch advances, neutralization signals, sweeps);
+      control-plane events also become trace instants. *)
 
 type t
 
@@ -54,7 +54,7 @@ val add_counter : t -> name:string -> (unit -> int) -> unit
 (** Register an external monotone counter (reclamation pressure, breaker
     trips, shed totals).  Not sampled: the getter is read when
     {!counters} / {!metrics_json} render, and the value is appended after
-    the event-bus counters in registration order. *)
+    the event counters in registration order. *)
 
 val tick : t -> int -> unit
 (** Sample all gauges at virtual time [now] (cycles).  Only every
@@ -62,8 +62,9 @@ val tick : t -> int -> unit
     [max_samples] is reached); a skipped call costs one increment and one
     compare — no gauge reads, no allocation. *)
 
-val sink : t -> Memory.Smr_event.sink
-(** The event-bus sink to attach with [Memory.Heap.add_sink]. *)
+val on_event : t -> Runtime.Ctx.t -> Memory.Smr_event.t -> unit
+(** The event callback to subscribe with
+    [Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap) ~event]. *)
 
 val op : t -> pid:int -> kind:string -> start:int -> finish:int -> unit
 (** Record one completed operation ([start]/[finish] in virtual cycles). *)
@@ -105,7 +106,7 @@ val series_total : t -> string -> (int * int) list
     the E-stall experiment plots. *)
 
 val counters : t -> (string * int) list
-(** Event-bus counters, fixed order: allocs, frees, retires, pool_puts,
+(** Event counters, fixed order: allocs, frees, retires, pool_puts,
     pool_takes, epoch_advances, signals_sent, sweeps, records_swept —
     followed by any {!add_counter} registrations in registration order. *)
 

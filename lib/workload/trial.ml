@@ -18,8 +18,8 @@
     and reported times are in cycles of the backend's {!Exec.Clock}; on a
     non-deterministic backend the sim-only features degrade gracefully
     (see DESIGN.md §10): the sanitizer is disabled, chaos plans are
-    restricted to {!Chaos.degrade}'s subset, and the telemetry event-bus
-    sink is not attached. *)
+    restricted to {!Chaos.degrade}'s subset, and the telemetry event
+    counters are not subscribed. *)
 
 type outcome = {
   scheme : string;
@@ -80,8 +80,8 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       | None -> Exec.Sim_exec.make ~machine ?max_steps ?policy ()
     in
     (* Graceful degradation of sim-only features on a non-deterministic
-       backend: the shadow-state sanitizer and the recorder's event-bus
-       sink share unsynchronized state across what would now be racing
+       backend: the shadow-state sanitizer and the recorder's event
+       counters share unsynchronized state across what would now be racing
        domains, and part of the chaos trigger vocabulary needs a global
        event order. *)
     let sanitize =
@@ -183,13 +183,18 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
                   [| Memory.Heap.live_records heap |]);
               Telemetry.Recorder.add_gauge rec_ ~name:"bytes_claimed"
                 (fun () -> [| Memory.Heap.bytes_claimed heap |]));
-          (* The event-bus sink bumps unsynchronized counters on every
-             emission; only the deterministic backend may attach it. *)
+          (* The event counters are unsynchronized and bumped on every
+             emission; only the deterministic backend may subscribe them. *)
           let tel_sub =
             if E.deterministic then
               Option.map
                 (fun rec_ ->
-                  Memory.Heap.add_sink heap (Telemetry.Recorder.sink rec_))
+                  let s =
+                    Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
+                      ~event:(Telemetry.Recorder.on_event rec_) ()
+                  in
+                  Runtime.Group.subscribe group s;
+                  s)
                 telemetry
             else None
           in
@@ -320,7 +325,7 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
           in
           Option.iter Chaos.uninstall !chaos_engine;
           Option.iter (fun restore -> restore ()) restore_stall;
-          Option.iter (fun sub -> Memory.Heap.remove_sink heap sub) tel_sub;
+          Option.iter (Runtime.Group.unsubscribe group) tel_sub;
           !merge_telemetry ();
           let limbo = RM.limbo_size rm in
           (* Post-fault validation: whatever the faults did, the structure

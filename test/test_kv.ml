@@ -118,23 +118,30 @@ module Ttl_harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
 
   let scheme = RM.Reclaimer.name
 
-  let run () =
+  (* Shard 0's sanitizer and event counter must see shard 0's events only,
+     also when [shards] heaps share the group. *)
+  let run ~shards () =
     let n = 3 in
     let group = Runtime.Group.create ~seed:5 n in
     let t =
-      S.create ~structure:"hm_list" ~shards:1 ~capacity_per_shard:2048 ~group
-        ()
+      S.create ~structure:"hm_list" ~shards ~capacity_per_shard:2048 ~group ()
     in
     let heap = (S.heaps t).(0) in
     let san =
       Sanitizer.create ~scheme ~discipline:RM.Reclaimer.discipline ~heap
         ~group
     in
-    let retires = ref 0 in
-    let sub =
-      Memory.Heap.add_sink heap (fun _ctx ev ->
-          match ev with Memory.Smr_event.Retire _ -> incr retires | _ -> ())
+    let retires = ref 0 and allocs = ref 0 in
+    let counter =
+      Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
+        ~event:(fun _ctx -> function
+          | Memory.Smr_event.Retire _ -> incr retires
+          | Alloc _ -> incr allocs
+          | _ -> ())
+        ()
     in
+    let allocs0 = Memory.Heap.total_allocs heap in
+    Runtime.Group.subscribe group counter;
     let expired_misses = ref 0 in
     Sanitizer.with_checks san (fun () ->
         let body pid () =
@@ -161,14 +168,19 @@ module Ttl_harness (RM : Reclaim.Intf.RECORD_MANAGER) = struct
         let ctx0 = Runtime.Group.ctx group 0 in
         S.check_invariants t;
         S.flush t ctx0;
-        Sanitizer.leak_check san ~limbo_size:(S.limbo t));
-    Memory.Heap.remove_sink heap sub;
+        Sanitizer.leak_check san ~limbo_size:(S.shard_limbo t 0));
+    Runtime.Group.unsubscribe group counter;
     Alcotest.(check string) (scheme ^ ": sanitizer clean") ""
       (Sanitizer.report san);
     Alcotest.(check bool) (scheme ^ ": retires flowed") true (!retires > 0);
     Alcotest.(check bool)
       (scheme ^ ": expiry observed")
-      true (!expired_misses > 0)
+      true (!expired_misses > 0);
+    Alcotest.(check int) (scheme ^ ": shard-0 allocs only")
+      (Memory.Heap.total_allocs heap - allocs0)
+      !allocs;
+    Alcotest.(check bool) (scheme ^ ": every shard allocated") true
+      (Array.for_all (fun h -> Memory.Heap.total_allocs h > 0) (S.heaps t))
 end
 
 let ttl_retire scheme =
@@ -177,7 +189,11 @@ let ttl_retire scheme =
         (val Reclaim.Registry.rm Exp2 (Reclaim.Registry.find scheme))
       in
       let module T = Ttl_harness (RM) in
-      T.run ())
+      T.run ~shards:1 ())
+
+let shard_scoped () =
+  let module T = Ttl_harness (Schemes.RM2_debra) in
+  T.run ~shards:2 ()
 
 (* ---------- sim determinism for one loadgen seed ---------- *)
 
@@ -278,7 +294,8 @@ let () =
           (fun s -> Alcotest.test_case s `Quick (sequential s))
           [ "hm_list"; "skiplist"; "bst"; "hash" ] );
       ( "ttl-retire-sanitized",
-        List.map ttl_retire [ "debra"; "debra+"; "hp" ] );
+        List.map ttl_retire [ "debra"; "debra+"; "hp" ]
+        @ [ Alcotest.test_case "shard-scoped probe" `Quick shard_scoped ] );
       ( "loadgen",
         [
           Alcotest.test_case "plan replay" `Quick loadgen_plan;

@@ -156,6 +156,28 @@ let test_heap_dispatch () =
   Memory.Heap.release heap c p0 ~recycle:false;
   Alcotest.(check int) "live" 1 (Memory.Heap.live_records heap)
 
+(* Without an event subscriber no event is built: a warmed instrumented
+   access allocates nothing. *)
+let test_unobserved_allocation () =
+  let c = ctx () and a = mk_arena () in
+  let p = Memory.Arena.claim_fresh c a in
+  let n = 100_000 in
+  let pass () =
+    for i = 1 to n do
+      Memory.Arena.write c a p 0 i;
+      ignore (Memory.Arena.cas c a p 0 ~expect:i (i + 1));
+      ignore (Memory.Arena.read c a p 0);
+      ignore (Memory.Arena.get_const c a p 0)
+    done
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let per_access = (Gc.minor_words () -. w0) /. float_of_int (4 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per unobserved access < 1" per_access)
+    true (per_access < 1.)
+
 (* Address space *)
 let test_addr () =
   let base = Runtime.Addr.reserve_words 20 in
@@ -180,6 +202,8 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_lifecycle;
           Alcotest.test_case "stale CAS detected" `Quick test_stale_cas_fails;
           Alcotest.test_case "capacity" `Quick test_capacity;
+          Alcotest.test_case "unobserved access allocates nothing" `Quick
+            test_unobserved_allocation;
           QCheck_alcotest.to_alcotest prop_arena_model;
         ] );
       ( "heap",

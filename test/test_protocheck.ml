@@ -75,7 +75,11 @@ let test_mutant_bst_rejected () =
     Engine.config ~scheme:"hp" ~strict:true RM_hp.Reclaimer.discipline
   in
   let eng = Engine.create ~config ~nprocs:1 () in
-  let detach = Engine.attach eng env in
+  let probe =
+    Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
+      ~event:(Engine.on_event eng) ()
+  in
+  Runtime.Group.subscribe group probe;
   let ctx = Runtime.Group.ctx group 0 in
   let t = MB.create rm ~capacity:64 in
   ignore (MB.insert t ctx ~key:5);
@@ -83,7 +87,7 @@ let test_mutant_bst_rejected () =
   ignore (MB.insert t ctx ~key:8);
   ignore (MB.contains t ctx 3);
   ignore (MB.delete t ctx 8);
-  detach ();
+  Runtime.Group.unsubscribe group probe;
   Alcotest.(check bool) "retire-without-unlink" true
     (Engine.has eng Engine.Retire_without_unlink);
   Alcotest.(check bool) "unprotected-access" true

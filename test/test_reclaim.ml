@@ -509,8 +509,8 @@ let test_hyaline_batch_refcount_gates () =
 
 (* Limbo must drain to exactly zero after a quiescent shutdown ([flush]),
    for every scheme — cross-checked against the sanitizer's shadow ledger,
-   which counts every Retire and Free on the event bus independently of the
-   reclaimer's own bookkeeping. *)
+   which counts every Retire and Free on the event stream independently of
+   the reclaimer's own bookkeeping. *)
 module Drain (RM : Intf.RECORD_MANAGER) = struct
   let run () =
     let group = Runtime.Group.create ~seed:7 2 in

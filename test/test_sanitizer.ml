@@ -150,7 +150,7 @@ module Fuzz (RM : Intf.RECORD_MANAGER) = struct
       0
       (Sanitizer.retired_unfreed san);
     Alcotest.(check bool)
-      (name ^ ": hook chain wired")
+      (name ^ ": access subscription wired")
       true
       (Sanitizer.accesses_checked san > 0)
 

@@ -1,5 +1,5 @@
 (** Telemetry subsystem tests: histogram quantiles against an exact
-    sorted-sample reference, event-hub fan-out, JSON codec round-trips,
+    sorted-sample reference, probe fan-out and removal, JSON codec round-trips,
     Chrome-trace well-formedness on a real traced trial, telemetry under
     the sanitizer, and the E-stall limbo-bound regression. *)
 
@@ -72,29 +72,46 @@ let test_histogram_stats () =
   Alcotest.(check bool) "merged max" true (m >= 1_000_000 * 31 / 32)
 
 (* ------------------------------------------------------------------ *)
-(* Event hub: multi-sink fan-out                                       *)
+(* Probe: fan-out, subscription order, out-of-order removal, scope      *)
 
-let test_hub_fanout () =
-  let group = Runtime.Group.create ~seed:1 1 in
-  let ctx = Runtime.Group.ctx group 0 in
-  let hub = Memory.Smr_event.hub () in
-  let a = ref 0 and b = ref 0 in
-  Memory.Smr_event.emit hub ctx Memory.Smr_event.Enter_q;
-  Alcotest.(check int) "no sinks: no delivery" 0 !a;
-  let sa = Memory.Smr_event.add_sink hub (fun _ _ -> incr a) in
-  let sb = Memory.Smr_event.add_sink hub (fun _ _ -> incr b) in
-  Alcotest.(check int) "two sinks" 2 (Memory.Smr_event.sink_count hub);
-  Memory.Smr_event.emit hub ctx Memory.Smr_event.Enter_q;
-  Alcotest.(check int) "fan-out a" 1 !a;
-  Alcotest.(check int) "fan-out b" 1 !b;
-  Memory.Smr_event.remove_sink hub sa;
-  Memory.Smr_event.emit hub ctx Memory.Smr_event.Leave_q;
-  Alcotest.(check int) "removed sink silent" 1 !a;
-  Alcotest.(check int) "remaining sink live" 2 !b;
-  Memory.Smr_event.remove_sink hub sb;
-  Alcotest.(check int) "all removed" 0 (Memory.Smr_event.sink_count hub);
-  Memory.Smr_event.emit hub ctx Memory.Smr_event.Enter_q;
-  Alcotest.(check int) "fast path restored" 2 !b
+let test_probe_fanout () =
+  let ctx = Runtime.Group.ctx (Runtime.Group.create ~seed:1 1) 0 in
+  let heap = Memory.Heap.create () and other = Memory.Heap.create () in
+  let log = ref [] in
+  let hook name =
+    Runtime.Ctx.add_hook ctx (fun _ ~line:_ _ -> log := name :: !log)
+  in
+  let events name =
+    let s =
+      Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
+        ~event:(fun _ _ -> log := name :: !log) ()
+    in
+    Runtime.Ctx.subscribe ctx s;
+    fun () -> Runtime.Ctx.unsubscribe ctx s
+  in
+  (* One access, one event on [heap], one on [other] (never delivered). *)
+  let step what expected =
+    log := [];
+    Runtime.Ctx.work ctx 1;
+    Memory.Heap.emit heap ctx Memory.Smr_event.Enter_q;
+    Memory.Heap.emit other ctx Memory.Smr_event.Leave_q;
+    Alcotest.(check (list string)) what expected (List.rev !log)
+  in
+  step "no subscribers" [];
+  let a1 = hook "a1" in
+  let e1 = events "e1" in
+  let a2 = hook "a2" in
+  let e2 = events "e2" in
+  (* Each channel runs in subscription order. *)
+  step "fan-out" [ "a1"; "a2"; "e1"; "e2" ];
+  (* Removal in install order: the survivors keep firing. *)
+  List.iteri
+    (fun i (remove, expect) ->
+      remove ();
+      step (Printf.sprintf "removal %d" i) expect)
+    (List.combine [ a1; e1; a2; e2 ]
+       [ [ "a2"; "e1"; "e2" ]; [ "a2"; "e2" ]; [ "e2" ]; [] ]);
+  Alcotest.(check bool) "fast path restored" false (Runtime.Ctx.observed ctx)
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec round-trip                                               *)
@@ -283,7 +300,7 @@ let test_gauge_decimation () =
     (List.length (List.assoc "g" (Telemetry.Recorder.series rec2)))
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry and sanitizer share the bus                               *)
+(* Telemetry and sanitizer share the event stream                      *)
 
 let test_telemetry_with_sanitizer () =
   let trace = Telemetry.Trace.create ~cycles_per_us:3000.0 () in
@@ -374,8 +391,11 @@ let () =
             test_histogram_quantiles;
           Alcotest.test_case "stats and merge" `Quick test_histogram_stats;
         ] );
-      ( "event hub",
-        [ Alcotest.test_case "multi-sink fan-out" `Quick test_hub_fanout ] );
+      ( "probe",
+        [
+          Alcotest.test_case "fan-out, out-of-order removal" `Quick
+            test_probe_fanout;
+        ] );
       ( "json",
         [ Alcotest.test_case "codec round-trip" `Quick test_json_roundtrip ] );
       ( "trace",
