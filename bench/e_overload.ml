@@ -1,10 +1,10 @@
 (** E-overload: the chaos-under-load campaign (DESIGN.md §14,
     EXPERIMENTS.md).
 
-    Every cell runs the sharded KV store behind the full resilience layer
-    (lib/resilience: deadlines, retry budgets, per-shard circuit breakers,
-    limbo-watermark escalation and shedding) while three pressures land
-    at once:
+    Every cell runs the sharded KV store behind a per-shard limbo
+    watermark ([Resilience.Watermark.admit]: emergency-reclamation
+    escalation at the elevated mark, scan shedding at the brownout mark)
+    while three pressures land at once:
 
     - {e burst arrivals}: a [Spike] arrival process — one overload window
       whose bounds define the degradation report's pre / burst / post
@@ -12,9 +12,10 @@
     - {e crashed shard}: a chaos [In_operation] crash kills one worker
       mid-operation, leaving a corpse whose announcement pins its shard's
       reclamation.  Schemes with crash recovery (DEBRA+ neutralization,
-      per-record schemes) ride it out; plain epoch schemes wedge the
-      shard, the breaker force-opens on the [shard_wedged] probe, and the
-      shard rejects forever;
+      per-record schemes) ride it out: escalation frees records and the
+      shard leaves the watermark.  Plain epoch schemes cannot advance
+      past the corpse, so escalation frees nothing, limbo stays above
+      the brownout mark and the shard sheds scans forever;
     - {e stalled process}: a straggler parks mid-operation on another
       shard for part of the burst (the E-stall adversary scoped to one
       shard), inflating limbo exactly when the spike needs capacity.
@@ -23,10 +24,12 @@
     (limbo bound held, worst-phase goodput floor, time-to-recover), and
     the campaign's gate is the paper's claim in SLO form: every DEBRA+
     cell must pass, while the epoch schemes without neutralization
-    (EBR / QSBR / DEBRA) must demonstrably degrade — a wedged shard never
-    recovers.  Per-record and other schemes are observed but not gated.
-    On the simulator one cell is run twice and its JSON rows must be
-    byte-identical (the whole campaign replays from the seed). *)
+    (EBR / QSBR / DEBRA) must demonstrably degrade — a corpse-pinned
+    shard never recovers.  Each shard's [escalations] / [escalate_freed]
+    in the row is the direct evidence.  Per-record and other schemes are
+    observed but not gated.  On the simulator one cell is run twice and
+    its JSON rows must be byte-identical (the whole campaign replays from
+    the seed). *)
 
 (* Set by bench/main.ml: --chaos-seed replays one seed; --overload-requests
    and --overload-schemes shrink the sweep (the CI smoke job). *)
@@ -120,8 +123,8 @@ module Make_cell (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       | None -> assert false
     in
     (* Recovery-rate bucket: ~37 requests/bucket at the base rate, enough
-       for the 2%-bad tolerance to separate a wedged shard's steady
-       rejections from stray organic deadline misses. *)
+       for the 2%-bad tolerance to separate a pinned shard's steady
+       shedding from a stray shed scan. *)
     let bucket_cycles = Exec.Clock.cycles_of_us clock 250 in
     let mix =
       (* Scans are the sheddable low-priority class; the campaign needs
@@ -144,44 +147,13 @@ module Make_cell (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     for r = 0 to nkeys - 1 do
       Store.put store ctx0 ~key:(key_of_rank r) ~value:(value_of_rank r)
     done;
-    (* The resilience layer: deadlines and windows sized to the arrival
-       process (base inter-arrival is 5 us at 200 k/s on this clock). *)
-    let svc_cfg =
-      {
-        Resilience.Service.deadline = Exec.Clock.cycles_of_us clock 100;
-        max_attempts = 4;
-        backoff_base = Exec.Clock.cycles_of_us clock 1;
-        backoff_cap = Exec.Clock.cycles_of_us clock 20;
-        retry_ratio_pct = 10;
-        retry_burst = 3;
-        breaker =
-          {
-            Resilience.Breaker.window = Exec.Clock.cycles_of_ms clock 1;
-            min_requests = 16;
-            failure_pct = 50;
-            cooldown = Exec.Clock.cycles_of_us clock 500;
-            probes = 3;
-          };
-        elevated = limbo_bound / 8;
-        brownout = limbo_bound / 4;
-        escalate_every = Exec.Clock.cycles_of_us clock 100;
-      }
+    let wm_cfg =
+      Resilience.Watermark.config ~elevated:(limbo_bound / 8)
+        ~brownout:(limbo_bound / 4)
+        ~escalate_every:(Exec.Clock.cycles_of_us clock 100)
     in
-    let hooks =
-      Array.init shards (fun k ->
-          {
-            Resilience.Service.limbo = (fun () -> Store.shard_limbo store k);
-            pool = (fun () -> Store.shard_pool store k);
-            wedged = (fun () -> Store.shard_wedged store k);
-            escalate = (fun ctx -> Store.emergency_reclaim store ctx ~shard:k);
-          })
-    in
-    let svc =
-      Resilience.Service.create ~config:svc_cfg ~pids:nprocs ~seed hooks
-    in
-    let retryable = function
-      | Memory.Arena.Out_of_memory _ | Memory.Arena.Arena_full _ -> true
-      | _ -> false
+    let wms =
+      Array.init shards (fun _ -> Resilience.Watermark.create wm_cfg)
     in
     (* One In_operation crash: the victim dies mid-operation on whichever
        shard it is traversing, partway into the burst.  The [at]
@@ -206,26 +178,25 @@ module Make_cell (RM : Reclaim.Intf.RECORD_MANAGER) = struct
           Resilience.Degradation.create ~burst_start ~burst_end
             ~end_of_schedule ~bucket_cycles)
     in
-    let exec_op ctx ~due op =
-      let pid = ctx.Runtime.Ctx.pid in
-      let key, priority, (work : unit -> unit) =
+    let exec_op ctx ~due:_ op =
+      let key, sheddable, (work : unit -> unit) =
         match op with
         | Loadgen.Get r ->
             let k = key_of_rank r in
-            (k, Resilience.Service.High, fun () -> ignore (Store.get store ctx k))
+            (k, false, fun () -> ignore (Store.get store ctx k))
         | Loadgen.Put r ->
             let k = key_of_rank r in
             ( k,
-              Resilience.Service.High,
+              false,
               fun () ->
                 Store.put ?ttl:(ttl_for r) store ctx ~key:k
                   ~value:(value_of_rank r) )
         | Loadgen.Delete r ->
             let k = key_of_rank r in
-            (k, Resilience.Service.High, fun () -> ignore (Store.delete store ctx k))
+            (k, false, fun () -> ignore (Store.delete store ctx k))
         | Loadgen.Scan (start, len) ->
             ( key_of_rank start,
-              Resilience.Service.Low,
+              true,
               fun () ->
                 for i = start to start + len - 1 do
                   ignore (Store.get store ctx (key_of_rank (i mod nkeys)))
@@ -233,8 +204,10 @@ module Make_cell (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       in
       let shard = Store.shard_of_key store key in
       let outcome =
-        Resilience.Service.call svc ctx ~pid ~shard ~priority ~due ~retryable
-          work
+        Resilience.Watermark.admit wms.(shard) ctx
+          ~limbo:(Store.shard_limbo store shard)
+          ~escalate:(fun ctx -> Store.emergency_reclaim store ctx ~shard)
+          ~sheddable work
       in
       (shard, outcome)
     in
@@ -276,27 +249,13 @@ module Make_cell (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       Resilience.Degradation.judge deg ~limbo_bound ~floor_pct
         ~recovery_budget
     in
-    let stats = Resilience.Service.stats svc in
     let shard_json k =
       Telemetry.Json.Obj
         [
-          ( "breaker",
-            Telemetry.Json.String
-              (Resilience.Breaker.state_name
-                 (Resilience.Breaker.state (Resilience.Service.breaker svc k)))
-          );
-          ( "breaker_trips",
-            Telemetry.Json.Int
-              (Resilience.Breaker.trips (Resilience.Service.breaker svc k)) );
-          ( "breaker_rejected",
-            Telemetry.Json.Int
-              (Resilience.Breaker.rejected (Resilience.Service.breaker svc k))
-          );
-          ("wedged", Telemetry.Json.Bool (Resilience.Service.wedged_seen svc k));
           ( "escalations",
-            Telemetry.Json.Int (Resilience.Service.escalations svc k) );
+            Telemetry.Json.Int (Resilience.Watermark.escalate_calls wms.(k)) );
           ( "escalate_freed",
-            Telemetry.Json.Int (Resilience.Service.escalate_freed svc k) );
+            Telemetry.Json.Int (Resilience.Watermark.escalate_freed wms.(k)) );
           ("limbo_after", Telemetry.Json.Int (Store.shard_limbo store k));
           ("pool_after", Telemetry.Json.Int (Store.shard_pool store k));
         ]
@@ -314,23 +273,6 @@ module Make_cell (RM : Reclaim.Intf.RECORD_MANAGER) = struct
            ("crashed", Telemetry.Json.Int chaos_summary.Chaos.crashes);
            ( "degradation",
              Resilience.Degradation.to_json deg verdict );
-           ( "service",
-             Telemetry.Json.Obj
-               [
-                 ("served", Telemetry.Json.Int stats.Resilience.Service.served);
-                 ("shed", Telemetry.Json.Int stats.Resilience.Service.shed);
-                 ( "rejected",
-                   Telemetry.Json.Int stats.Resilience.Service.rejected );
-                 ( "cancelled",
-                   Telemetry.Json.Int stats.Resilience.Service.cancelled );
-                 ("late", Telemetry.Json.Int stats.Resilience.Service.late);
-                 ("failed", Telemetry.Json.Int stats.Resilience.Service.failed);
-                 ( "retries",
-                   Telemetry.Json.Int stats.Resilience.Service.retries );
-                 ( "retries_denied",
-                   Telemetry.Json.Int (Resilience.Service.retries_denied svc)
-                 );
-               ] );
            ( "shards",
              Telemetry.Json.List (List.init shards shard_json) );
            ( "alloc_retries",
@@ -409,8 +351,8 @@ let check_expectation expect
   | Must_degrade, Some (v, _) ->
       if v.Resilience.Degradation.passed then
         [
-          "expected degradation (wedged shard), but every verdict passed \
-           — the crash fault may not have fired";
+          "expected degradation (corpse-pinned shard), but every verdict \
+           passed — the crash fault may not have fired";
         ]
       else []
 

@@ -115,14 +115,12 @@ module Make_runner (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     let oidx : Loadgen.outcome -> int = function
       | Served -> 0
       | Shed -> 1
-      | Rejected -> 2
-      | Timed_out -> 3
-      | Failed -> 4
+      | Failed -> 2
     in
     let ocounts = Array.make_matrix c.nprocs noutcomes 0 in
     (* The plain E-kv campaign has no admission control: every request is
        served.  The overload campaign (e_overload.ml) reuses this runner
-       shape with a resilience service deciding the outcome instead. *)
+       shape with a per-shard limbo watermark deciding the outcome. *)
     let exec_op ctx ~due:_ op =
       let shard =
         match op with
@@ -189,7 +187,7 @@ module Make_runner (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     Store.flush store ctx0;
     let scope = Printf.sprintf "%s/%s" sname c.structure in
     (* Demand per kind comes from the request plan, not from what the
-       server happened to serve — a shard that rejects everything must
+       server happened to serve — a shard that sheds everything must
        not shrink its own denominator. *)
     let demand_tbl = Hashtbl.create 16 in
     let bump k =

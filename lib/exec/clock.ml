@@ -29,10 +29,9 @@ let seconds_of_cycles t c = float_of_int c /. t.cycles_per_second
 let ns_of_cycles t c = float_of_int c /. cycles_per_ns t
 let cycles_of_seconds t s = int_of_float (s *. t.cycles_per_second)
 
-(** Deadline/backoff arithmetic for the resilience layer: durations named
-    in wall units convert to whole cycles of this time base (at least 1
-    cycle for any positive duration, so a tiny budget still means
-    something on a coarse clock). *)
+(** Durations named in wall units convert to whole cycles of this time
+    base (at least 1 cycle for any positive duration, so a tiny budget
+    still means something on a coarse clock). *)
 let cycles_of_ns t ns =
   if ns <= 0 then 0 else max 1 (int_of_float (float_of_int ns *. cycles_per_ns t))
 

@@ -89,7 +89,6 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
 
   type t = {
     shards : shard array;
-    group : Runtime.Group.t;
     structure : string;
     payload_words : int;
     max_bytes : int;  (* key + value bytes a payload record can carry *)
@@ -179,7 +178,6 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
         Array.init shards (fun _ ->
             make_shard face ~params ~group ~capacity:capacity_per_shard
               ~payload_words);
-      group;
       structure;
       payload_words;
       max_bytes = payload_words * Codec.word_bytes;
@@ -334,8 +332,6 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       t.shards;
     acc
 
-  let supports_crash_recovery = RM.supports_crash_recovery
-
   (* Watermark escalation entry point: force reclamation work on one
      shard now, mid-traffic, without waiting for an allocation failure. *)
   let emergency_reclaim t ctx ~shard = RM.emergency_reclaim t.shards.(shard).rm ctx
@@ -344,28 +340,6 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
      [in_op] predicate chaos' [In_operation] crash trigger wants. *)
   let in_operation t ctx =
     Array.exists (fun sh -> not (RM.is_quiescent sh.rm ctx)) t.shards
-
-  (* A crashed process that died mid-operation on this shard pins its
-     epoch-style reclamation: the announcement can never be withdrawn.
-     Schemes with neutralization recover (ESRCH reads as permanently
-     quiescent); per-record schemes never pinned anything.  [shard_wedged]
-     is therefore the health signal a breaker may act on: permanently
-     pinned and the scheme cannot recover. *)
-  let shard_pinned_by_crash t k =
-    let sh = t.shards.(k) in
-    let n = Runtime.Group.nprocs t.group in
-    let rec scan pid =
-      pid < n
-      && ((Runtime.Group.is_crashed t.group pid
-           && not (RM.is_quiescent sh.rm (Runtime.Group.ctx t.group pid)))
-         || scan (pid + 1))
-    in
-    scan 0
-
-  let shard_wedged t k =
-    RM.allows_retired_traversal
-    && (not RM.supports_crash_recovery)
-    && shard_pinned_by_crash t k
 
   (* Straggler primitive for the overload campaign: park mid-operation on
      one shard for [cycles], pinning that shard's epoch for the duration

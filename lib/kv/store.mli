@@ -63,9 +63,6 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) : sig
   val pressure : t -> Reclaim.Intf.Pressure.t
   (** Pressure summed over all shards (a fresh snapshot). *)
 
-  val supports_crash_recovery : bool
-  (** The scheme's neutralization predicate, re-exported for drivers. *)
-
   val emergency_reclaim : t -> Runtime.Ctx.t -> shard:int -> int
   (** Force reclamation work on one shard now (watermark escalation):
       the scheme's allocation-failure path, invoked before any failure.
@@ -74,15 +71,6 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) : sig
   val in_operation : t -> Runtime.Ctx.t -> bool
   (** True while this process is mid-operation on any shard — the
       [in_op] predicate for chaos' [In_operation] crash trigger. *)
-
-  val shard_pinned_by_crash : t -> int -> bool
-  (** A process died mid-operation on this shard and its announcement
-      still reads non-quiescent. *)
-
-  val shard_wedged : t -> int -> bool
-  (** {!shard_pinned_by_crash} and the scheme can never advance past the
-      corpse (epoch-style without neutralization): reclamation on this
-      shard is permanently pinned — a circuit-breaker health input. *)
 
   val hold_shard : t -> Runtime.Ctx.t -> shard:int -> cycles:int -> unit
   (** Park mid-operation on one shard for [cycles] (the E-stall straggler

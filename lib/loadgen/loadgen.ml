@@ -18,10 +18,10 @@
     workers were busy is charged to the request.  This is the open-loop
     discipline: the {e client} never sheds — every request is claimed and
     accounted — but the {e server} may: [exec_op] returns an {!outcome},
-    so a request the service sheds, rejects at a tripped breaker, or
-    cancels past its deadline is recorded as that outcome rather than
-    silently vanishing from the histograms, and SLO/goodput accounting
-    can charge it against demand ({!Telemetry.Slo.judge_demand}). *)
+    so a request the service sheds or fails is recorded as that outcome
+    rather than silently vanishing from the histograms, and SLO/goodput
+    accounting can charge it against demand
+    ({!Telemetry.Slo.judge_demand}). *)
 
 module Dist = Dist
 module Arrivals = Arrivals
@@ -61,23 +61,16 @@ let op_kind = function
    latency belongs in the SLO histograms; everything else is a distinct
    form of non-service that goodput accounting must count against demand. *)
 type outcome =
-  | Served  (** completed within its deadline (or no deadline was set) *)
+  | Served  (** completed *)
   | Shed  (** dropped by brownout admission control before service *)
-  | Rejected  (** refused by an open circuit breaker *)
-  | Timed_out
-      (** deadline exceeded: cancelled unserved at claim time, or served
-          but completed past the deadline (the response is waste either
-          way) *)
-  | Failed  (** service raised (allocation failure after retries, ...) *)
+  | Failed  (** service raised an allocation failure *)
 
 let outcome_name = function
   | Served -> "served"
   | Shed -> "shed"
-  | Rejected -> "rejected"
-  | Timed_out -> "timed_out"
   | Failed -> "failed"
 
-let outcomes = [ Served; Shed; Rejected; Timed_out; Failed ]
+let outcomes = [ Served; Shed; Failed ]
 
 let scan_length = 16
 
@@ -112,10 +105,10 @@ let generate ~n ~nkeys ~dist ~mix ~arrivals ~clock ~seed =
 let length plan = Array.length plan.arrivals
 
 (* [bodies plan ~group ~record ~exec_op] builds one worker body per
-   process in [group].  [exec_op ctx ~due op] serves a request (or sheds,
-   rejects or cancels it — its business) and returns the shard it was
-   routed to plus its outcome; [record] is called once per request with
-   the scheduled arrival as [start]. *)
+   process in [group].  [exec_op ctx ~due op] serves a request (or sheds
+   it — its business) and returns the shard it was routed to plus its
+   outcome; [record] is called once per request with the scheduled
+   arrival as [start]. *)
 let bodies plan ~group ~record ~exec_op =
   let n = length plan in
   let next = Runtime.Svar.make 0 in

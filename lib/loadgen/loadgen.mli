@@ -24,13 +24,12 @@ val op_kind : op -> string
 
 (** Server-side fate of one request.  The open-loop client claims and
     accounts every request; the server decides whether it was served,
-    shed in brownout, rejected by a breaker, cancelled/late past its
-    deadline, or failed outright.  Only [Served] latencies belong in the
-    SLO histograms; the rest are counted against demand. *)
-type outcome = Served | Shed | Rejected | Timed_out | Failed
+    shed in brownout, or failed outright.  Only [Served] latencies
+    belong in the SLO histograms; the rest are counted against demand. *)
+type outcome = Served | Shed | Failed
 
 val outcome_name : outcome -> string
-(** ["served"], ["shed"], ["rejected"], ["timed_out"], ["failed"]. *)
+(** ["served"], ["shed"], ["failed"]. *)
 
 val outcomes : outcome list
 (** All outcomes, in report order. *)

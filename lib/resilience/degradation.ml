@@ -8,26 +8,23 @@
     - {e limbo bound}: the maximum sampled per-shard limbo population
       must stay at or below the scheme's theoretical bound (for DEBRA-
       family epochs, [3 * n * n * block_capacity]; campaign-supplied);
-    - {e goodput floor}: the {e served rate} (requests completed within
-      deadline per unit time) in the worst phase must be at least
-      [floor_pct]% of the pre-burst served rate.  Rate, not
-      served/demand: an open-loop spike can exceed raw capacity many
-      times over, and the overload layer's job is to keep completing
-      work near capacity while it sheds the excess — the failure mode it
-      guards against is goodput {e collapse} (retry storms, a wedged
-      shard, congestion on the survivors), not the arithmetic fact that
-      demand outran capacity;
+    - {e goodput floor}: the {e served rate} (requests completed per
+      unit time) in the worst phase must be at least [floor_pct]% of the
+      pre-burst served rate.  Rate, not served/demand: an open-loop
+      spike can exceed raw capacity many times over, and the service's
+      job is to keep completing work near capacity while it sheds the
+      excess — the failure mode guarded against is goodput
+      {e collapse} (a pinned shard, congestion on the survivors), not
+      the arithmetic fact that demand outran capacity;
     - {e recovery}: after the burst ends, the non-served rate must
       return below a small tolerance within a recovery budget.  Outcomes
       are bucketed by due time; the recovery point is the end of the
       last post-burst bucket where more than [tolerance_pct]% (and at
       least [min_bad]) of its requests went unserved — a rate, not a
-      last-bad-request timestamp, because a service running near
-      capacity has a small steady-state timeout rate even before the
-      burst, and one stray late scan must not read as "never
-      recovered".  A wedged shard rejects a constant fraction forever,
-      so its bad buckets run to the end of the schedule and blow any
-      budget.
+      last-bad-request timestamp, because one stray shed scan must not
+      read as "never recovered".  A shard whose limbo a corpse pins
+      stays in brownout and sheds a constant fraction forever, so its
+      bad buckets run to the end of the schedule and blow any budget.
 
     Phase classification is by due time, not completion time: a request
     scheduled during the burst that drains late still belongs to the
@@ -42,19 +39,16 @@ let phase_index = function Pre -> 0 | Burst -> 1 | Post -> 2
 
 type tally = {
   mutable demand : int;
-  mutable served : int;  (** served within deadline *)
+  mutable served : int;
   mutable shed : int;
-  mutable rejected : int;
-  mutable timed_out : int;
   mutable failed : int;
 }
 
-let new_tally () =
-  { demand = 0; served = 0; shed = 0; rejected = 0; timed_out = 0; failed = 0 }
+let new_tally () = { demand = 0; served = 0; shed = 0; failed = 0 }
 
 (* Recovery-rate thresholds: a bucket is "still degraded" when more than
    [tolerance_pct]% of its requests (and at least [min_bad] in absolute
-   terms, so one stray timeout in a quiet bucket is noise) went
+   terms, so one stray shed in a quiet bucket is noise) went
    unserved. *)
 let tolerance_pct = 2
 let min_bad = 2
@@ -101,8 +95,6 @@ let account t ~due (outcome : Loadgen.outcome) =
   (match outcome with
   | Served -> tl.served <- tl.served + 1
   | Shed -> tl.shed <- tl.shed + 1
-  | Rejected -> tl.rejected <- tl.rejected + 1
-  | Timed_out -> tl.timed_out <- tl.timed_out + 1
   | Failed -> tl.failed <- tl.failed + 1);
   let b = min (max 0 due / t.bucket_cycles) (Array.length t.demand_b - 1) in
   t.demand_b.(b) <- t.demand_b.(b) + 1;
@@ -126,8 +118,6 @@ let merge dst src =
       d.demand <- d.demand + s.demand;
       d.served <- d.served + s.served;
       d.shed <- d.shed + s.shed;
-      d.rejected <- d.rejected + s.rejected;
-      d.timed_out <- d.timed_out + s.timed_out;
       d.failed <- d.failed + s.failed)
     src.tallies;
   Array.iteri (fun i v -> dst.demand_b.(i) <- dst.demand_b.(i) + v) src.demand_b;
@@ -149,7 +139,7 @@ let served_rate t phase =
 (** Time from burst end to the end of the last post-burst bucket whose
     non-served rate exceeds the tolerance, in cycles; 0 when the service
     was back under tolerance immediately.  [max_int] would be wrong for
-    "never recovers" — a wedged shard keeps producing bad outcomes to
+    "never recovers" — a pinned shard keeps producing bad outcomes to
     the end of the run, so its last bad bucket lands at the schedule's
     end and blows any sane budget on its own. *)
 let recovery_cycles t =
@@ -205,8 +195,6 @@ let tally_fields tl : (string * Telemetry.Json.t) list =
     ("demand", Int tl.demand);
     ("served", Int tl.served);
     ("shed", Int tl.shed);
-    ("rejected", Int tl.rejected);
-    ("timed_out", Int tl.timed_out);
     ("failed", Int tl.failed);
     ("goodput_pct", Float (goodput_pct tl));
   ]

@@ -14,8 +14,6 @@ type tally = {
   mutable demand : int;
   mutable served : int;
   mutable shed : int;
-  mutable rejected : int;
-  mutable timed_out : int;
   mutable failed : int;
 }
 
@@ -56,9 +54,8 @@ val recovery_cycles : t -> int
 (** Cycles from burst end to the end of the last post-burst bucket whose
     non-served rate exceeds a small tolerance (2%, and at least 2
     requests); 0 when the service was back under tolerance immediately.
-    A rate rather than a last-bad-request timestamp: near capacity the
-    steady state has a small organic timeout rate, and one stray late
-    scan must not read as "never recovered". *)
+    A rate rather than a last-bad-request timestamp: one stray shed scan
+    must not read as "never recovered". *)
 
 type verdict = {
   limbo_bound : int;

@@ -1,19 +1,23 @@
-(** Dual-watermark admission controller with hysteresis.
+(** Per-shard limbo-watermark admission with hysteresis.
 
-    Tracks one scalar pressure gauge (per-shard limbo population in the
-    KV service) against two watermark pairs:
+    Tracks one shard's limbo population against two watermark pairs:
 
-    - crossing [elevated_hi] enters {e Elevated}: the service escalates —
+    - crossing [elevated_hi] enters {e Elevated}: {!admit} escalates —
       it invokes the shard's emergency reclamation proactively, before
-      any allocation fails — and drops back to {e Normal} only below
-      [elevated_lo];
-    - crossing [brownout_hi] enters {e Brownout}: low-priority operations
+      any allocation fails, at most once per [escalate_every] cycles —
+      and drops back to {e Normal} only below [elevated_lo];
+    - crossing [brownout_hi] enters {e Brownout}: sheddable requests
       (scans before gets/puts) are shed outright until the gauge falls
       below [brownout_lo].
 
     The lo/hi split is the hysteresis: without it a gauge hovering at one
     threshold would flap the mode on every observation, shedding and
-    unshedding request-by-request. *)
+    unshedding request-by-request.
+
+    Escalation is the measurement the overload campaign's verdicts rest
+    on: a shard whose reclamation a corpse pins (plain epochs) escalates
+    over and over and frees nothing, while a scheme that neutralizes the
+    corpse frees on escalation and leaves the watermark. *)
 
 type level = Normal | Elevated | Brownout
 
@@ -27,9 +31,10 @@ type config = {
   elevated_lo : int;
   brownout_hi : int;
   brownout_lo : int;
+  escalate_every : int;  (** min cycles between escalations *)
 }
 
-let config ~elevated ~brownout =
+let config ~elevated ~brownout ~escalate_every =
   if elevated < 1 || brownout <= elevated then
     invalid_arg "Watermark.config: want 1 <= elevated < brownout";
   {
@@ -37,6 +42,7 @@ let config ~elevated ~brownout =
     elevated_lo = (elevated * 3) / 4;
     brownout_hi = brownout;
     brownout_lo = (brownout * 3) / 4;
+    escalate_every;
   }
 
 type t = {
@@ -44,13 +50,28 @@ type t = {
   mutable level : level;
   mutable escalations : int;  (** Normal -> Elevated transitions *)
   mutable brownouts : int;  (** Elevated -> Brownout transitions *)
+  mutable last_escalate : int;
+  mutable escalate_calls : int;
+  mutable escalate_freed : int;
 }
 
-let create cfg = { cfg = cfg; level = Normal; escalations = 0; brownouts = 0 }
+let create cfg =
+  {
+    cfg;
+    level = Normal;
+    escalations = 0;
+    brownouts = 0;
+    (* Not min_int: [now - last_escalate] must not overflow. *)
+    last_escalate = -cfg.escalate_every;
+    escalate_calls = 0;
+    escalate_freed = 0;
+  }
 
 let level t = t.level
 let escalations t = t.escalations
 let brownouts t = t.brownouts
+let escalate_calls t = t.escalate_calls
+let escalate_freed t = t.escalate_freed
 
 let observe t v =
   (* A gauge can jump several thresholds between observations (a retire
@@ -75,3 +96,19 @@ let observe t v =
       else if v <= t.cfg.elevated_lo then t.level <- Normal
   | Brownout -> if v <= t.cfg.brownout_lo then t.level <- Elevated);
   t.level
+
+let admit t ctx ~limbo ~escalate ~sheddable f : Loadgen.outcome =
+  let level = observe t limbo in
+  (if level <> Normal then
+     let now = Runtime.Ctx.now ctx in
+     if now - t.last_escalate >= t.cfg.escalate_every then begin
+       t.last_escalate <- now;
+       t.escalate_calls <- t.escalate_calls + 1;
+       t.escalate_freed <- t.escalate_freed + escalate ctx
+     end);
+  if level = Brownout && sheddable then Shed
+  else
+    match f () with
+    | () -> Served
+    | exception (Memory.Arena.Out_of_memory _ | Memory.Arena.Arena_full _) ->
+        Failed

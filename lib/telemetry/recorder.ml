@@ -33,7 +33,7 @@ type t = {
   counts : counts;
   mutable extra_counters : (string * (unit -> int)) list;
       (* externally registered counter getters (reclamation pressure,
-         breaker trips, ...), read at render time; registration order *)
+         shed totals, ...), read at render time; registration order *)
 }
 
 let create ?(sub_bits = 5) ?(sample_every = 50_000) ?(max_samples = 512)

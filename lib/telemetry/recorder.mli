@@ -51,8 +51,8 @@ val add_gauge : t -> name:string -> (unit -> int array) -> unit
     array).  Sampled on every {!tick}. *)
 
 val add_counter : t -> name:string -> (unit -> int) -> unit
-(** Register an external monotone counter (reclamation pressure, breaker
-    trips, shed totals).  Not sampled: the getter is read when
+(** Register an external monotone counter (reclamation pressure, shed
+    totals).  Not sampled: the getter is read when
     {!counters} / {!metrics_json} render, and the value is appended after
     the event counters in registration order. *)
 

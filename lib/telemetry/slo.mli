@@ -37,8 +37,8 @@ val judge : budget -> scope:string -> kind:string -> Histogram.t -> verdict
 val judge_demand :
   budget -> scope:string -> kind:string -> demand:int -> Histogram.t -> verdict
 (** Judge against the full demand population: the [demand - count]
-    requests missing from the histogram (shed, breaker-rejected, cancelled
-    past deadline) sort as infinitely late, so a percentile whose rank
+    requests missing from the histogram (shed or failed) sort as
+    infinitely late, so a percentile whose rank
     falls among them reads {!unserved_ns} and breaches any budget.  A
     [demand] below the histogram count is clamped up to it. *)
 

@@ -1,123 +1,19 @@
-(* The overload-resilience layer (lib/resilience): deterministic
-   full-jitter backoff, retry-budget token accounting, the circuit
-   breaker's state machine driven by explicit timestamps, watermark
+(* The overload campaign's admission layer (lib/resilience): watermark
    hysteresis, degradation-report verdicts, a shed-under-pressure trial
-   under the shadow-state sanitizer, and sim determinism for one
-   service-wrapped overload cell. *)
+   under the shadow-state sanitizer, sim determinism for one
+   watermark-admitted overload cell, and the escalation evidence the
+   campaign's verdicts rest on — emergency reclamation frees under
+   DEBRA+ and frees nothing on a corpse-pinned EBR shard. *)
 
 module R = Resilience
-
-(* ---------- backoff: seeded determinism and bounds ---------- *)
-
-let backoff_deterministic () =
-  let draws seed =
-    let b = R.Backoff.create ~base:100 ~cap:10_000 ~seed () in
-    List.init 12 (fun _ -> R.Backoff.next b)
-  in
-  Alcotest.(check (list int)) "same seed, same delays" (draws 7) (draws 7);
-  Alcotest.(check bool) "seeds decorrelate" true (draws 7 <> draws 8);
-  (* Attempt k draws from [0, min (cap, base * 2^k)). *)
-  let b = R.Backoff.create ~base:100 ~cap:10_000 ~seed:3 () in
-  List.iteri
-    (fun k d ->
-      let ceiling = min 10_000 (100 * (1 lsl k)) in
-      Alcotest.(check bool)
-        (Printf.sprintf "attempt %d in [0,%d)" k ceiling)
-        true
-        (0 <= d && d < ceiling))
-    (List.init 10 (fun _ -> R.Backoff.next b));
-  Alcotest.(check int) "attempts counted" 10 (R.Backoff.attempt b);
-  R.Backoff.reset b;
-  Alcotest.(check int) "reset rewinds" 0 (R.Backoff.attempt b);
-  Alcotest.(check bool) "post-reset ceiling is base" true
-    (R.Backoff.next b < 100)
-
-(* ---------- retry budget: token-bucket arithmetic ---------- *)
-
-let retry_budget () =
-  let t = R.Retry_budget.create ~ratio_pct:10 ~burst:3 () in
-  Alcotest.(check int) "starts holding the burst" 3 (R.Retry_budget.balance t);
-  (* Spend the burst dry. *)
-  for i = 1 to 3 do
-    Alcotest.(check bool) (Printf.sprintf "burst token %d" i) true
-      (R.Retry_budget.try_spend t)
-  done;
-  Alcotest.(check bool) "dry" false (R.Retry_budget.try_spend t);
-  Alcotest.(check int) "denied counted" 1 (R.Retry_budget.denied t);
-  (* 10% ratio: 10 first attempts earn exactly one retry token. *)
-  for _ = 1 to 9 do
-    R.Retry_budget.deposit t
-  done;
-  Alcotest.(check bool) "9 deposits: still dry" false (R.Retry_budget.try_spend t);
-  R.Retry_budget.deposit t;
-  Alcotest.(check bool) "10th deposit earns a token" true
-    (R.Retry_budget.try_spend t);
-  Alcotest.(check int) "deposits" 10 (R.Retry_budget.deposits t);
-  Alcotest.(check int) "spent" 4 (R.Retry_budget.spent t)
-
-(* ---------- circuit breaker: state machine, explicit clock ---------- *)
-
-let breaker_cfg =
-  {
-    R.Breaker.window = 1_000;
-    min_requests = 4;
-    failure_pct = 50;
-    cooldown = 500;
-    probes = 2;
-  }
-
-let breaker_trip_recover () =
-  let b = R.Breaker.create ~config:breaker_cfg () in
-  Alcotest.(check bool) "closed admits" true (R.Breaker.admit b ~now:0);
-  (* Below min_requests the ratio is not meaningful: 3 failures, no trip. *)
-  for i = 1 to 3 do
-    R.Breaker.record b ~now:(i * 10) ~ok:false
-  done;
-  Alcotest.(check bool) "under min_requests stays closed" true
-    (R.Breaker.state b = R.Breaker.Closed);
-  (* The 4th outcome reaches min_requests at 100% failure: trip. *)
-  R.Breaker.record b ~now:40 ~ok:false;
-  Alcotest.(check bool) "tripped open" true (R.Breaker.state b = R.Breaker.Open);
-  Alcotest.(check int) "one trip" 1 (R.Breaker.trips b);
-  Alcotest.(check bool) "open rejects" false (R.Breaker.admit b ~now:100);
-  Alcotest.(check int) "rejection counted" 1 (R.Breaker.rejected b);
-  (* Cooldown elapses at the admit call: half-open, [probes] admissions. *)
-  Alcotest.(check bool) "half-open probe 1" true (R.Breaker.admit b ~now:600);
-  Alcotest.(check bool) "half-open state" true
-    (R.Breaker.state b = R.Breaker.Half_open);
-  Alcotest.(check bool) "half-open probe 2" true (R.Breaker.admit b ~now:610);
-  Alcotest.(check bool) "probe budget spent" false (R.Breaker.admit b ~now:620);
-  (* Both probes succeed: closed again. *)
-  R.Breaker.record b ~now:630 ~ok:true;
-  R.Breaker.record b ~now:640 ~ok:true;
-  Alcotest.(check bool) "probes close it" true
-    (R.Breaker.state b = R.Breaker.Closed)
-
-let breaker_probe_failure_reopens () =
-  let b = R.Breaker.create ~config:breaker_cfg () in
-  for i = 1 to 4 do
-    R.Breaker.record b ~now:i ~ok:false
-  done;
-  Alcotest.(check bool) "open" true (R.Breaker.state b = R.Breaker.Open);
-  Alcotest.(check bool) "half-open after cooldown" true
-    (R.Breaker.admit b ~now:1_000);
-  R.Breaker.record b ~now:1_010 ~ok:false;
-  Alcotest.(check bool) "failed probe reopens" true
-    (R.Breaker.state b = R.Breaker.Open);
-  Alcotest.(check bool) "reopened rejects" false (R.Breaker.admit b ~now:1_020)
-
-let breaker_force_open () =
-  let b = R.Breaker.create ~config:breaker_cfg () in
-  R.Breaker.force_open b ~now:0;
-  Alcotest.(check bool) "forced open" true (R.Breaker.state b = R.Breaker.Open);
-  Alcotest.(check int) "forced trip counted" 1 (R.Breaker.trips b);
-  R.Breaker.force_open b ~now:10;
-  Alcotest.(check int) "no-op when already open" 1 (R.Breaker.trips b)
 
 (* ---------- watermark hysteresis ---------- *)
 
 let watermark_hysteresis () =
-  let w = R.Watermark.create (R.Watermark.config ~elevated:100 ~brownout:400) in
+  let w =
+    R.Watermark.create
+      (R.Watermark.config ~elevated:100 ~brownout:400 ~escalate_every:0)
+  in
   Alcotest.(check bool) "starts normal" true
     (R.Watermark.observe w 50 = R.Watermark.Normal);
   Alcotest.(check bool) "crosses elevated" true
@@ -136,6 +32,121 @@ let watermark_hysteresis () =
   Alcotest.(check int) "escalations counted" 2 (R.Watermark.escalations w);
   Alcotest.(check int) "brownouts counted" 1 (R.Watermark.brownouts w)
 
+let watermark_config_rejects () =
+  Alcotest.check_raises "elevated below 1"
+    (Invalid_argument "Watermark.config: want 1 <= elevated < brownout")
+    (fun () ->
+      ignore (R.Watermark.config ~elevated:0 ~brownout:4 ~escalate_every:0));
+  Alcotest.check_raises "brownout not above elevated"
+    (Invalid_argument "Watermark.config: want 1 <= elevated < brownout")
+    (fun () ->
+      ignore (R.Watermark.config ~elevated:4 ~brownout:4 ~escalate_every:0));
+  let c = R.Watermark.config ~elevated:100 ~brownout:400 ~escalate_every:7 in
+  Alcotest.(check int) "elevated exit at 3/4" 75 c.R.Watermark.elevated_lo;
+  Alcotest.(check int) "brownout exit at 3/4" 300 c.R.Watermark.brownout_lo
+
+(* ---------- admit: the per-request step, on a hand-driven clock ---------- *)
+
+(* A lone context whose clock the test sets; [admit] reads nothing else
+   from it. *)
+let clocked_ctx () =
+  let clock = ref 0 in
+  let ctx = Runtime.Ctx.make ~pid:0 ~nprocs:1 ~seed:1 in
+  ctx.Runtime.Ctx.now_impl <- (fun () -> !clock);
+  (ctx, clock)
+
+let outcome =
+  Alcotest.testable
+    (fun ppf o ->
+      Format.pp_print_string ppf
+        (match o with
+        | Loadgen.Served -> "served"
+        | Shed -> "shed"
+        | Failed -> "failed"))
+    ( = )
+
+let admit_normal_serves () =
+  let ctx, _ = clocked_ctx () in
+  let w =
+    R.Watermark.create
+      (R.Watermark.config ~elevated:10 ~brownout:20 ~escalate_every:0)
+  in
+  let escalated = ref 0 and ran = ref 0 in
+  let escalate _ = incr escalated; 5 in
+  List.iter
+    (fun sheddable ->
+      Alcotest.check outcome "served" Loadgen.Served
+        (R.Watermark.admit w ctx ~limbo:9 ~escalate ~sheddable (fun () ->
+             incr ran)))
+    [ false; true ];
+  Alcotest.(check int) "work ran, sheddable too" 2 !ran;
+  Alcotest.(check int) "no escalation below elevated" 0 !escalated;
+  Alcotest.(check int) "no calls counted" 0 (R.Watermark.escalate_calls w)
+
+let admit_escalation_rate_limited () =
+  let ctx, clock = clocked_ctx () in
+  let w =
+    R.Watermark.create
+      (R.Watermark.config ~elevated:10 ~brownout:1_000 ~escalate_every:100)
+  in
+  let freed = ref 0 in
+  let escalate _ = incr freed; !freed in
+  (* Elevated throughout; escalation may run at 0, then only once each
+     100 cycles have passed since the last one. *)
+  List.iter
+    (fun t ->
+      clock := t;
+      ignore
+        (R.Watermark.admit w ctx ~limbo:50 ~escalate ~sheddable:false ignore))
+    [ 0; 50; 99; 100; 150; 250 ];
+  Alcotest.(check int) "calls at 0, 100, 250" 3 (R.Watermark.escalate_calls w);
+  Alcotest.(check int) "freed is the sum of returns" (1 + 2 + 3)
+    (R.Watermark.escalate_freed w);
+  Alcotest.(check int) "one Normal -> Elevated transition" 1
+    (R.Watermark.escalations w)
+
+let admit_brownout_sheds_sheddable () =
+  let ctx, clock = clocked_ctx () in
+  let w =
+    R.Watermark.create
+      (R.Watermark.config ~elevated:10 ~brownout:20 ~escalate_every:100)
+  in
+  let ran = ref 0 in
+  let escalate _ = 0 in
+  Alcotest.check outcome "sheddable shed" Loadgen.Shed
+    (R.Watermark.admit w ctx ~limbo:25 ~escalate ~sheddable:true (fun () ->
+         incr ran));
+  Alcotest.(check int) "shed work did not run" 0 !ran;
+  Alcotest.(check int) "escalation still ran" 1 (R.Watermark.escalate_calls w);
+  clock := 10;
+  Alcotest.check outcome "non-sheddable served" Loadgen.Served
+    (R.Watermark.admit w ctx ~limbo:25 ~escalate ~sheddable:false (fun () ->
+         incr ran));
+  Alcotest.(check int) "served work ran" 1 !ran;
+  (* Brownout exits at 3/4 of 20 = 15: at 15 the shard is Elevated and
+     sheddable work is served again. *)
+  Alcotest.check outcome "served after brownout exit" Loadgen.Served
+    (R.Watermark.admit w ctx ~limbo:15 ~escalate ~sheddable:true (fun () ->
+         incr ran));
+  Alcotest.(check bool) "elevated again" true
+    (R.Watermark.level w = R.Watermark.Elevated)
+
+let admit_allocation_failure () =
+  let ctx, _ = clocked_ctx () in
+  let w =
+    R.Watermark.create
+      (R.Watermark.config ~elevated:10 ~brownout:20 ~escalate_every:0)
+  in
+  let run f =
+    R.Watermark.admit w ctx ~limbo:0 ~escalate:(fun _ -> 0) ~sheddable:false f
+  in
+  Alcotest.check outcome "out of memory fails" Loadgen.Failed
+    (run (fun () -> raise (Memory.Arena.Out_of_memory "test")));
+  Alcotest.check outcome "arena full fails" Loadgen.Failed
+    (run (fun () -> raise (Memory.Arena.Arena_full "test")));
+  Alcotest.check_raises "other exceptions propagate" Not_found (fun () ->
+      ignore (run (fun () -> raise Not_found)))
+
 (* ---------- degradation report: verdict arithmetic ---------- *)
 
 let degradation_verdicts () =
@@ -143,29 +154,29 @@ let degradation_verdicts () =
     R.Degradation.create ~burst_start:1_000 ~burst_end:2_000
       ~end_of_schedule:4_000 ~bucket_cycles:100
   in
-  (* Healthy cell: uniform served rate, one stray post-burst timeout
+  (* Healthy cell: uniform served rate, one stray post-burst shed
      (under the 2-bad bucket floor: noise, not "unrecovered"). *)
   let d = mk () in
   for due = 0 to 399 do
     R.Degradation.account d ~due:(due * 10)
-      (if due = 250 then Loadgen.Timed_out else Loadgen.Served)
+      (if due = 250 then Loadgen.Shed else Loadgen.Served)
   done;
   R.Degradation.observe_limbo d 64;
-  Alcotest.(check int) "stray timeout ignored" 0 (R.Degradation.recovery_cycles d);
+  Alcotest.(check int) "stray shed ignored" 0 (R.Degradation.recovery_cycles d);
   let v =
     R.Degradation.judge d ~limbo_bound:100 ~floor_pct:50.0 ~recovery_budget:500
   in
   Alcotest.(check bool) "healthy passes" true v.R.Degradation.passed;
-  (* Wedged cell: after the burst, half of everything is rejected to the
-     end of the schedule — the bad rate never drops under tolerance, so
+  (* Pinned cell: after the burst, half of everything is shed to the end
+     of the schedule — the bad rate never drops under tolerance, so
      recovery lands at the schedule's end and blows the budget. *)
   let d = mk () in
   for due = 0 to 399 do
     R.Degradation.account d ~due:(due * 10)
-      (if due * 10 >= 2_000 && due mod 2 = 0 then Loadgen.Rejected
+      (if due * 10 >= 2_000 && due mod 2 = 0 then Loadgen.Shed
        else Loadgen.Served)
   done;
-  Alcotest.(check int) "wedged never recovers" 2_000
+  Alcotest.(check int) "pinned never recovers" 2_000
     (R.Degradation.recovery_cycles d);
   let v =
     R.Degradation.judge d ~limbo_bound:100 ~floor_pct:50.0 ~recovery_budget:500
@@ -210,6 +221,12 @@ let degradation_merge () =
 module Schemes = Workload.Schemes
 module Store = Kv.Store.Make (Schemes.RM2_debra_plus)
 
+let admit wms store ctx ~shard ~sheddable work =
+  R.Watermark.admit wms.(shard) ctx
+    ~limbo:(Store.shard_limbo store shard)
+    ~escalate:(fun ctx -> Store.emergency_reclaim store ctx ~shard)
+    ~sheddable work
+
 let shed_under_pressure () =
   let n = 3 in
   let group = Runtime.Group.create ~seed:21 n in
@@ -222,49 +239,32 @@ let shed_under_pressure () =
     Sanitizer.create ~scheme:"debra+"
       ~discipline:Schemes.RM2_debra_plus.Reclaimer.discipline ~heap ~group
   in
-  (* A brownout watermark of 1 retired block: any retire pressure at all
-     puts the shard in brownout, so low-priority calls shed. *)
-  let cfg =
-    {
-      R.Service.default_config with
-      R.Service.deadline = 1_000_000;
-      elevated = 1;
-      brownout = 2;
-    }
-  in
-  let hooks =
+  (* A brownout watermark of 2 retired records: any retire pressure at
+     all puts the shard in brownout, so sheddable calls shed. *)
+  let wms =
     [|
-      {
-        R.Service.limbo = (fun () -> Store.shard_limbo store 0);
-        pool = (fun () -> Store.shard_pool store 0);
-        wedged = (fun () -> Store.shard_wedged store 0);
-        escalate = (fun ctx -> Store.emergency_reclaim store ctx ~shard:0);
-      };
+      R.Watermark.create
+        (R.Watermark.config ~elevated:1 ~brownout:2 ~escalate_every:50_000);
     |]
   in
-  let svc = R.Service.create ~config:cfg ~pids:n ~seed:21 hooks in
-  let retryable = function
-    | Memory.Arena.Out_of_memory _ | Memory.Arena.Arena_full _ -> true
-    | _ -> false
-  in
+  let served = ref 0 and shed = ref 0 in
   Sanitizer.with_checks san (fun () ->
       let body pid () =
         let ctx = Runtime.Group.ctx group pid in
         for i = 1 to 120 do
           let key = Printf.sprintf "k%d" ((i + (pid * 7)) mod 48) in
-          let due = Runtime.Ctx.now ctx in
-          let priority =
-            if i mod 4 = 0 then R.Service.Low else R.Service.High
-          in
           let work () =
             match i mod 3 with
             | 0 -> Store.put store ctx ~key ~value:"v"
             | 1 -> ignore (Store.get store ctx key)
             | _ -> ignore (Store.delete store ctx key)
           in
-          ignore
-            (R.Service.call svc ctx ~pid ~shard:0 ~priority ~due ~retryable
-               work)
+          match
+            admit wms store ctx ~shard:0 ~sheddable:(i mod 4 = 0) work
+          with
+          | Loadgen.Served -> incr served
+          | Shed -> incr shed
+          | Failed -> ()
         done
       in
       ignore
@@ -277,25 +277,12 @@ let shed_under_pressure () =
       Store.flush store ctx0;
       Sanitizer.leak_check san ~limbo_size:(Store.limbo store));
   Alcotest.(check string) "sanitizer clean" "" (Sanitizer.report san);
-  let s = R.Service.stats svc in
-  Alcotest.(check bool) "work was served" true (s.R.Service.served > 0);
-  Alcotest.(check bool) "low-priority work was shed" true (s.R.Service.shed > 0);
+  Alcotest.(check bool) "work was served" true (!served > 0);
+  Alcotest.(check bool) "sheddable work was shed" true (!shed > 0);
   Alcotest.(check bool) "watermark escalated" true
-    (R.Service.escalations svc 0 > 0);
-  (* The service's counters surface through the telemetry recorder. *)
-  let rec_ = Telemetry.Recorder.create ~cycles_per_ns:1.0 ~nprocs:n () in
-  R.Service.register svc rec_;
-  let counters = Telemetry.Recorder.counters rec_ in
-  Alcotest.(check (option int))
-    "resilience_shed counter"
-    (Some s.R.Service.shed)
-    (List.assoc_opt "resilience_shed" counters);
-  Alcotest.(check (option int))
-    "resilience_escalations counter"
-    (Some (R.Service.escalations svc 0))
-    (List.assoc_opt "resilience_escalations" counters)
+    (R.Watermark.escalate_calls wms.(0) > 0)
 
-(* ---------- sim determinism: one service-wrapped overload cell ---------- *)
+(* ---------- sim determinism: one watermark-admitted overload cell ------- *)
 
 let overload_cell () =
   let module E = (val Exec.Backend.runner `Sim) in
@@ -321,59 +308,37 @@ let overload_cell () =
       ~mix:{ Loadgen.get = 50; put = 25; delete = 5; scan = 20 }
       ~arrivals ~clock ~seed:17
   in
-  let hooks =
-    Array.init 2 (fun k ->
-        {
-          R.Service.limbo = (fun () -> Store.shard_limbo store k);
-          pool = (fun () -> Store.shard_pool store k);
-          wedged = (fun () -> Store.shard_wedged store k);
-          escalate = (fun ctx -> Store.emergency_reclaim store ctx ~shard:k);
-        })
-  in
-  let cfg =
-    {
-      R.Service.default_config with
-      R.Service.deadline = Exec.Clock.cycles_of_us clock 200;
-      backoff_base = Exec.Clock.cycles_of_us clock 1;
-      backoff_cap = Exec.Clock.cycles_of_us clock 20;
-      (* Watermarks scaled to this tiny cell so the burst actually
-         reaches brownout and sheds scans. *)
-      elevated = 4;
-      brownout = 16;
-    }
-  in
-  let svc = R.Service.create ~config:cfg ~pids:nprocs ~seed:33 hooks in
-  let retryable = function
-    | Memory.Arena.Out_of_memory _ | Memory.Arena.Arena_full _ -> true
-    | _ -> false
+  (* Watermarks scaled to this tiny cell so the burst actually reaches
+     brownout and sheds scans. *)
+  let wms =
+    Array.init 2 (fun _ ->
+        R.Watermark.create
+          (R.Watermark.config ~elevated:4 ~brownout:16 ~escalate_every:50_000))
   in
   let log = ref [] in
-  let exec_op ctx ~due op =
-    let pid = ctx.Runtime.Ctx.pid in
-    let key, priority, work =
+  let exec_op ctx ~due:_ op =
+    let key, sheddable, work =
       match op with
       | Loadgen.Get r ->
-          ( key_of r,
-            R.Service.High,
-            fun () -> ignore (Store.get store ctx (key_of r)) )
+          (key_of r, false, fun () -> ignore (Store.get store ctx (key_of r)))
       | Loadgen.Put r ->
           ( key_of r,
-            R.Service.High,
+            false,
             fun () -> Store.put store ctx ~key:(key_of r) ~value:"w" )
       | Loadgen.Delete r ->
           ( key_of r,
-            R.Service.High,
+            false,
             fun () -> ignore (Store.delete store ctx (key_of r)) )
       | Loadgen.Scan (s, len) ->
           ( key_of s,
-            R.Service.Low,
+            true,
             fun () ->
               for i = s to s + len - 1 do
                 ignore (Store.get store ctx (key_of (i mod 64)))
               done )
     in
     let shard = Store.shard_of_key store key in
-    (shard, R.Service.call svc ctx ~pid ~shard ~priority ~due ~retryable work)
+    (shard, admit wms store ctx ~shard ~sheddable work)
   in
   let record ~pid ~op ~shard ~outcome ~start ~finish =
     log := (pid, Loadgen.op_kind op, shard, outcome, start, finish) :: !log
@@ -381,8 +346,10 @@ let overload_cell () =
   let bodies = Loadgen.bodies plan ~group ~record ~exec_op in
   ignore (E.run group bodies);
   Store.check_invariants store;
-  let s = R.Service.stats svc in
-  (List.sort compare !log, s.R.Service.served, s.R.Service.shed)
+  let count o =
+    List.length (List.filter (fun (_, _, _, o', _, _) -> o' = o) !log)
+  in
+  (List.sort compare !log, count Loadgen.Served, count Loadgen.Shed)
 
 let overload_cell_deterministic () =
   let log1, served1, shed1 = overload_cell () in
@@ -393,30 +360,98 @@ let overload_cell_deterministic () =
   Alcotest.(check int) "shed replays" shed1 shed2;
   Alcotest.(check bool) "burst sheds scans" true (shed1 > 0)
 
+(* ---------- escalation evidence: neutralization vs a pinned epoch ------- *)
+
+(* One shard, three workers, one of which dies mid-operation early on
+   (chaos [In_operation]).  The corpse's announcement pins the shard's
+   epoch: under EBR no escalation can ever free a record again, while
+   DEBRA+ reads the corpse as quiescent (ESRCH) and escalation frees.
+   This is the evidence E-overload's must-degrade / must-pass split
+   rests on. *)
+let escalation_cell (module RM : Reclaim.Intf.RECORD_MANAGER) =
+  let module St = Kv.Store.Make (RM) in
+  let n = 3 in
+  let group = Runtime.Group.create ~seed:5 n in
+  let store =
+    St.create ~structure:"skiplist" ~shards:1 ~capacity_per_shard:4096 ~group
+      ()
+  in
+  let ctx0 = Runtime.Group.ctx group 0 in
+  for r = 0 to 63 do
+    St.put store ctx0 ~key:(Printf.sprintf "k%03d" r) ~value:"seed"
+  done;
+  let wm =
+    R.Watermark.create
+      (R.Watermark.config ~elevated:16 ~brownout:4_096 ~escalate_every:20_000)
+  in
+  let engine =
+    Chaos.install
+      ~in_op:(fun ctx -> St.in_operation store ctx)
+      {
+        Chaos.seed = 5;
+        faults =
+          [ Chaos.Crash { pid = 1; at = 50; kind = Chaos.In_operation } ];
+      }
+      ~group ~heap:(St.heaps store).(0)
+  in
+  let body pid () =
+    let ctx = Runtime.Group.ctx group pid in
+    for i = 1 to 400 do
+      let key = Printf.sprintf "k%03d" (((i * 7) + pid) mod 64) in
+      ignore
+        (R.Watermark.admit wm ctx ~limbo:(St.shard_limbo store 0)
+           ~escalate:(fun ctx -> St.emergency_reclaim store ctx ~shard:0)
+           ~sheddable:false (fun () ->
+             if i land 1 = 0 then St.put store ctx ~key ~value:"v"
+             else ignore (St.delete store ctx key)))
+    done
+  in
+  let res =
+    Sim.run ~machine:(Machine.Config.tiny ~contexts:4 ()) group
+      (Array.init n body)
+  in
+  Chaos.uninstall engine;
+  Alcotest.(check bool) "pid 1 crashed" true res.Sim.crashed.(1);
+  (R.Watermark.escalate_calls wm, R.Watermark.escalate_freed wm)
+
+let escalation_evidence () =
+  let ebr_calls, ebr_freed = escalation_cell (module Schemes.RM2_ebr) in
+  let dp_calls, dp_freed = escalation_cell (module Schemes.RM2_debra_plus) in
+  Alcotest.(check bool) "ebr escalated" true (ebr_calls > 0);
+  Alcotest.(check int) "pinned ebr shard frees nothing" 0 ebr_freed;
+  Alcotest.(check bool) "debra+ escalated" true (dp_calls > 0);
+  Alcotest.(check bool) "debra+ escalation frees" true (dp_freed > 0)
+
 let () =
   Alcotest.run "resilience"
     [
-      ("backoff", [ Alcotest.test_case "jitter" `Quick backoff_deterministic ]);
-      ("retry-budget", [ Alcotest.test_case "tokens" `Quick retry_budget ]);
-      ( "breaker",
-        [
-          Alcotest.test_case "trip and recover" `Quick breaker_trip_recover;
-          Alcotest.test_case "probe failure reopens" `Quick
-            breaker_probe_failure_reopens;
-          Alcotest.test_case "force open" `Quick breaker_force_open;
-        ] );
       ( "watermark",
-        [ Alcotest.test_case "hysteresis" `Quick watermark_hysteresis ] );
+        [
+          Alcotest.test_case "hysteresis" `Quick watermark_hysteresis;
+          Alcotest.test_case "config rejects bad thresholds" `Quick
+            watermark_config_rejects;
+        ] );
       ( "degradation",
         [
           Alcotest.test_case "verdicts" `Quick degradation_verdicts;
           Alcotest.test_case "merge" `Quick degradation_merge;
         ] );
-      ( "service",
+      ( "admit",
         [
+          Alcotest.test_case "normal serves without escalating" `Quick
+            admit_normal_serves;
+          Alcotest.test_case "escalation is rate-limited" `Quick
+            admit_escalation_rate_limited;
+          Alcotest.test_case "brownout sheds only sheddable work" `Quick
+            admit_brownout_sheds_sheddable;
+          Alcotest.test_case "allocation failure is Failed" `Quick
+            admit_allocation_failure;
           Alcotest.test_case "shed under pressure, sanitized" `Quick
             shed_under_pressure;
           Alcotest.test_case "overload cell determinism" `Quick
             overload_cell_deterministic;
+          Alcotest.test_case
+            "escalation frees under DEBRA+, not under a pinned EBR shard"
+            `Quick escalation_evidence;
         ] );
     ]
