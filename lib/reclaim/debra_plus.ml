@@ -98,7 +98,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
                 sig_attempts = Array.make n 0;
                 sig_last = Array.make n 0;
               });
-        rp_rows = Array.init n (fun _ -> Runtime.Shared_array.create k);
+        rp_rows = Runtime.Shared_array.rows n k;
         rp_count = Runtime.Shared_array.create ~padded:true n;
         scanning = Array.init n (fun _ -> Bag.Hash_set.create ~expected:(n * k));
         scan_threshold =
@@ -138,7 +138,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     Runtime.Shared_array.set ctx t.rp_count pid (c + 1);
     Runtime.Ctx.fence ctx;
     (* After the count write: the announcement is now visible to scans. *)
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Rprotect (Memory.Ptr.unmark p))
+    if Runtime.Ctx.observed ctx then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Rprotect (Memory.Ptr.unmark p))
 
   let runprotect_all t ctx =
     (* Before the count write: the announcements are still visible. *)

@@ -1,7 +1,11 @@
 (** Hazard pointers (Michael), tuned for throughput as in the paper's
     evaluation: each process keeps k announcement slots and a private bag of
-    retired records, scanning all announcements only once the bag exceeds
-    nk + Θ(nk) records so the amortized cost per retire is O(1).
+    retired records, scanning all announcements only once the bag reaches
+    [max(f·n·k, min(2B, n·k))] records (f = [hp_retire_factor], B =
+    [block_capacity]).  A scan frees every unannounced record, partial
+    blocks included, so with f >= 2 each scan frees at least nk records —
+    O(1) amortized per retire — and a process' limbo never exceeds
+    [max(threshold, nk)]: HP's footprint is Θ(nk), independent of B.
 
     The per-access cost is the scheme's weakness: [protect] must announce
     the pointer, issue a full memory barrier so scanners cannot miss the
@@ -14,6 +18,15 @@
 let name = "hp"
 
 let discipline = Memory.Discipline.(make Hazard Hazard_scan)
+
+(* The scan threshold in records, [max(f·n·k, min(2B, n·k))].  The floor
+   matters only for small f: at f = 0 a scan still batches min(2B, n·k)
+   retires instead of running on every one. *)
+let threshold (params : Intf.Params.t) ~n =
+  let k = params.Intf.Params.hp_slots in
+  max
+    (params.Intf.Params.hp_retire_factor * n * k)
+    (min (2 * params.Intf.Params.block_capacity) (n * k))
 
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
@@ -47,7 +60,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     {
       env;
       pool;
-      rows = Array.init n (fun _ -> Runtime.Shared_array.create k);
+      rows = Runtime.Shared_array.rows n k;
       locals =
         Array.init n (fun pid ->
             {
@@ -57,12 +70,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
                     Bag.Blockbag.create env.Intf.Env.block_pools.(pid));
             });
       scanning = Array.init n (fun _ -> Bag.Hash_set.create ~expected:(n * k));
-      (* At least two blocks, so every scan frees at least one full block
-         and the amortized cost per retire stays O(1). *)
-      retire_threshold =
-        max
-          (2 * params.Intf.Params.block_capacity)
-          (params.Intf.Params.hp_retire_factor * n * k);
+      retire_threshold = threshold params ~n;
       k;
     }
 
@@ -95,22 +103,20 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     let pid = ctx.Runtime.Ctx.pid in
     let l = t.locals.(pid) in
     let p = Memory.Ptr.unmark p in
-    let rec free_slot i =
-      if i >= t.k then
-        invalid_arg "Hp.protect: out of hazard-pointer slots (raise hp_slots)"
-      else if l.slots_mirror.(i) = 0 then i
-      else free_slot (i + 1)
-    in
-    let i = free_slot 0 in
+    let i = Scan_util.find_slot l.slots_mirror 0 in
+    if i < 0 then
+      invalid_arg "Hp.protect: out of hazard-pointer slots (raise hp_slots)";
     l.slots_mirror.(i) <- p;
     Runtime.Shared_array.set ctx t.rows.(pid) i p;
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+    if Runtime.Ctx.observed ctx then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
     (* The barrier that makes the announcement visible before the record is
        re-verified — the cost HP pays on every newly reached record. *)
     Runtime.Ctx.fence ctx;
     if verify () then true
     else begin
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      if Runtime.Ctx.observed ctx then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
       l.slots_mirror.(i) <- 0;
       Runtime.Shared_array.set ctx t.rows.(pid) i 0;
       false
@@ -120,38 +126,52 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     let pid = ctx.Runtime.Ctx.pid in
     let l = t.locals.(pid) in
     let p = Memory.Ptr.unmark p in
-    let rec go i =
-      if i < t.k then
-        if l.slots_mirror.(i) = p then begin
-          Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
-          l.slots_mirror.(i) <- 0;
-          Runtime.Shared_array.set ctx t.rows.(pid) i 0
-        end
-        else go (i + 1)
-    in
-    go 0
+    let i = Scan_util.find_slot l.slots_mirror p in
+    if i >= 0 then begin
+      if Runtime.Ctx.observed ctx then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      l.slots_mirror.(i) <- 0;
+      Runtime.Shared_array.set ctx t.rows.(pid) i 0
+    end
 
   let is_protected t ctx p =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let p = Memory.Ptr.unmark p in
     Array.exists (fun s -> s = p) l.slots_mirror
 
-  let scan t ctx l =
-    let scanning = t.scanning.(ctx.Runtime.Ctx.pid) in
+  let local_limbo l =
+    Array.fold_left (fun acc b -> acc + Bag.Blockbag.size b) 0 l.bags
+
+  (* The one scan, on the amortized path and the allocation-failure path
+     alike: hash every announcement, then drain our own retired bags of
+     every record no hazard pointer covers — full blocks leave whole,
+     partial ones record by record ([Scan_util.flush_bag]).  Only announced
+     records stay, at most nk, so limbo stays within [max(threshold, nk)].
+     The bound does not depend on other processes making progress: even
+     under crashes and stalls a scan frees all but O(nk) records. *)
+  let scan t ctx =
+    let pid = ctx.Runtime.Ctx.pid in
+    let l = t.locals.(pid) in
+    let scanning = t.scanning.(pid) in
     Scan_util.collect_announcements ctx ~into:scanning
       ~nprocs:(Intf.Env.nprocs t.env)
       ~row:(fun other -> t.rows.(other))
       ~count:(fun _ _ -> t.k);
+    (* the partition pass: one hash probe and at most one swap per record *)
+    Runtime.Ctx.work ctx (2 * local_limbo l);
     let released = ref 0 in
     Array.iter
-      (fun bag ->
+      (fun b ->
         released :=
           !released
-          + Scan_util.partition_and_release ctx bag ~protected:scanning
-              ~release_block:(fun b -> P.release_block t.pool ctx b))
+          + Scan_util.flush_bag ctx b
+              ~keep:(fun p -> Bag.Hash_set.mem scanning p)
+              ~release:(fun ctx p -> P.release t.pool ctx p)
+              ~release_block:(fun blk -> P.release_block t.pool ctx blk))
       l.bags;
     if !released > 0 then
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released);
+    !released
 
   let retire t ctx p =
     ctx.Runtime.Ctx.stats.Runtime.Ctx.retires <-
@@ -161,15 +181,11 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Bag.Blockbag.add l.bags.(Memory.Ptr.arena_id p) p;
-    let total = Array.fold_left (fun acc b -> acc + Bag.Blockbag.size b) 0 l.bags in
-    if total >= t.retire_threshold then scan t ctx l
+    if local_limbo l >= t.retire_threshold then ignore (scan t ctx)
 
   let rprotect _t _ctx _p = ()
   let runprotect_all _t _ctx = ()
   let is_rprotected _t _ctx _p = false
-
-  let local_limbo l =
-    Array.fold_left (fun acc b -> acc + Bag.Blockbag.size b) 0 l.bags
 
   let limbo_per_proc t = Array.map local_limbo t.locals
   let limbo_size t = Array.fold_left (fun acc l -> acc + local_limbo l) 0 t.locals
@@ -193,29 +209,6 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
           l.bags)
       t.locals
 
-  (* Allocation-failure path: scan immediately, below the amortization
-     threshold, and drain even the partial blocks of our own retired bags —
-     everything not currently covered by a hazard pointer is freed.  HP's
-     bound does not depend on other processes making progress, so this frees
-     all but O(nk) records even under crashes and stalls. *)
-  let emergency_reclaim t ctx =
-    let l = t.locals.(ctx.Runtime.Ctx.pid) in
-    let scanning = t.scanning.(ctx.Runtime.Ctx.pid) in
-    Scan_util.collect_announcements ctx ~into:scanning
-      ~nprocs:(Intf.Env.nprocs t.env)
-      ~row:(fun other -> t.rows.(other))
-      ~count:(fun _ _ -> t.k);
-    let released = ref 0 in
-    Array.iter
-      (fun b ->
-        released :=
-          !released
-          + Scan_util.flush_bag ctx b
-              ~keep:(fun p -> Bag.Hash_set.mem scanning p)
-              ~release:(fun ctx p -> P.release t.pool ctx p)
-              ~release_block:(fun blk -> P.release_block t.pool ctx blk))
-      l.bags;
-    if !released > 0 then
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released);
-    !released
+  (* Allocation-failure path: the same scan, below the threshold. *)
+  let emergency_reclaim = scan
 end

@@ -26,7 +26,9 @@ module Params = struct
         (** pool-bag blocks kept locally before spilling to the shared bag *)
     hp_slots : int;  (** hazard pointers per process (k) *)
     hp_retire_factor : int;
-        (** HP scan threshold = factor * n * k records (Θ(nk) slack) *)
+        (** f in HP's scan threshold, [max(f·n·k, min(2B, n·k))] records
+            for n processes, k = [hp_slots], B = [block_capacity]; f >= 2
+            frees at least nk records per scan *)
     suspect_blocks : int;
         (** DEBRA+: limbo blocks before a lagging process is neutralized *)
     scan_blocks_slack : int;

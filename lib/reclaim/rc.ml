@@ -34,7 +34,10 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
 
   type local = {
     bags : Bag.Blockbag.t array;  (* retired, per arena *)
-    mutable held : Memory.Ptr.t list;  (* our outstanding increments *)
+    mutable held : Memory.Ptr.t array;
+        (* our outstanding increments, oldest first: a stack in
+           [held.(0 .. nheld - 1)], grown by doubling *)
+    mutable nheld : int;
   }
 
   type t = {
@@ -63,7 +66,8 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
               bags =
                 Array.init Memory.Ptr.max_arenas (fun _ ->
                     Bag.Blockbag.create env.Intf.Env.block_pools.(pid));
-              held = [];
+              held = Array.make 8 Memory.Ptr.null;
+              nheld = 0;
             });
       scan_threshold = 2 * env.Intf.Env.params.Intf.Params.block_capacity;
     }
@@ -91,15 +95,23 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     ignore (Runtime.Shared_array.faa ctx c slot 1);
     (* The increment is visible: the shadow hazard window opens here and is
        closed (Unprotect) before the undo decrement on failure. *)
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+    if Runtime.Ctx.observed ctx then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
     let arena = Memory.Heap.arena_of t.env.Intf.Env.heap p in
     if Memory.Arena.is_valid arena p && verify () then begin
-      t.locals.(ctx.Runtime.Ctx.pid).held <-
-        p :: t.locals.(ctx.Runtime.Ctx.pid).held;
+      let l = t.locals.(ctx.Runtime.Ctx.pid) in
+      if l.nheld = Array.length l.held then begin
+        let grown = Array.make (2 * l.nheld) Memory.Ptr.null in
+        Array.blit l.held 0 grown 0 l.nheld;
+        l.held <- grown
+      end;
+      l.held.(l.nheld) <- p;
+      l.nheld <- l.nheld + 1;
       true
     end
     else begin
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      if Runtime.Ctx.observed ctx then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
       ignore (Runtime.Shared_array.faa ctx c slot (-1));
       false
     end
@@ -108,28 +120,33 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     let c = counts_of t (Memory.Ptr.arena_id p) in
     ignore (Runtime.Shared_array.faa ctx c (Memory.Ptr.slot p) (-1))
 
+  (* The index of the newest outstanding increment on [p], or -1.  Which
+     duplicate goes matters: the ledger's order is the order of
+     [unprotect_all]'s decrements, hence of simulated accesses. *)
+  let rec newest_held (held : Memory.Ptr.t array) p i =
+    if i < 0 then -1 else if held.(i) = p then i else newest_held held p (i - 1)
+
   let unprotect t ctx p =
     let p = Memory.Ptr.unmark p in
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
-    let rec remove_first = function
-      | [] -> None
-      | x :: rest when x = p -> Some rest
-      | x :: rest -> Option.map (fun r -> x :: r) (remove_first rest)
-    in
-    match remove_first l.held with
-    | Some held ->
+    let i = newest_held l.held p (l.nheld - 1) in
+    if i >= 0 then begin
+      if Runtime.Ctx.observed ctx then
         Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
-        l.held <- held;
-        decrement t ctx p
-    | None -> ()
+      Array.blit l.held (i + 1) l.held i (l.nheld - i - 1);
+      l.nheld <- l.nheld - 1;
+      decrement t ctx p
+    end
 
   (* The per-process ledger of outstanding increments lets a restarting
-     operation drop everything it holds in one call. *)
+     operation drop everything it holds in one call, newest first. *)
   let unprotect_all t ctx =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     Intf.Env.emit t.env ctx Memory.Smr_event.Unprotect_all;
-    List.iter (decrement t ctx) l.held;
-    l.held <- []
+    for i = l.nheld - 1 downto 0 do
+      decrement t ctx l.held.(i)
+    done;
+    l.nheld <- 0
 
   (* Finishing an operation releases every reference it still holds. *)
   let enter_qstate t ctx =

@@ -1,8 +1,8 @@
-(** The partition step shared by DEBRA+'s [rotateAndReclaim] and HP's scan
-    (paper §5 "Complexity"): records pointed to by hazard pointers are
-    swapped to the front of a limbo bag, then every full block behind the
-    partition point — which by construction holds only unprotected records —
-    is transferred to the pool in O(1) per block. *)
+(** The partition step shared by DEBRA+'s [rotateAndReclaim] and
+    StackTrack's ScanAndFree (paper §5 "Complexity"): records pointed to by
+    hazard pointers are swapped to the front of a limbo bag, then every full
+    block behind the partition point — which by construction holds only
+    unprotected records — is transferred to the pool in O(1) per block. *)
 
 (* [partition_and_release ctx bag ~protected ~release_block] returns the
    number of records released. *)
@@ -60,6 +60,17 @@ let flush_bag ctx bag ~keep ~release ~release_block =
   drain ();
   List.iter (Bag.Blockbag.add bag) !kept;
   !released
+
+(* [find_slot slots v] is the index of the first cell of [slots] holding
+   [v], or -1: the slot search of the announcement schemes' [protect] (a
+   free slot, [v] = 0) and [unprotect] ([v] = the record).  A top-level
+   loop, so the hot path allocates no closure. *)
+let rec find_slot_from (slots : int array) v i =
+  if i >= Array.length slots then -1
+  else if slots.(i) = v then i
+  else find_slot_from slots v (i + 1)
+
+let find_slot slots v = find_slot_from slots v 0
 
 (* [collect_announcements ctx ~into ~nprocs ~row ~count] hashes every
    announced pointer of every process: [count pid] bounds the live prefix of

@@ -67,7 +67,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     {
       env;
       pool;
-      rows = Array.init n (fun _ -> Runtime.Shared_array.create k);
+      rows = Runtime.Shared_array.rows n k;
       locals =
         Array.init n (fun pid ->
             {
@@ -131,14 +131,12 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let protect t ctx p ~verify:_ =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let p = Memory.Ptr.unmark p in
-    let rec free_slot i =
-      if i >= t.k then
-        invalid_arg "Stacktrack.protect: out of pointer slots (raise hp_slots)"
-      else if l.mirror.(i) = 0 then i
-      else free_slot (i + 1)
-    in
-    l.mirror.(free_slot 0) <- p;
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+    let i = Scan_util.find_slot l.mirror 0 in
+    if i < 0 then
+      invalid_arg "Stacktrack.protect: out of pointer slots (raise hp_slots)";
+    l.mirror.(i) <- p;
+    if Runtime.Ctx.observed ctx then
+      Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
     l.seg_fill <- l.seg_fill + 1;
     (* the runtime check deciding whether to start a new transaction *)
     Runtime.Ctx.work ctx 12;
@@ -148,15 +146,12 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let unprotect t ctx p =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in
     let p = Memory.Ptr.unmark p in
-    let rec go i =
-      if i < t.k then
-        if l.mirror.(i) = p then begin
-          Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
-          l.mirror.(i) <- 0
-        end
-        else go (i + 1)
-    in
-    go 0
+    let i = Scan_util.find_slot l.mirror p in
+    if i >= 0 then begin
+      if Runtime.Ctx.observed ctx then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect p);
+      l.mirror.(i) <- 0
+    end
 
   let is_protected t ctx p =
     let l = t.locals.(ctx.Runtime.Ctx.pid) in

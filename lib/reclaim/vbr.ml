@@ -90,12 +90,15 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     Memory.Arena.is_valid arena p
     && verify ()
     && begin
-         Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
+         if Runtime.Ctx.observed ctx then
+           Intf.Env.emit t.env ctx (Memory.Smr_event.Protect p);
          true
        end
 
   let unprotect t ctx p =
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Unprotect (Memory.Ptr.unmark p))
+    if Runtime.Ctx.observed ctx then
+      Intf.Env.emit t.env ctx
+        (Memory.Smr_event.Unprotect (Memory.Ptr.unmark p))
 
   let unprotect_all t ctx =
     Intf.Env.emit t.env ctx Memory.Smr_event.Unprotect_all

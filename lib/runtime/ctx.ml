@@ -167,7 +167,15 @@ let add_hook ctx f =
   subscribe ctx s;
   fun () -> unsubscribe ctx s
 
-let work ctx cost = access ctx ~line:0 (Work cost)
+(* [Work c] for the small costs charged on hot paths, built once, so that
+   charging them allocates nothing. *)
+let work_kinds = Array.init 512 (fun c -> Work c)
+
+let work ctx cost =
+  access ctx ~line:0
+    (if cost >= 0 && cost < Array.length work_kinds then work_kinds.(cost)
+     else Work cost)
+
 let fence ctx = access ctx ~line:0 Fence
 let now ctx = ctx.now_impl ()
 let stall ctx cycles = ctx.stall_impl cycles

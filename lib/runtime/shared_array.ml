@@ -22,6 +22,14 @@ let create ?(padded = false) n =
   let cell _ = if padded then atomic_padded 0 else Atomic.make 0 in
   { cells = Array.init n cell; base_line; padded }
 
+(* [padded] stays [false]: it selects the simulated layout, which here is
+   the packed one of [create k]; only the host cells are padded. *)
+let rows n k =
+  Array.init n (fun _ ->
+      let base_line = Addr.reserve_words k in
+      let cells = Array.init k (fun _ -> atomic_padded 0) in
+      { cells; base_line; padded = false })
+
 let length t = Array.length t.cells
 
 let line t i =

@@ -15,6 +15,17 @@
 type t
 
 val create : ?padded:bool -> int -> t
+
+(** [rows n k] is [n] per-process rows of [k] cells each: one announcement
+    row per process, written only by its owner and scanned by the others.
+    Host and simulated layouts differ on purpose.  On the host every cell is
+    padded as under [~padded:true], so no two processes' rows share a
+    hardware cache line on the domains backend.  In the simulator each row
+    is packed exactly as [create k] packs it (8 cells per line, every row
+    starting on a fresh line), so simulated costs equal those of
+    [Array.init n (fun _ -> create k)]. *)
+val rows : int -> int -> t array
+
 val length : t -> int
 val get : Ctx.t -> t -> int -> int
 val set : Ctx.t -> t -> int -> int -> unit

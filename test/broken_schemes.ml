@@ -96,7 +96,7 @@ module Broken_hp = struct
       {
         env;
         pool;
-        rows = Array.init n (fun _ -> Runtime.Shared_array.create k);
+        rows = Runtime.Shared_array.rows n k;
         locals =
           Array.init n (fun pid ->
               {

@@ -190,6 +190,47 @@ let test_padding_is_real () =
   Alcotest.(check int) "neighbours untouched" 0
     (Runtime.Shared_array.get ctx padded 4)
 
+(* Per-process rows ([Shared_array.rows]) pad on the host only: every
+   cell is an oversized block, so no two processes' rows share a hardware
+   line, while the simulated layout stays packed — cell i of a row sits on
+   the row's first line plus i / 8, each row starting on a fresh line,
+   exactly as n rows of [create k] are laid out. *)
+let test_rows_padded_on_host_packed_in_sim () =
+  let n = 3 and k = 12 in
+  let words a = Obj.reachable_words (Obj.repr a) in
+  let rows = Runtime.Shared_array.rows n k in
+  let packed = Array.init n (fun _ -> Runtime.Shared_array.create k) in
+  Alcotest.(check bool) "row cells are oversized blocks" true
+    (words rows - words packed >= n * k * 14);
+  let ctx = Runtime.Ctx.make ~pid:0 ~nprocs:1 ~seed:7 in
+  let last = ref (-1) in
+  let unhook = Runtime.Ctx.add_hook ctx (fun _ ~line _ -> last := line) in
+  let line_of r i =
+    ignore (Runtime.Shared_array.get ctx r i);
+    !last
+  in
+  let wpl = Runtime.Addr.words_per_line in
+  let lines_per_row = (k + wpl - 1) / wpl in
+  Array.iteri
+    (fun pid r ->
+      let first = line_of r 0 in
+      Alcotest.(check int) (Printf.sprintf "row %d starts a fresh line" pid)
+        (line_of rows.(0) 0 + (pid * lines_per_row))
+        first;
+      for i = 0 to k - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "row %d cell %d: packed line" pid i)
+          (first + (i / wpl))
+          (line_of r i)
+      done)
+    rows;
+  unhook ();
+  Runtime.Shared_array.set ctx rows.(1) 5 9;
+  Alcotest.(check bool) "cas on a row cell" true
+    (Runtime.Shared_array.cas ctx rows.(1) 5 ~expect:9 10);
+  Alcotest.(check int) "rows are independent" 0
+    (Runtime.Shared_array.peek rows.(0) 5)
+
 let () =
   Alcotest.run "domains"
     [
@@ -225,5 +266,7 @@ let () =
           (* no parallelism needed: checks the allocation shape itself *)
           Alcotest.test_case "padded cells get real hardware lines" `Quick
             test_padding_is_real;
+          Alcotest.test_case "rows: padded on the host, packed in sim" `Quick
+            test_rows_padded_on_host_packed_in_sim;
         ] );
     ]

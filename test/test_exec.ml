@@ -298,8 +298,8 @@ let test_sim_golden_debra_plus () =
 let test_sim_golden_hp () =
   golden ~ds:"bst" ~scheme:"hp"
     ~cfg:(sim_cfg ~duration:300_000 ~n:4 ~range:2_000 ~seed:11)
-    ~ops:719 ~virtual_time:301_253 ~limbo:795 ~neutralized:0 ~signals_sent:0
-    ~allocs:691 ()
+    ~ops:731 ~virtual_time:301_480 ~limbo:166 ~neutralized:0 ~signals_sent:0
+    ~allocs:264 ()
 
 let test_sim_golden_debra_list () =
   golden ~ds:"list" ~scheme:"debra"

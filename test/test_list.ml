@@ -136,6 +136,67 @@ let test_crash_debra_plus_bounded () =
     (Printf.sprintf "debra+ limbo bounded (got %d)" limbo)
     true (limbo < 1500)
 
+(* HP's footprint is Θ(nk): under the Experiment 2 pairing (bump allocator
+   behind the shared pool, the paper's default parameters), every process'
+   limbo stays within the scan threshold max(f·n·k, min(2B, n·k)) at every
+   operation boundary, and once the set size is steady, freed records are
+   reused rather than claimed fresh — ten times the operations claim
+   (almost) no more records than one.  Each process updates its own keys
+   (the list is still shared by every traversal), so its pool bag gets
+   back what it allocates: the shared pool's cross-process drift, a random
+   walk that only spills to the shared bag past [pool_cap_blocks] full
+   blocks, stays out of the claim count. *)
+let hp_footprint ~ops =
+  let module RM = (val rm "hp") in
+  let module H = Harness (RM) in
+  let n = 2 and range = 64 and seed = 21 in
+  let params = Reclaim.Intf.Params.default in
+  let group, heap, rm = H.setup ~n ~seed ~params in
+  let t = H.L.create rm ~capacity:(range + (n * ops) + 2) in
+  let worst = ref 0 in
+  let body pid () =
+    let ctx = Runtime.Group.ctx group pid in
+    let rng = Random.State.make [| seed; pid |] in
+    for _ = 1 to ops do
+      let key = (n * Random.State.int rng (range / n)) + pid in
+      (if Random.State.bool rng then
+         ignore (H.L.insert t ctx ~key ~value:key)
+       else ignore (H.L.delete t ctx key));
+      Array.iter (fun l -> worst := max !worst l) (RM.limbo_per_proc rm)
+    done
+  in
+  let machine = Machine.Config.tiny ~contexts:4 () in
+  ignore (Sim.run ~machine group (Array.init n body));
+  H.L.check_invariants t;
+  let claims =
+    List.fold_left
+      (fun acc a -> acc + Memory.Arena.fresh_claims a)
+      0 (Memory.Heap.arenas heap)
+  in
+  let k = params.Reclaim.Intf.Params.hp_slots in
+  let threshold =
+    max
+      (params.Reclaim.Intf.Params.hp_retire_factor * n * k)
+      (min (2 * params.Reclaim.Intf.Params.block_capacity) (n * k))
+  in
+  (!worst, threshold, claims, n * k)
+
+let test_hp_footprint () =
+  let worst1, threshold, claims1, nk = hp_footprint ~ops:600 in
+  let worst10, _, claims10, _ = hp_footprint ~ops:6000 in
+  List.iter
+    (fun (label, worst) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: per-process limbo %d <= threshold %d" label worst
+           threshold)
+        true (worst <= threshold))
+    [ ("1x", worst1); ("10x", worst10) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh claims steady: %d at 1x, %d at 10x (slack nk = %d)"
+       claims1 claims10 nk)
+    true
+    (claims10 <= claims1 + nk)
+
 let () =
   Alcotest.run "hm_list"
     (List.map
@@ -151,5 +212,10 @@ let () =
               test_crash_debra_grows;
             Alcotest.test_case "DEBRA+ stays bounded across crash" `Quick
               test_crash_debra_plus_bounded;
+          ] );
+        ( "footprint",
+          [
+            Alcotest.test_case "hp limbo and claims bounded at 1x and 10x"
+              `Quick test_hp_footprint;
           ] );
       ])

@@ -178,6 +178,41 @@ let test_unobserved_allocation () =
     (Printf.sprintf "%.3f minor words per unobserved access < 1" per_access)
     true (per_access < 1.)
 
+(* The per-record protection step of every scheme allocates nothing once
+   warm when no subscriber listens: an unobserved [protect]+[unprotect]
+   pair — paid per node a traversal reaches — and DEBRA+'s recovery
+   [rprotect]+[runprotect_all] pair each stay under one minor word. *)
+let verify () = true
+
+let test_protect_allocation (e : Reclaim.Registry.entry) () =
+  let module RM = (val Reclaim.Registry.rm Exp2 e) in
+  let group = Runtime.Group.create ~seed:1 1 in
+  let heap = Memory.Heap.create () in
+  let rm = RM.create (Reclaim.Intf.Env.create group heap) in
+  let arena =
+    Memory.Heap.new_arena heap ~name:"g" ~mut_fields:1 ~const_fields:0
+      ~capacity:64
+  in
+  let c = Runtime.Group.ctx group 0 in
+  RM.leave_qstate rm c;
+  let p = RM.alloc rm c arena in
+  let pairs = 100_000 in
+  let per_pair what step =
+    for _ = 1 to pairs do step () done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to pairs do step () done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int pairs in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %s: %.3f minor words per pair < 1" e.name what w)
+      true (w < 1.)
+  in
+  per_pair "protect+unprotect" (fun () ->
+      ignore (RM.protect rm c p ~verify);
+      RM.unprotect rm c p);
+  per_pair "rprotect+runprotect_all" (fun () ->
+      RM.rprotect rm c p;
+      RM.runprotect_all rm c)
+
 (* Address space *)
 let test_addr () =
   let base = Runtime.Addr.reserve_words 20 in
@@ -206,6 +241,11 @@ let () =
             test_unobserved_allocation;
           QCheck_alcotest.to_alcotest prop_arena_model;
         ] );
+      ( "protect-allocation",
+        List.map
+          (fun (e : Reclaim.Registry.entry) ->
+            Alcotest.test_case e.name `Quick (test_protect_allocation e))
+          Reclaim.Registry.all );
       ( "heap",
         [
           Alcotest.test_case "dispatch" `Quick test_heap_dispatch;
