@@ -179,7 +179,9 @@ let run ~scale =
     let v =
       match runner.run cfg with
       | o ->
-          Experiments.record_outcome o;
+          Experiments.record_outcome
+            ~panel:(Printf.sprintf "%s %s seed %d" structure fname seed)
+            o;
           {
             v_structure = structure;
             v_scheme = runner.rname;
@@ -348,8 +350,5 @@ let run ~scale =
         ("verdicts", Telemetry.Json.List (List.map verdict_json verdicts));
       ]
   in
-  let oc = open_out "CHAOS_REPORT.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
+  Telemetry.Json.to_file "CHAOS_REPORT.json" doc;
   Printf.printf "chaos report written to CHAOS_REPORT.json\n%!"

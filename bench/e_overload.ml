@@ -32,10 +32,9 @@
     the seed). *)
 
 (* Set by bench/main.ml: --chaos-seed replays one seed; --overload-requests
-   and --overload-schemes shrink the sweep (the CI smoke job). *)
+   and --schemes shrink the sweep (the CI smoke job). *)
 let replay_seed : int option ref = ref None
 let requests = ref 0
-let scheme_filter = ref ""
 
 (* CI gate: expectation violations + determinism failures. *)
 let failures = ref 0
@@ -74,247 +73,188 @@ type cell = {
   c_errors : string list;
 }
 
-let key_of_rank r =
-  if r land 1 = 0 then Printf.sprintf "k%06d" r
-  else Printf.sprintf "session:%08d" r
-
-let value_of_rank r = Printf.sprintf "v%024d" r
-
-module Make_cell (RM : Reclaim.Intf.RECORD_MANAGER) = struct
-  module Store = Kv.Store.Make (RM)
-
-  let run ~sname ~structure ~backend ~requests ~seed () :
-      Telemetry.Json.t * (Resilience.Degradation.verdict * string) option =
-    let module E = (val Exec.Backend.runner backend) in
-    let clock = E.clock in
-    let group = Runtime.Group.create ~seed nprocs in
-    (* Same hazard-slot sizing rule as the store's own defaults (worst-
-       case protection footprint plus the chained payload guard) — only
-       block_capacity and incr_thresh deviate, to pin the limbo bound. *)
-    let hp_slots =
-      match structure with
-      | "skiplist" -> (2 * Ds.Skiplist.max_level) + 10
-      | _ -> max Reclaim.Intf.Params.default.hp_slots 10
-    in
-    let params =
+let run_cell (module RM : Reclaim.Intf.RECORD_MANAGER) ~sname ~structure
+    ~backend ~requests ~seed :
+    Telemetry.Json.t * (Resilience.Degradation.verdict * string) option =
+  let module Store = Kv_cell.Make (RM) in
+  let module E = (val Exec.Backend.runner backend) in
+  let clock = E.clock in
+  let group = Runtime.Group.create ~seed nprocs in
+  (* Same hazard-slot sizing rule as the store's own defaults (worst-
+     case protection footprint plus the chained payload guard) — only
+     block_capacity and incr_thresh deviate, to pin the limbo bound. *)
+  let hp_slots =
+    match structure with
+    | "skiplist" -> (2 * Ds.Skiplist.max_level) + 10
+    | _ -> max Reclaim.Intf.Params.default.hp_slots 10
+  in
+  let params =
+    {
+      Reclaim.Intf.Params.default with
+      block_capacity;
+      incr_thresh = nprocs;
+      hp_slots;
+    }
+  in
+  let arrivals =
+    Loadgen.Arrivals.Spike
       {
-        Reclaim.Intf.Params.default with
-        block_capacity;
-        incr_thresh = nprocs;
-        hp_slots;
+        base = base_rate;
+        peak = spike_mult *. base_rate;
+        start_s = spike_start_s;
+        len_s = spike_len_s;
       }
+  in
+  let burst_start, burst_end =
+    match Loadgen.Arrivals.spike_window arrivals ~clock with
+    | Some w -> w
+    | None -> assert false
+  in
+  (* Recovery-rate bucket: ~37 requests/bucket at the base rate, enough
+     for the 2%-bad tolerance to separate a pinned shard's steady
+     shedding from a stray shed scan. *)
+  let bucket_cycles = Exec.Clock.cycles_of_us clock 250 in
+  (* Scans are the sheddable low-priority class; the campaign needs them
+     in the mix for brownout to have anything to drop. *)
+  let mix = Option.get (Loadgen.mix_of_string "scan_heavy") in
+  let dist = Loadgen.Dist.Zipfian 0.99 in
+  let cell =
+    Store.setup ~params ~structure ~shards ~nkeys ~requests ~dist ~mix
+      ~arrivals ~clock ~seed group
+  in
+  let store = cell.Store.store and plan = cell.Store.plan in
+  let wm_cfg =
+    Resilience.Watermark.config ~elevated:(limbo_bound / 8)
+      ~brownout:(limbo_bound / 4)
+      ~escalate_every:(Exec.Clock.cycles_of_us clock 100)
+  in
+  let wms =
+    Array.init shards (fun _ -> Resilience.Watermark.create wm_cfg)
+  in
+  (* One In_operation crash: the victim dies mid-operation on whichever
+     shard it is traversing, partway into the burst.  The [at]
+     threshold is in the victim's instrumented accesses (counted from
+     install, i.e. post-prefill). *)
+  let crash_at = 25_000 in
+  let chaos_plan =
+    { Chaos.seed; faults = [ Chaos.Crash { pid = 1; at = crash_at; kind = Chaos.In_operation } ] }
+  in
+  let chaos_plan =
+    if E.deterministic then chaos_plan
+    else fst (Chaos.degrade chaos_plan)
+  in
+  let engine =
+    Chaos.install
+      ~in_op:(fun ctx -> Store.in_operation store ctx)
+      chaos_plan ~group ~heap:(Store.heaps store).(0)
+  in
+  let end_of_schedule = plan.Loadgen.arrivals.(requests - 1) in
+  let degs =
+    Array.init nprocs (fun _ ->
+        Resilience.Degradation.create ~burst_start ~burst_end
+          ~end_of_schedule ~bucket_cycles)
+  in
+  let exec_op ctx ~due:_ op =
+    let shard, sheddable, work = Store.request cell ctx op in
+    let outcome =
+      Resilience.Watermark.admit wms.(shard) ctx
+        ~limbo:(Store.shard_limbo store shard)
+        ~escalate:(fun ctx -> Store.emergency_reclaim store ctx ~shard)
+        ~sheddable work
     in
-    let store =
-      Store.create ~structure ~params ~shards
-        ~capacity_per_shard:(nkeys + requests) ~group ()
-    in
-    let arrivals =
-      Loadgen.Arrivals.Spike
-        {
-          base = base_rate;
-          peak = spike_mult *. base_rate;
-          start_s = spike_start_s;
-          len_s = spike_len_s;
-        }
-    in
-    let burst_start, burst_end =
-      match Loadgen.Arrivals.spike_window arrivals ~clock with
-      | Some w -> w
-      | None -> assert false
-    in
-    (* Recovery-rate bucket: ~37 requests/bucket at the base rate, enough
-       for the 2%-bad tolerance to separate a pinned shard's steady
-       shedding from a stray shed scan. *)
-    let bucket_cycles = Exec.Clock.cycles_of_us clock 250 in
-    let mix =
-      (* Scans are the sheddable low-priority class; the campaign needs
-         them in the mix for brownout to have anything to drop. *)
-      match Loadgen.mix_of_string "scan_heavy" with
-      | Some m -> m
-      | None -> assert false
-    in
-    let dist =
-      match Loadgen.Dist.of_string "zipfian" with
-      | Some d -> d
-      | None -> assert false
-    in
-    let plan =
-      Loadgen.generate ~n:requests ~nkeys ~dist ~mix ~arrivals ~clock ~seed
-    in
-    let ttl_cycles = max 1 (plan.Loadgen.arrivals.(requests - 1) / 4) in
-    let ttl_for r = if r land 1 = 1 then Some ttl_cycles else None in
-    let ctx0 = Runtime.Group.ctx group 0 in
-    for r = 0 to nkeys - 1 do
-      Store.put store ctx0 ~key:(key_of_rank r) ~value:(value_of_rank r)
-    done;
-    let wm_cfg =
-      Resilience.Watermark.config ~elevated:(limbo_bound / 8)
-        ~brownout:(limbo_bound / 4)
-        ~escalate_every:(Exec.Clock.cycles_of_us clock 100)
-    in
-    let wms =
-      Array.init shards (fun _ -> Resilience.Watermark.create wm_cfg)
-    in
-    (* One In_operation crash: the victim dies mid-operation on whichever
-       shard it is traversing, partway into the burst.  The [at]
-       threshold is in the victim's instrumented accesses (counted from
-       install, i.e. post-prefill). *)
-    let crash_at = 25_000 in
-    let chaos_plan =
-      { Chaos.seed; faults = [ Chaos.Crash { pid = 1; at = crash_at; kind = Chaos.In_operation } ] }
-    in
-    let chaos_plan =
-      if E.deterministic then chaos_plan
-      else fst (Chaos.degrade chaos_plan)
-    in
-    let engine =
-      Chaos.install
-        ~in_op:(fun ctx -> Store.in_operation store ctx)
-        chaos_plan ~group ~heap:(Store.heaps store).(0)
-    in
-    let end_of_schedule = plan.Loadgen.arrivals.(requests - 1) in
-    let degs =
-      Array.init nprocs (fun _ ->
-          Resilience.Degradation.create ~burst_start ~burst_end
-            ~end_of_schedule ~bucket_cycles)
-    in
-    let exec_op ctx ~due:_ op =
-      let key, sheddable, (work : unit -> unit) =
-        match op with
-        | Loadgen.Get r ->
-            let k = key_of_rank r in
-            (k, false, fun () -> ignore (Store.get store ctx k))
-        | Loadgen.Put r ->
-            let k = key_of_rank r in
-            ( k,
-              false,
-              fun () ->
-                Store.put ?ttl:(ttl_for r) store ctx ~key:k
-                  ~value:(value_of_rank r) )
-        | Loadgen.Delete r ->
-            let k = key_of_rank r in
-            (k, false, fun () -> ignore (Store.delete store ctx k))
-        | Loadgen.Scan (start, len) ->
-            ( key_of_rank start,
-              true,
-              fun () ->
-                for i = start to start + len - 1 do
-                  ignore (Store.get store ctx (key_of_rank (i mod nkeys)))
-                done )
-      in
-      let shard = Store.shard_of_key store key in
-      let outcome =
-        Resilience.Watermark.admit wms.(shard) ctx
-          ~limbo:(Store.shard_limbo store shard)
-          ~escalate:(fun ctx -> Store.emergency_reclaim store ctx ~shard)
-          ~sheddable work
-      in
-      (shard, outcome)
-    in
-    let record ~pid ~op:_ ~shard:_ ~outcome ~start ~finish:_ =
-      Resilience.Degradation.account degs.(pid) ~due:start outcome
-    in
-    let bodies = Loadgen.bodies plan ~group ~record ~exec_op in
-    (* The straggler: park mid-operation on shard 1 for the first part of
-       the burst — reclamation-pinning pressure exactly when the spike
-       needs capacity.  DEBRA+ neutralizes it; plain epochs eat the limbo
-       growth until it wakes. *)
-    let straggler = nprocs - 1 in
-    let stall_cycles = Exec.Clock.cycles_of_ms clock 1 in
-    bodies.(straggler) <-
-      (fun () ->
-        let ctx = Runtime.Group.ctx group straggler in
-        let wait = burst_start - Runtime.Ctx.now ctx in
-        if wait > 0 then Runtime.Ctx.stall ctx wait;
-        Runtime.Ctx.work ctx 1;
-        Store.hold_shard store ctx ~shard:1 ~cycles:stall_cycles);
-    let deg =
-      Resilience.Degradation.create ~burst_start ~burst_end ~end_of_schedule
-        ~bucket_cycles
-    in
-    let sample _now =
-      for k = 0 to shards - 1 do
-        Resilience.Degradation.observe_limbo deg (Store.shard_limbo store k)
-      done
-    in
-    let tick = (Exec.Clock.cycles_of_us clock 20, sample) in
-    let result = E.run ~tick group bodies in
-    Array.iter (Resilience.Degradation.merge deg) degs;
-    sample 0;
-    Chaos.uninstall engine;
-    Store.check_invariants store;
-    let chaos_summary = Chaos.summary engine in
-    let recovery_budget = Exec.Clock.cycles_of_ms clock 3 in
-    let verdict =
-      Resilience.Degradation.judge deg ~limbo_bound ~floor_pct
-        ~recovery_budget
-    in
-    let shard_json k =
-      Telemetry.Json.Obj
+    (shard, outcome)
+  in
+  let record ~pid ~op:_ ~shard:_ ~outcome ~start ~finish:_ =
+    Resilience.Degradation.account degs.(pid) ~due:start outcome
+  in
+  let bodies = Loadgen.bodies plan ~group ~record ~exec_op in
+  (* The straggler: park mid-operation on shard 1 for the first part of
+     the burst — reclamation-pinning pressure exactly when the spike
+     needs capacity.  DEBRA+ neutralizes it; plain epochs eat the limbo
+     growth until it wakes. *)
+  let straggler = nprocs - 1 in
+  let stall_cycles = Exec.Clock.cycles_of_ms clock 1 in
+  bodies.(straggler) <-
+    (fun () ->
+      let ctx = Runtime.Group.ctx group straggler in
+      let wait = burst_start - Runtime.Ctx.now ctx in
+      if wait > 0 then Runtime.Ctx.stall ctx wait;
+      Runtime.Ctx.work ctx 1;
+      Store.hold_shard store ctx ~shard:1 ~cycles:stall_cycles);
+  let deg =
+    Resilience.Degradation.create ~burst_start ~burst_end ~end_of_schedule
+      ~bucket_cycles
+  in
+  let sample _now =
+    for k = 0 to shards - 1 do
+      Resilience.Degradation.observe_limbo deg (Store.shard_limbo store k)
+    done
+  in
+  let tick = (Exec.Clock.cycles_of_us clock 20, sample) in
+  let result = E.run ~tick group bodies in
+  Array.iter (Resilience.Degradation.merge deg) degs;
+  sample 0;
+  Chaos.uninstall engine;
+  Store.check_invariants store;
+  let chaos_summary = Chaos.summary engine in
+  let recovery_budget = Exec.Clock.cycles_of_ms clock 3 in
+  let verdict =
+    Resilience.Degradation.judge deg ~limbo_bound ~floor_pct
+      ~recovery_budget
+  in
+  let shard_json k =
+    Telemetry.Json.Obj
+      [
+        ( "escalations",
+          Telemetry.Json.Int (Resilience.Watermark.escalate_calls wms.(k)) );
+        ( "escalate_freed",
+          Telemetry.Json.Int (Resilience.Watermark.escalate_freed wms.(k)) );
+        ("limbo_after", Telemetry.Json.Int (Store.shard_limbo store k));
+        ("pool_after", Telemetry.Json.Int (Store.shard_pool store k));
+      ]
+  in
+  let pressure = Store.pressure store in
+  let json =
+    Telemetry.Json.Obj
+      ([
+         ("experiment", Telemetry.Json.String "e-overload");
+         ("scheme", Telemetry.Json.String sname);
+         ("structure", Telemetry.Json.String structure);
+         ("backend", Telemetry.Json.String E.name);
+         ("seed", Telemetry.Json.Int seed);
+         ("requests", Telemetry.Json.Int requests);
+         ("crashed", Telemetry.Json.Int chaos_summary.Chaos.crashes);
+         ( "degradation",
+           Resilience.Degradation.to_json deg verdict );
+         ( "shards",
+           Telemetry.Json.List (List.init shards shard_json) );
+         ( "alloc_retries",
+           Telemetry.Json.Int pressure.Reclaim.Intf.Pressure.alloc_retries );
+         ( "emergency_reclaims",
+           Telemetry.Json.Int
+             pressure.Reclaim.Intf.Pressure.emergency_reclaims );
+         ( "elapsed_cycles",
+           Telemetry.Json.Int result.Exec.Intf.elapsed_cycles );
+       ]
+      @
+      (* Wall time is non-deterministic; keeping it out of sim rows
+         keeps the replay self-check a byte-identity test. *)
+      if E.deterministic then []
+      else
         [
-          ( "escalations",
-            Telemetry.Json.Int (Resilience.Watermark.escalate_calls wms.(k)) );
-          ( "escalate_freed",
-            Telemetry.Json.Int (Resilience.Watermark.escalate_freed wms.(k)) );
-          ("limbo_after", Telemetry.Json.Int (Store.shard_limbo store k));
-          ("pool_after", Telemetry.Json.Int (Store.shard_pool store k));
-        ]
-    in
-    let pressure = Store.pressure store in
-    let json =
-      Telemetry.Json.Obj
-        ([
-           ("experiment", Telemetry.Json.String "e-overload");
-           ("scheme", Telemetry.Json.String sname);
-           ("structure", Telemetry.Json.String structure);
-           ("backend", Telemetry.Json.String E.name);
-           ("seed", Telemetry.Json.Int seed);
-           ("requests", Telemetry.Json.Int requests);
-           ("crashed", Telemetry.Json.Int chaos_summary.Chaos.crashes);
-           ( "degradation",
-             Resilience.Degradation.to_json deg verdict );
-           ( "shards",
-             Telemetry.Json.List (List.init shards shard_json) );
-           ( "alloc_retries",
-             Telemetry.Json.Int pressure.Reclaim.Intf.Pressure.alloc_retries );
-           ( "emergency_reclaims",
-             Telemetry.Json.Int
-               pressure.Reclaim.Intf.Pressure.emergency_reclaims );
-           ( "elapsed_cycles",
-             Telemetry.Json.Int result.Exec.Intf.elapsed_cycles );
-         ]
-        @
-        (* Wall time is non-deterministic; keeping it out of sim rows
-           keeps the replay self-check a byte-identity test. *)
-        if E.deterministic then []
-        else
-          [
-            ( "wall_seconds",
-              Telemetry.Json.Float result.Exec.Intf.wall_seconds );
-          ])
-    in
-    let deg_text =
-      Telemetry.Json.to_string (Resilience.Degradation.to_json deg verdict)
-    in
-    (json, Some (verdict, deg_text))
-end
+          ( "wall_seconds",
+            Telemetry.Json.Float result.Exec.Intf.wall_seconds );
+        ])
+  in
+  let deg_text =
+    Telemetry.Json.to_string (Resilience.Degradation.to_json deg verdict)
+  in
+  (json, Some (verdict, deg_text))
 
-type cell_run =
-  sname:string ->
-  structure:string ->
-  backend:Exec.Backend.t ->
-  requests:int ->
-  seed:int ->
-  unit ->
-  Telemetry.Json.t * (Resilience.Degradation.verdict * string) option
-
-(* (column label, scheme, expectation), in column order. *)
-let schemes : (string * cell_run * expectation) list =
+(* (column label, scheme's record manager, expectation), in column order. *)
+let schemes =
   List.map
-    (fun (label, scheme, expect) ->
-      let module RM = (val Reclaim.Registry.(rm Exp2 (find scheme))) in
-      let module C = Make_cell (RM) in
-      (label, (C.run : cell_run), expect))
+    (fun (label, scheme, expect) -> (label, Kv_cell.rm scheme, expect))
     [
       ("none", "none", Observe);
       ("ebr", "ebr", Must_degrade);
@@ -365,22 +305,7 @@ let run ~scale =
   in
   let seed = match !replay_seed with Some s -> s | None -> 11 in
   let selected =
-    if !scheme_filter = "" then schemes
-    else begin
-      let want = String.split_on_char ',' !scheme_filter in
-      let missing =
-        List.filter
-          (fun w -> not (List.exists (fun (s, _, _) -> s = w) schemes))
-          want
-      in
-      if missing <> [] then begin
-        Printf.eprintf "e-overload: unknown scheme(s) %s (expected %s)\n"
-          (String.concat "," missing)
-          (String.concat "|" (List.map (fun (s, _, _) -> s) schemes));
-        exit 2
-      end;
-      List.filter (fun (s, _, _) -> List.mem s want) schemes
-    end
+    Kv_cell.select ~campaign:"e-overload" (fun (s, _, _) -> s) schemes
   in
   Printf.printf
     "\n\
@@ -398,9 +323,9 @@ let run ~scale =
   List.iter
     (fun structure ->
       List.iter
-        (fun (sname, (runf : cell_run), expect) ->
+        (fun (sname, rm, expect) ->
           let json, report =
-            match runf ~sname ~structure ~backend ~requests ~seed () with
+            match run_cell rm ~sname ~structure ~backend ~requests ~seed with
             | r -> r
             | exception Sim.Stuck info ->
                 ( Telemetry.Json.Obj
@@ -445,8 +370,7 @@ let run ~scale =
               c_json = json;
               c_errors = errors;
             }
-            :: !cells;
-          Experiments.record_kv_row json)
+            :: !cells)
         selected)
     structures;
   let cells = List.rev !cells in
@@ -454,15 +378,15 @@ let run ~scale =
      on the simulator, must produce byte-identical JSON. *)
   (match (backend, List.find_opt (fun (s, _, _) -> s = "debra+") selected) with
   | `Domains, _ | `Sim, None -> ()
-  | `Sim, Some (_, run, _) ->
-      let a, _ =
-        run ~sname:"debra+" ~structure:"skiplist" ~backend ~requests ~seed ()
+  | `Sim, Some (_, rm, _) ->
+      let run () =
+        fst
+          (run_cell rm ~sname:"debra+" ~structure:"skiplist" ~backend
+             ~requests ~seed)
       in
-      let b, _ =
-        run ~sname:"debra+" ~structure:"skiplist" ~backend ~requests ~seed ()
-      in
-      let sa = Telemetry.Json.to_string a
-      and sb = Telemetry.Json.to_string b in
+      let a = run () in
+      let b = run () in
+      let sa = Telemetry.Json.to_string a and sb = Telemetry.Json.to_string b in
       if not (String.equal sa sb) then begin
         incr failures;
         Printf.printf
@@ -524,8 +448,5 @@ let run ~scale =
         ("cells", Telemetry.Json.List (List.map (fun c -> c.c_json) cells));
       ]
   in
-  let oc = open_out "DEGRADATION_REPORT.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
+  Telemetry.Json.to_file "DEGRADATION_REPORT.json" doc;
   Printf.printf "degradation report written to DEGRADATION_REPORT.json\n%!"

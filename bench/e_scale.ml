@@ -81,26 +81,38 @@ let cell_cfg ~scale ~n =
   Experiments.base_cfg ~machine ~params:escale_params ~scale ~range ~ins:50
     ~del:50 n
 
-let cycles_per_op (o : Workload.Trial.outcome) =
-  if o.Workload.Trial.ops = 0 then infinity
-  else
-    float_of_int o.Workload.Trial.nprocs
-    *. float_of_int o.Workload.Trial.virtual_time
-    /. float_of_int o.Workload.Trial.ops
+(* Three row kinds: "escale" cells (virtual time, exact) and the "sched"
+   and "explore" engine baselines (host wall clock). *)
+let table =
+  let m = Row.metric in
+  {
+    Row.key = [ "kind"; "structure"; "scheme"; "contexts"; "cell"; "domains" ];
+    metrics =
+      [
+        ("ops", m "ops");
+        ("virtual_time", m "cycles");
+        ("cycles_per_op", m ~better:`Lower "cycles/op");
+        ("mops", m ~better:`Higher "Mops/s");
+        ("steps", m "steps");
+        ("runs", m "schedules");
+        ("wall_seconds", m ~exact:false "s");
+        ("steps_per_sec", m ~better:`Higher ~exact:false "steps/s");
+        ("runs_per_sec", m ~better:`Higher ~exact:false "schedules/s");
+      ];
+  }
 
-let json_row ~structure ~scheme ~contexts (o : Workload.Trial.outcome) =
+let escale_row ~structure ~scheme ~contexts (o : Workload.Trial.outcome) =
   let open Telemetry.Json in
-  Obj
-    [
-      ("kind", String "escale");
-      ("structure", String structure);
-      ("scheme", String scheme);
-      ("contexts", Int contexts);
-      ("ops", Int o.Workload.Trial.ops);
-      ("virtual_time", Int o.Workload.Trial.virtual_time);
-      ("cycles_per_op", Float (cycles_per_op o));
-      ("mops", Float o.Workload.Trial.mops);
-    ]
+  [
+    ("kind", String "escale");
+    ("structure", String structure);
+    ("scheme", String scheme);
+    ("contexts", Int contexts);
+    ("ops", Int o.Workload.Trial.ops);
+    ("virtual_time", Int o.Workload.Trial.virtual_time);
+    ("cycles_per_op", Float (Experiments.cycles_per_op o));
+    ("mops", Float o.Workload.Trial.mops);
+  ]
 
 (* One structure's sweep: runners as rows, context counts as columns, each
    cell "cycles/op (xRatio-to-64)". Returns (scheme, [n, cycles/op]). *)
@@ -112,9 +124,9 @@ let sweep ~scale ~structure runners =
           List.map
             (fun n ->
               let o = r.run (cell_cfg ~scale ~n) in
-              Experiments.record_kv_row
-                (json_row ~structure ~scheme:r.rname ~contexts:n o);
-              (n, cycles_per_op o))
+              Row.add table
+                (escale_row ~structure ~scheme:r.rname ~contexts:n o);
+              (n, Experiments.cycles_per_op o))
             contexts_sweep ))
       runners
   in
@@ -191,36 +203,27 @@ let sched_baseline () =
     "  scheduler: %d procs, %d steps, %.2fs wall, %.0f steps/sec\n"
     n r.Sim.steps wall sps;
   let open Telemetry.Json in
-  Experiments.record_kv_row
-    (Obj
-       [
-         ("kind", String "sched");
-         ("contexts", Int n);
-         ("steps", Int r.Sim.steps);
-         ("virtual_time", Int r.Sim.virtual_time);
-         ("wall_seconds", Float wall);
-         ("steps_per_sec", Float sps);
-       ])
+  Row.add table
+    [
+      ("kind", String "sched");
+      ("contexts", Int n);
+      ("steps", Int r.Sim.steps);
+      ("virtual_time", Int r.Sim.virtual_time);
+      ("wall_seconds", Float wall);
+      ("steps_per_sec", Float sps);
+    ]
 
 (* Explore-throughput baseline: one exhausted and one truncated list cell
    of the lincheck matrix through the replay-job engine. *)
 let explore_baseline () =
-  let cfg =
-    {
-      Workload.Lin_harness.default_config with
-      nprocs = 2;
-      ops_per_proc = 3;
-      key_range = 2;
-      prefill = 1;
-    }
-  in
   let workers = !explore_domains in
   List.iter
     (fun scheme ->
       let t0 = Unix.gettimeofday () in
       let v =
         Workload.Lin_harness.explore ~budget:2 ~max_runs:300 ~workers
-          ~ds:"list" ~scheme cfg
+          ~ds:"list" ~scheme
+          Workload.Lin_harness.matrix_config
       in
       let wall = Unix.gettimeofday () -. t0 in
       let runs =
@@ -234,16 +237,15 @@ let explore_baseline () =
         scheme runs wall rps
         (if workers > 1 then Printf.sprintf " (%d domains)" workers else "");
       let open Telemetry.Json in
-      Experiments.record_kv_row
-        (Obj
-           [
-             ("kind", String "explore");
-             ("cell", String ("list x " ^ scheme));
-             ("domains", Int workers);
-             ("runs", Int runs);
-             ("wall_seconds", Float wall);
-             ("runs_per_sec", Float rps);
-           ]))
+      Row.add table
+        [
+          ("kind", String "explore");
+          ("cell", String ("list x " ^ scheme));
+          ("domains", Int workers);
+          ("runs", Int runs);
+          ("wall_seconds", Float wall);
+          ("runs_per_sec", Float rps);
+        ])
     [ "debra"; "ebr" ]
 
 let run ~scale =

@@ -42,13 +42,6 @@ let history_out : string option ref = ref None
 let lin_failures = ref 0
 let current_history : Lincheck.History.recorder option ref = ref None
 
-(* Set by bench/main.ml's --json flag: every trial gets a fresh telemetry
-   recorder (so outcomes carry latency percentiles) and every outcome is
-   appended to [json_rows]; main.ml drains the list into one
-   BENCH_<experiment>.json per experiment. *)
-let json = ref false
-let json_rows : Telemetry.Json.t list ref = ref []
-
 (* Set by bench/main.ml's --backend flag.  Under [`Domains] the trial
    duration is floored to ~20 ms of wall time (1 cycle = 1 ns): sim-scale
    durations are virtual-time budgets and would elapse before every domain
@@ -65,29 +58,34 @@ let percentile_key p =
     ^ String.concat ""
         (String.split_on_char '.' (Printf.sprintf "%.1f" p))
 
-let outcome_json (o : Workload.Trial.outcome) =
-  let open Telemetry.Json in
-  Obj
-    [
-      ("scheme", String o.Workload.Trial.scheme);
-      ("backend", String o.Workload.Trial.backend);
-      ("wall_seconds", Float o.Workload.Trial.wall_seconds);
-      ("nprocs", Int o.Workload.Trial.nprocs);
-      ("ops", Int o.Workload.Trial.ops);
-      ("mops", Float o.Workload.Trial.mops);
-      ("bytes_peak", Int o.Workload.Trial.bytes_peak);
-      ("bytes_claimed", Int o.Workload.Trial.bytes_claimed);
-      ("limbo", Int o.Workload.Trial.limbo);
-      ("neutralized", Int o.Workload.Trial.neutralized);
-      ("oom", Bool o.Workload.Trial.oom);
-      ( "latency_ns",
-        Obj
-          (List.map
-             (fun (kind, ps) ->
-               ( kind,
-                 Obj (List.map (fun (p, v) -> (percentile_key p, Int v)) ps) ))
-             o.Workload.Trial.latency) );
-    ]
+(* Per-op cost in cycles: the busy cycles of all processes over the ops
+   they completed. *)
+let cycles_per_op (o : Workload.Trial.outcome) =
+  if o.Workload.Trial.ops = 0 then infinity
+  else
+    float_of_int o.Workload.Trial.nprocs
+    *. float_of_int o.Workload.Trial.virtual_time
+    /. float_of_int o.Workload.Trial.ops
+
+(* With --json, one row per trial, keyed by its panel (every trial's
+   telemetry recorder adds per-kind latency percentiles). *)
+let trial_table () =
+  let exact = !backend = `Sim in
+  let m ?better unit = Row.metric ?better ~exact unit in
+  {
+    Row.key = [ "panel"; "scheme"; "backend"; "nprocs" ];
+    metrics =
+      [
+        ("wall_seconds", Row.metric ~exact:false "s");
+        ("ops", m "ops");
+        ("mops", m ~better:`Higher "Mops/s");
+        ("bytes_peak", m "bytes");
+        ("bytes_claimed", m "bytes");
+        ("limbo", m "records");
+        ("neutralized", m "processes");
+        ("oom", m "bool");
+      ];
+  }
 
 (* Post-trial history handling: dump and/or WGL-check the recorded
    history.  The check is exponential in overlap; bench-scale histories
@@ -122,18 +120,37 @@ let check_history (o : Workload.Trial.outcome) =
               "  [linearizability: gave up after %d search nodes (%d events) — history too large for WGL; shrink the workload or use --explore]\n%!"
               n (Lincheck.History.ops h))
 
-let record_outcome o =
+let record_outcome ~panel (o : Workload.Trial.outcome) =
   check_history o;
-  if !json then json_rows := outcome_json o :: !json_rows
-
-(* The kv experiment builds its own JSON rows (open-loop runs have no
-   Trial.outcome); it feeds the same accumulator. *)
-let record_kv_row row = if !json then json_rows := row :: !json_rows
+  let open Telemetry.Json in
+  Row.add (trial_table ())
+    [
+      ("panel", String panel);
+      ("scheme", String o.Workload.Trial.scheme);
+      ("backend", String o.Workload.Trial.backend);
+      ("wall_seconds", Float o.Workload.Trial.wall_seconds);
+      ("nprocs", Int o.Workload.Trial.nprocs);
+      ("ops", Int o.Workload.Trial.ops);
+      ("mops", Float o.Workload.Trial.mops);
+      ("bytes_peak", Int o.Workload.Trial.bytes_peak);
+      ("bytes_claimed", Int o.Workload.Trial.bytes_claimed);
+      ("limbo", Int o.Workload.Trial.limbo);
+      ("neutralized", Int o.Workload.Trial.neutralized);
+      ("oom", Bool o.Workload.Trial.oom);
+      ( "latency_ns",
+        Obj
+          (List.map
+             (fun (kind, ps) ->
+               ( kind,
+                 Obj (List.map (fun (p, v) -> (percentile_key p, Int v)) ps) ))
+             o.Workload.Trial.latency) );
+    ]
 
 (* Shadow Common's run_panel so every panel in this file feeds the JSON
-   accumulator. *)
+   rows. *)
 let run_panel ~title ~runners ~threads ~cfg_of =
-  run_panel ~on_outcome:record_outcome ~title ~runners ~threads ~cfg_of ()
+  run_panel ~on_outcome:(record_outcome ~panel:title) ~title ~runners ~threads
+    ~cfg_of ()
 
 let base_cfg ?(machine = Machine.Config.intel_i7_4770)
     ?(params = Reclaim.Intf.Params.default) ~scale ~range ~ins ~del n =
@@ -150,7 +167,7 @@ let base_cfg ?(machine = Machine.Config.intel_i7_4770)
     capacity = range + 400_000;
     sanitize = !sanitize;
     telemetry =
-      (if !json then
+      (if !Row.enabled then
          Some
            (Telemetry.Recorder.create
               ~cycles_per_ns:(Exec.Clock.cycles_per_ns (Exec.Backend.clock !backend))
@@ -273,7 +290,7 @@ let memfig ~scale =
         :: List.concat_map
              (fun r ->
                let o = r.run cfg in
-               record_outcome o;
+               record_outcome ~panel:"memfig" o;
                let mem =
                  Workload.Report.fmt_bytes o.Workload.Trial.bytes_claimed_trial
                in

@@ -13,11 +13,10 @@
     p50/p99/p999 per operation kind and per shard is judged against an
     SLO budget ({!Telemetry.Slo}).
 
-    The store rides on any SET-face structure; keys mix the codec's two
-    paths (even ranks are short injective keys, odd ranks are long hashed
-    session keys), and run-time puts of session keys carry a TTL of a
-    quarter of the schedule span, so lazy expiry drives retire traffic
-    through the unlink-witness path mid-run.
+    Every scheme runs the shared open-loop cell ({!Kv_cell}: codec-mixed
+    keys, session-key TTLs) on a skip-list index, zipfian keys and the
+    session mix.  Rows ({!table}) are one "run" row per scheme plus one
+    "slo" row per verdict.
 
     [--explore-free] (sim only) runs every cell twice and fails loudly if
     the two JSON rows differ by a byte: the whole campaign — arrivals,
@@ -25,301 +24,261 @@
 
 (* Set by bench/main.ml's kv flags. *)
 let shards = ref 4
-let structure = ref "skiplist"
-let dist_name = ref "zipfian"
 let arrival_name = ref "burst"
 let arrival_rate = ref 400_000.0
 let requests = ref 0 (* 0 = pick from scale *)
 let nkeys = ref 4_096
-let mix_name = ref "session"
 let slo_spec = ref "p99=25000,p999=120000"
 let nprocs = ref 4
 let explore_free = ref false
-let scheme_filter = ref "" (* comma list; empty = all *)
+
+(* The campaign's fixed shape: a skip-list index per shard, zipfian key
+   popularity (theta 0.99) and the session mix. *)
+let structure = "skiplist"
+let dist = Loadgen.Dist.Zipfian 0.99
+let mix = Option.get (Loadgen.mix_of_string "session")
 
 type cfg = {
   backend : Exec.Backend.t;
   nprocs : int;
   shards : int;
-  structure : string;
   requests : int;
   nkeys : int;
-  dist : Loadgen.Dist.t;
   arrivals : Loadgen.Arrivals.t;
-  mix : Loadgen.mix;
   slo : Telemetry.Slo.budget;
   seed : int;
 }
 
-(* Even ranks take the codec's short injective path (<= 7 bytes), odd
-   ranks the long hashed-session path with read-time verification. *)
-let key_of_rank r =
-  if r land 1 = 0 then Printf.sprintf "k%06d" r
-  else Printf.sprintf "session:%08d" r
-
-let value_of_rank r = Printf.sprintf "v%024d" r
+(* One row per scheme ([kind] "run") plus one per SLO verdict ([kind]
+   "slo", [class] = the operation kind or shard it judges). *)
+let table ~exact =
+  let m ?better unit = Row.metric ?better ~exact unit in
+  {
+    Row.key =
+      [
+        "kind"; "scheme"; "structure"; "backend"; "shards"; "nprocs";
+        "requests"; "dist"; "arrivals"; "mix"; "class";
+      ];
+    metrics =
+      [
+        ("served", m "requests");
+        ("shed", m "requests");
+        ("failed", m "requests");
+        ("elapsed_cycles", m "cycles");
+        ("throughput_mops", m ~better:`Higher "Mops/s");
+        ("bytes_claimed", m "bytes");
+        ("bytes_per_req", m "bytes");
+        ("limbo_after_flush", m "records");
+        ("live_entries", m "entries");
+        ("slo_pass", m "bool");
+        ("wall_seconds", Row.metric ~exact:false "s");
+        ("count", m "requests");
+        ("demand", m "requests");
+        ("p50_ns", m "ns");
+        ("p99_ns", m ~better:`Lower "ns");
+        ("p999_ns", m "ns");
+        ("pass", m "bool");
+      ];
+  }
 
 type row = {
   scheme : string;
   throughput_mops : float;
   served : int;
   verdicts : Telemetry.Slo.verdict list;
-  json : Telemetry.Json.t;
+  rows : (string * Telemetry.Json.t) list list;
 }
 
-module Make_runner (RM : Reclaim.Intf.RECORD_MANAGER) = struct
-  module Store = Kv.Store.Make (RM)
-
-  let run ~sname (c : cfg) : row =
-    let module E = (val Exec.Backend.runner c.backend) in
-    let clock = E.clock in
-    let group = Runtime.Group.create ~seed:c.seed c.nprocs in
-    (* Worst-case routing skew puts every key on one shard; capacity is
-       per shard, so size each for the whole run. *)
-    let store =
-      Store.create ~structure:c.structure ~shards:c.shards
-        ~capacity_per_shard:(c.nkeys + c.requests) ~group ()
-    in
-    let plan =
-      Loadgen.generate ~n:c.requests ~nkeys:c.nkeys ~dist:c.dist ~mix:c.mix
-        ~arrivals:c.arrivals ~clock ~seed:c.seed
-    in
-    (* Session keys put during the run expire a quarter of the schedule
-       span later, so hot keys are re-read past their deadline and the
-       lazy-expiry retire path runs throughout. *)
-    let ttl_cycles = max 1 (plan.Loadgen.arrivals.(c.requests - 1) / 4) in
-    let ttl_for r = if r land 1 = 1 then Some ttl_cycles else None in
-    (* Prefill (uninstrumented: backend hooks are not installed yet), no
-       TTLs — prefill cannot date deadlines in the backend's time base. *)
-    let ctx0 = Runtime.Group.ctx group 0 in
-    for r = 0 to c.nkeys - 1 do
-      Store.put store ctx0 ~key:(key_of_rank r) ~value:(value_of_rank r)
-    done;
-    let rec_ =
-      Telemetry.Recorder.create
-        ~cycles_per_ns:(Exec.Clock.cycles_per_ns clock)
-        ~nprocs:c.nprocs ()
-    in
-    (* Reclamation-pressure counters (bounded-patience alloc retries and
-       emergency-reclaim escalations) ride the recorder alongside the
-       event-bus counters. *)
-    Telemetry.Recorder.add_counter rec_ ~name:"kv_alloc_retries" (fun () ->
-        (Store.pressure store).Reclaim.Intf.Pressure.alloc_retries);
-    Telemetry.Recorder.add_counter rec_ ~name:"kv_emergency_reclaims"
-      (fun () ->
-        (Store.pressure store).Reclaim.Intf.Pressure.emergency_reclaims);
-    Telemetry.Recorder.add_counter rec_ ~name:"kv_emergency_freed" (fun () ->
-        (Store.pressure store).Reclaim.Intf.Pressure.emergency_freed);
-    let served = Array.make c.nprocs 0 in
-    let noutcomes = List.length Loadgen.outcomes in
-    let oidx : Loadgen.outcome -> int = function
-      | Served -> 0
-      | Shed -> 1
-      | Failed -> 2
-    in
-    let ocounts = Array.make_matrix c.nprocs noutcomes 0 in
-    (* The plain E-kv campaign has no admission control: every request is
-       served.  The overload campaign (e_overload.ml) reuses this runner
-       shape with a per-shard limbo watermark deciding the outcome. *)
-    let exec_op ctx ~due:_ op =
-      let shard =
-        match op with
-        | Loadgen.Get r ->
-            let k = key_of_rank r in
-            ignore (Store.get store ctx k);
-            Store.shard_of_key store k
-        | Loadgen.Put r ->
-            let k = key_of_rank r in
-            Store.put ?ttl:(ttl_for r) store ctx ~key:k
-              ~value:(value_of_rank r);
-            Store.shard_of_key store k
-        | Loadgen.Delete r ->
-            let k = key_of_rank r in
-            ignore (Store.delete store ctx k);
-            Store.shard_of_key store k
-        | Loadgen.Scan (start, len) ->
-            for i = start to start + len - 1 do
-              ignore (Store.get store ctx (key_of_rank (i mod c.nkeys)))
-            done;
-            Store.shard_of_key store (key_of_rank start)
-      in
-      (shard, Loadgen.Served)
-    in
-    (* Each served request lands in two histograms: its operation kind
-       and its shard; unserved outcomes are tallied and charged against
-       demand at judgement time (they sort as infinite latency).  The
-       deterministic simulator records straight into the recorder;
-       domains record into per-pid buffers merged after the run (same
-       machinery as the trial pipeline). *)
-    let locals =
-      if E.deterministic then None else Some (Telemetry.Recorder.locals rec_)
-    in
-    let record =
-      match locals with
-      | None ->
-          fun ~pid ~op ~shard ~outcome ~start ~finish ->
-            ocounts.(pid).(oidx outcome) <- ocounts.(pid).(oidx outcome) + 1;
-            if outcome = Loadgen.Served then begin
-              served.(pid) <- served.(pid) + 1;
-              Telemetry.Recorder.op rec_ ~pid ~kind:(Loadgen.op_kind op)
-                ~start ~finish;
-              Telemetry.Recorder.op rec_ ~pid
-                ~kind:(Printf.sprintf "shard%d" shard)
-                ~start ~finish
-            end
-      | Some ls ->
-          fun ~pid ~op ~shard ~outcome ~start ~finish ->
-            ocounts.(pid).(oidx outcome) <- ocounts.(pid).(oidx outcome) + 1;
-            if outcome = Loadgen.Served then begin
-              served.(pid) <- served.(pid) + 1;
-              Telemetry.Recorder.local_op ls.(pid) ~kind:(Loadgen.op_kind op)
-                ~start ~finish;
-              Telemetry.Recorder.local_op ls.(pid)
-                ~kind:(Printf.sprintf "shard%d" shard)
-                ~start ~finish
-            end
-    in
-    let bodies = Loadgen.bodies plan ~group ~record ~exec_op in
-    let result = E.run group bodies in
-    Option.iter (Telemetry.Recorder.merge_locals rec_) locals;
-    let served = Array.fold_left ( + ) 0 served in
-    Store.check_invariants store;
-    Store.flush store ctx0;
-    let scope = Printf.sprintf "%s/%s" sname c.structure in
-    (* Demand per kind comes from the request plan, not from what the
-       server happened to serve — a shard that sheds everything must
-       not shrink its own denominator. *)
-    let demand_tbl = Hashtbl.create 16 in
-    let bump k =
-      Hashtbl.replace demand_tbl k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt demand_tbl k))
-    in
-    Array.iter
-      (fun op ->
-        bump (Loadgen.op_kind op);
-        let rank =
-          match op with
-          | Loadgen.Get r | Loadgen.Put r | Loadgen.Delete r -> r
-          | Loadgen.Scan (start, _) -> start
-        in
-        bump
-          (Printf.sprintf "shard%d"
-             (Store.shard_of_key store (key_of_rank rank))))
-      plan.Loadgen.ops;
-    let demand_of kind =
-      Option.value ~default:0 (Hashtbl.find_opt demand_tbl kind)
-    in
-    let judge kind =
-      match Telemetry.Recorder.histogram rec_ kind with
-      | None -> None
-      | Some h ->
-          Some
-            (Telemetry.Slo.judge_demand c.slo ~scope ~kind
-               ~demand:(demand_of kind) h)
-    in
-    let kinds =
-      List.filter
-        (fun (k, pct) -> ignore k; pct > 0)
-        [
-          ("get", c.mix.Loadgen.get);
-          ("put", c.mix.Loadgen.put);
-          ("delete", c.mix.Loadgen.delete);
-          ("scan", c.mix.Loadgen.scan);
-        ]
-      |> List.map fst
-    in
-    let shard_kinds =
-      List.init c.shards (fun i -> Printf.sprintf "shard%d" i)
-    in
-    let verdicts = List.filter_map judge (kinds @ shard_kinds) in
-    let throughput_mops =
-      Exec.Clock.mops clock ~ops:served
-        ~cycles:result.Exec.Intf.elapsed_cycles
-    in
-    let json =
-      Telemetry.Json.Obj
-        ([
-           ("experiment", Telemetry.Json.String "kv");
-           ("scheme", Telemetry.Json.String sname);
-           ("structure", Telemetry.Json.String c.structure);
-           ("backend", Telemetry.Json.String E.name);
-           ("shards", Telemetry.Json.Int c.shards);
-           ("nprocs", Telemetry.Json.Int c.nprocs);
-           ("requests", Telemetry.Json.Int c.requests);
-           ("served", Telemetry.Json.Int served);
-           ( "outcomes",
-             Telemetry.Json.Obj
-               (List.map
-                  (fun o ->
-                    ( Loadgen.outcome_name o,
-                      Telemetry.Json.Int
-                        (Array.fold_left
-                           (fun acc per_pid -> acc + per_pid.(oidx o))
-                           0 ocounts) ))
-                  Loadgen.outcomes) );
-           ("dist", Telemetry.Json.String (Loadgen.Dist.to_string c.dist));
-           ( "arrivals",
-             Telemetry.Json.String (Loadgen.Arrivals.to_string c.arrivals) );
-           ("mix", Telemetry.Json.String (Loadgen.mix_to_string c.mix));
-           ("elapsed_cycles", Telemetry.Json.Int result.Exec.Intf.elapsed_cycles);
-           ("throughput_mops", Telemetry.Json.Float throughput_mops);
-           ("bytes_claimed", Telemetry.Json.Int (Store.bytes_claimed store));
-           ( "bytes_per_req",
-             Telemetry.Json.Float
-               (float_of_int (Store.bytes_claimed store)
-               /. float_of_int (max 1 served)) );
-           ("limbo_after_flush", Telemetry.Json.Int (Store.limbo store));
-           ("live_entries", Telemetry.Json.Int (Store.size store));
-           ( "slo_pass",
-             Telemetry.Json.Bool (Telemetry.Slo.all_pass verdicts) );
-           ( "verdicts",
-             Telemetry.Json.List
-               (List.map Telemetry.Slo.verdict_json verdicts) );
-         ]
-        @
-        (* Wall-clock time is genuinely non-deterministic; keeping it out
-           of sim rows keeps `--explore-free` (and the golden test) a
-           byte-identity check. *)
-        if E.deterministic then []
-        else [ ("wall_seconds", Telemetry.Json.Float result.Exec.Intf.wall_seconds) ]
-        )
-    in
-    { scheme = sname; throughput_mops; served; verdicts; json }
-end
+let run (module RM : Reclaim.Intf.RECORD_MANAGER) ~sname (c : cfg) : row =
+  let module C = Kv_cell.Make (RM) in
+  let module E = (val Exec.Backend.runner c.backend) in
+  let clock = E.clock in
+  let group = Runtime.Group.create ~seed:c.seed c.nprocs in
+  let cell =
+    C.setup ~structure ~shards:c.shards ~nkeys:c.nkeys ~requests:c.requests
+      ~dist ~mix ~arrivals:c.arrivals ~clock ~seed:c.seed group
+  in
+  let store = cell.C.store and plan = cell.C.plan in
+  let rec_ =
+    Telemetry.Recorder.create
+      ~cycles_per_ns:(Exec.Clock.cycles_per_ns clock)
+      ~nprocs:c.nprocs ()
+  in
+  (* Reclamation-pressure counters (bounded-patience alloc retries and
+     emergency-reclaim escalations) ride the recorder alongside the
+     event-bus counters. *)
+  Telemetry.Recorder.add_counter rec_ ~name:"kv_alloc_retries" (fun () ->
+      (C.pressure store).Reclaim.Intf.Pressure.alloc_retries);
+  Telemetry.Recorder.add_counter rec_ ~name:"kv_emergency_reclaims" (fun () ->
+      (C.pressure store).Reclaim.Intf.Pressure.emergency_reclaims);
+  Telemetry.Recorder.add_counter rec_ ~name:"kv_emergency_freed" (fun () ->
+      (C.pressure store).Reclaim.Intf.Pressure.emergency_freed);
+  let served = Array.make c.nprocs 0 in
+  let noutcomes = List.length Loadgen.outcomes in
+  let oidx : Loadgen.outcome -> int = function
+    | Served -> 0
+    | Shed -> 1
+    | Failed -> 2
+  in
+  let ocounts = Array.make_matrix c.nprocs noutcomes 0 in
+  (* No admission control: every request is served (the overload
+     campaign puts a per-shard limbo watermark in front of the same
+     cell). *)
+  let exec_op ctx ~due:_ op =
+    let shard, _, work = C.request cell ctx op in
+    work ();
+    (shard, Loadgen.Served)
+  in
+  (* Each served request lands in two histograms: its operation kind and
+     its shard; unserved outcomes are tallied and charged against demand
+     at judgement time (they sort as infinite latency).  The
+     deterministic simulator records straight into the recorder; domains
+     record into per-pid buffers merged after the run (same machinery as
+     the trial pipeline). *)
+  let locals =
+    if E.deterministic then None else Some (Telemetry.Recorder.locals rec_)
+  in
+  let latency =
+    match locals with
+    | None ->
+        fun pid kind start finish ->
+          Telemetry.Recorder.op rec_ ~pid ~kind ~start ~finish
+    | Some ls ->
+        fun pid kind start finish ->
+          Telemetry.Recorder.local_op ls.(pid) ~kind ~start ~finish
+  in
+  let record ~pid ~op ~shard ~outcome ~start ~finish =
+    ocounts.(pid).(oidx outcome) <- ocounts.(pid).(oidx outcome) + 1;
+    if outcome = Loadgen.Served then begin
+      served.(pid) <- served.(pid) + 1;
+      latency pid (Loadgen.op_kind op) start finish;
+      latency pid (Printf.sprintf "shard%d" shard) start finish
+    end
+  in
+  let bodies = Loadgen.bodies plan ~group ~record ~exec_op in
+  let result = E.run group bodies in
+  Option.iter (Telemetry.Recorder.merge_locals rec_) locals;
+  let served = Array.fold_left ( + ) 0 served in
+  C.check_invariants store;
+  C.flush store cell.C.ctx0;
+  let scope = Printf.sprintf "%s/%s" sname structure in
+  (* Demand per kind comes from the request plan, not from what the
+     server happened to serve — a shard that sheds everything must not
+     shrink its own denominator. *)
+  let demand_tbl = Hashtbl.create 16 in
+  let bump k =
+    Hashtbl.replace demand_tbl k
+      (1 + Option.value ~default:0 (Hashtbl.find_opt demand_tbl k))
+  in
+  Array.iter
+    (fun op ->
+      bump (Loadgen.op_kind op);
+      bump
+        (Printf.sprintf "shard%d"
+           (C.shard_of_key store (Kv_cell.key_of_rank (Kv_cell.rank op)))))
+    plan.Loadgen.ops;
+  let demand_of kind =
+    Option.value ~default:0 (Hashtbl.find_opt demand_tbl kind)
+  in
+  let judge kind =
+    match Telemetry.Recorder.histogram rec_ kind with
+    | None -> None
+    | Some h ->
+        Some
+          (Telemetry.Slo.judge_demand c.slo ~scope ~kind
+             ~demand:(demand_of kind) h)
+  in
+  let kinds =
+    List.filter
+      (fun (_, pct) -> pct > 0)
+      [
+        ("get", mix.Loadgen.get);
+        ("put", mix.Loadgen.put);
+        ("delete", mix.Loadgen.delete);
+        ("scan", mix.Loadgen.scan);
+      ]
+    |> List.map fst
+  in
+  let shard_kinds = List.init c.shards (fun i -> Printf.sprintf "shard%d" i) in
+  let verdicts = List.filter_map judge (kinds @ shard_kinds) in
+  let throughput_mops =
+    Exec.Clock.mops clock ~ops:served ~cycles:result.Exec.Intf.elapsed_cycles
+  in
+  let open Telemetry.Json in
+  let key kind =
+    [
+      ("kind", String kind);
+      ("scheme", String sname);
+      ("structure", String structure);
+      ("backend", String E.name);
+      ("shards", Int c.shards);
+      ("nprocs", Int c.nprocs);
+      ("requests", Int c.requests);
+      ("dist", String (Loadgen.Dist.to_string dist));
+      ("arrivals", String (Loadgen.Arrivals.to_string c.arrivals));
+      ("mix", String (Loadgen.mix_to_string mix));
+    ]
+  in
+  let outcome o =
+    ( Loadgen.outcome_name o,
+      Int (Array.fold_left (fun n per_pid -> n + per_pid.(oidx o)) 0 ocounts) )
+  in
+  let run_row =
+    key "run"
+    @ [
+        ("served", Int served);
+        outcome Loadgen.Shed;
+        outcome Loadgen.Failed;
+        ("elapsed_cycles", Int result.Exec.Intf.elapsed_cycles);
+        ("throughput_mops", Float throughput_mops);
+        ("bytes_claimed", Int (C.bytes_claimed store));
+        ( "bytes_per_req",
+          Float
+            (float_of_int (C.bytes_claimed store)
+            /. float_of_int (max 1 served)) );
+        ("limbo_after_flush", Int (C.limbo store));
+        ("live_entries", Int (C.size store));
+        ("slo_pass", Bool (Telemetry.Slo.all_pass verdicts));
+      ]
+    (* Wall-clock time is genuinely non-deterministic; keeping it out of
+       sim rows keeps `--explore-free` (and the golden test) a
+       byte-identity check. *)
+    @
+    if E.deterministic then []
+    else [ ("wall_seconds", Float result.Exec.Intf.wall_seconds) ]
+  in
+  let slo_row (v : Telemetry.Slo.verdict) =
+    key "slo"
+    @ [
+        ("class", String v.Telemetry.Slo.kind);
+        ("count", Int v.Telemetry.Slo.count);
+        ("demand", Int v.Telemetry.Slo.demand);
+        ("p50_ns", Int v.Telemetry.Slo.p50);
+        ("p99_ns", Int v.Telemetry.Slo.p99);
+        ("p999_ns", Int v.Telemetry.Slo.p999);
+        ("pass", Bool v.Telemetry.Slo.pass);
+      ]
+  in
+  {
+    scheme = sname;
+    throughput_mops;
+    served;
+    verdicts;
+    rows = run_row :: List.map slo_row verdicts;
+  }
 
 (* The campaign's columns, in order. *)
 let scheme_names = [ "none"; "ebr"; "debra"; "debra+"; "hp"; "vbr"; "hyaline" ]
-
-let schemes : (string * (sname:string -> cfg -> row)) list =
-  List.map
-    (fun s ->
-      let module RM = (val Reclaim.Registry.(rm Exp2 (find s))) in
-      let module R = Make_runner (RM) in
-      (s, R.run))
-    scheme_names
+let schemes = List.map (fun s -> (s, Kv_cell.rm s)) scheme_names
 
 let cfg_of_flags ~scale =
   let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt in
-  let dist =
-    match Loadgen.Dist.of_string !dist_name with
-    | Some d -> d
-    | None ->
-        fail "kv: unknown distribution %S (expected %s)" !dist_name
-          (String.concat "|" Loadgen.Dist.names)
-  in
   let arrivals =
     match Loadgen.Arrivals.of_spec ~rate:!arrival_rate !arrival_name with
     | Some a -> a
     | None ->
         fail "kv: unknown arrival pattern %S (expected %s)" !arrival_name
           (String.concat "|" Loadgen.Arrivals.names)
-  in
-  let mix =
-    match Loadgen.mix_of_string !mix_name with
-    | Some m -> m
-    | None ->
-        fail "kv: unknown mix %S (expected %s)" !mix_name
-          (String.concat "|" Loadgen.mix_names)
   in
   let slo =
     match Telemetry.Slo.budget_of_spec !slo_spec with
@@ -335,12 +294,9 @@ let cfg_of_flags ~scale =
     backend = !Experiments.backend;
     nprocs = !nprocs;
     shards = !shards;
-    structure = !structure;
     requests;
     nkeys = !nkeys;
-    dist;
     arrivals;
-    mix;
     slo;
     seed = 7;
   }
@@ -373,29 +329,18 @@ let run ~scale =
      %s arrivals | %s | mix %s | SLO %s\n\n\
      %!"
     (Exec.Backend.to_string cfg.backend)
-    cfg.shards cfg.structure cfg.nprocs cfg.requests cfg.nkeys
+    cfg.shards structure cfg.nprocs cfg.requests cfg.nkeys
     (Loadgen.Arrivals.to_string cfg.arrivals)
-    (Loadgen.Dist.to_string cfg.dist)
-    (Loadgen.mix_to_string cfg.mix)
+    (Loadgen.Dist.to_string dist)
+    (Loadgen.mix_to_string mix)
     !slo_spec;
-  let selected =
-    if !scheme_filter = "" then schemes
-    else
-      let want = String.split_on_char ',' !scheme_filter in
-      let missing =
-        List.filter (fun w -> not (List.mem_assoc w schemes)) want
-      in
-      if missing <> [] then begin
-        Printf.eprintf "kv: unknown scheme(s) %s (expected %s)\n"
-          (String.concat "," missing)
-          (String.concat "|" (List.map fst schemes));
-        exit 2
-      end;
-      List.filter (fun (s, _) -> List.mem s want) schemes
+  let table = table ~exact:(cfg.backend = `Sim) in
+  let rows_text r =
+    Telemetry.Json.(to_string (List (List.map (fun f -> Obj f) r.rows)))
   in
   List.iter
-    (fun (sname, run) ->
-      let r = run ~sname cfg in
+    (fun (sname, rm) ->
+      let r = run rm ~sname cfg in
       (if !explore_free then
          match cfg.backend with
          | `Domains ->
@@ -404,9 +349,7 @@ let run ~scale =
                 skipping the replay check\n\
                 %!"
          | `Sim ->
-             let r2 = run ~sname cfg in
-             let a = Telemetry.Json.to_string r.json
-             and b = Telemetry.Json.to_string r2.json in
+             let a = rows_text r and b = rows_text (run rm ~sname cfg) in
              if not (String.equal a b) then begin
                Printf.eprintf
                  "kv: %s replay diverged under --explore-free:\n%s\n%s\n" sname
@@ -414,5 +357,5 @@ let run ~scale =
                exit 1
              end);
       print_row r;
-      Experiments.record_kv_row r.json)
-    selected
+      List.iter (Row.add table) r.rows)
+    (Kv_cell.select ~campaign:"kv" fst schemes)

@@ -12,16 +12,21 @@
     - micro    Bechamel microbenchmarks of the Record Manager primitives
     - e-stall  stalled-process campaign: limbo time series, DEBRA vs DEBRA+
     - e-chaos  fault-injection campaign: crashes, signal loss, bounded memory
+    - all      every experiment above
+    - kv       open-loop sharded KV store with SLO verdicts (BENCH_KV.json)
+    - e-overload  chaos under load behind a limbo watermark
+               (DEGRADATION_REPORT.json)
     - e-scale  context-count scaling campaign (64 -> 256 -> 1024): per-op
                cost divergence HP vs DEBRA/DEBRA+, plus scheduler and
                explorer throughput baselines (BENCH_SIM.json)
     - sweep    VBR / Hyaline vs DEBRA+ on two structures and both
-               backends (BENCH_SWEEP.json; sim cells regression-gated)
-    - all      everything above
+               backends (BENCH_SWEEP.json)
 
     [--full] uses the paper-scale key ranges and thread counts (slow); the
     default "quick" scale shrinks the big key range and the grid.
-    [--json] also writes one BENCH_<experiment>.json per experiment;
+    [--json] also writes one BENCH_<experiment>.json per experiment, in
+    the row shape of bench/row.ml;
+    [--schemes LIST] runs a subset of kv's or e-overload's schemes;
     [--trace FILE] / [--metrics-out FILE] apply to e-stall;
     [--chaos-seed N] replays one e-chaos seed instead of the sweep.
 
@@ -33,37 +38,36 @@
     exceed the checker budget — it says so honestly); [--history-out
     FILE] dumps the last trial's history as JSON. *)
 
-let known =
+(* (name, part of "all", run), in the order "all" runs them. *)
+let runs =
   [
-    "exp1"; "exp2"; "exp2-t4"; "exp3"; "memfig"; "schemes"; "summary";
-    "ablate"; "micro"; "e-stall"; "e-chaos"; "kv"; "e-overload"; "e-scale";
-    "sweep"; "all";
+    ("schemes", true, fun ~scale:_ -> Fig2.print ());
+    ("exp1", true, Experiments.exp1);
+    ("exp2", true, Experiments.exp2);
+    ("exp2-t4", true, Experiments.exp2_t4);
+    ("exp3", true, Experiments.exp3);
+    ("memfig", true, Experiments.memfig);
+    ("summary", true, Summary.run);
+    ("ablate", true, Experiments.ablate);
+    ("micro", true, fun ~scale:_ -> Micro.run ());
+    ("e-stall", true, Stall.run);
+    ("e-chaos", true, E_chaos.run);
+    ("kv", false, Kv_bench.run);
+    ("e-overload", false, E_overload.run);
+    ("e-scale", false, E_scale.run);
+    ("sweep", false, Sweep.run);
   ]
 
-let run_one ~scale = function
-  | "exp1" -> Experiments.exp1 ~scale
-  | "exp2" -> Experiments.exp2 ~scale
-  | "exp2-t4" -> Experiments.exp2_t4 ~scale
-  | "exp3" -> Experiments.exp3 ~scale
-  | "memfig" -> Experiments.memfig ~scale
-  | "schemes" -> Fig2.print ()
-  | "summary" -> Summary.run ~scale
-  | "ablate" -> Experiments.ablate ~scale
-  | "micro" -> Micro.run ()
-  | "e-stall" -> Stall.run ~scale
-  | "e-chaos" -> E_chaos.run ~scale
-  | "kv" -> Kv_bench.run ~scale
-  | "e-overload" -> E_overload.run ~scale
-  | "e-scale" -> E_scale.run ~scale
-  | "sweep" -> Sweep.run ~scale
-  | name -> Printf.eprintf "unknown experiment %S\n" name
+let run_one ~scale name =
+  match List.find_opt (fun (n, _, _) -> n = name) runs with
+  | Some (_, _, run) -> run ~scale
+  | None -> Printf.eprintf "unknown experiment %S\n" name
 
-(* With --json, each experiment's outcomes (accumulated by
-   Experiments.record_outcome) are drained into BENCH_<experiment>.json. *)
+(* With --json, each experiment's rows (Row.add) are drained into
+   BENCH_<experiment>.json. *)
 let run_one_json ~scale name =
-  Experiments.json_rows := [];
   run_one ~scale name;
-  if !Experiments.json then begin
+  if !Row.enabled then begin
     (* The kv campaign's baseline is checked in as BENCH_KV.json, the
        e-scale campaign's as BENCH_SIM.json, and the VBR/Hyaline sweep's
        as BENCH_SWEEP.json. *)
@@ -75,18 +79,7 @@ let run_one_json ~scale name =
         | "sweep" -> "SWEEP"
         | n -> n)
     in
-    let doc =
-      Telemetry.Json.Obj
-        [
-          ("experiment", Telemetry.Json.String name);
-          ( "results",
-            Telemetry.Json.List (List.rev !Experiments.json_rows) );
-        ]
-    in
-    let oc = open_out file in
-    output_string oc (Telemetry.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
+    Row.write ~experiment:name file;
     Printf.printf "json results written to %s\n%!" file
   end
 
@@ -95,66 +88,39 @@ let run_one_json ~scale name =
    fans the replay jobs across worker domains with identical verdicts. *)
 let run_explore ~budget ~workers ~full =
   let max_runs = if full then 2_000 else 300 in
-  let cfg =
-    {
-      Workload.Lin_harness.default_config with
-      nprocs = 2;
-      ops_per_proc = 3;
-      key_range = 2;
-      prefill = 1;
-    }
-  in
+  let cfg = Workload.Lin_harness.matrix_config in
   Printf.printf
     "systematic exploration matrix: %d procs x %d ops, preemption budget %d, <=%d schedules/cell%s\n%!"
     cfg.Workload.Lin_harness.nprocs cfg.Workload.Lin_harness.ops_per_proc
     budget max_runs
     (if workers > 1 then Printf.sprintf ", %d domains" workers else "");
-  let failures = ref 0 in
-  List.iter
-    (fun ds ->
-      List.iter
-        (fun scheme ->
-          let v =
-            Workload.Lin_harness.explore ~budget ~max_runs ~workers ~ds
-              ~scheme cfg
-          in
-          (match v with
-          | Lincheck.Explore.Fail _ -> incr failures
-          | Lincheck.Explore.Pass _ -> ());
-          Printf.printf "%-9s x %-11s %s\n%!" ds scheme
-            (Workload.Lin_harness.verdict_summary v))
-        Workload.Lin_harness.scheme_names)
-    Workload.Lin_harness.ds_names;
-  if !failures > 0 then begin
-    Printf.eprintf "exploration: %d cell(s) rejected\n" !failures;
+  let failures = Workload.Lin_harness.matrix ~budget ~max_runs ~workers in
+  if failures > 0 then begin
+    Printf.eprintf "exploration: %d cell(s) rejected\n" failures;
     exit 1
   end
 
 let main experiments backend full sanitize json trace metrics_out chaos_seed
     explore explore_domains check_lin history_out
-    (shards, structure, dist, arrival, rate, requests, nkeys, mix, slo, procs,
-     explore_free, kv_schemes) (overload_requests, overload_schemes) =
+    (shards, arrival, rate, requests, nkeys, slo, procs, explore_free)
+    overload_requests schemes =
   Kv_bench.shards := shards;
-  Kv_bench.structure := structure;
-  Kv_bench.dist_name := dist;
   Kv_bench.arrival_name := arrival;
   Kv_bench.arrival_rate := rate;
   Kv_bench.requests := requests;
   Kv_bench.nkeys := nkeys;
-  Kv_bench.mix_name := mix;
   Kv_bench.slo_spec := slo;
   Kv_bench.nprocs := procs;
   Kv_bench.explore_free := explore_free;
-  Kv_bench.scheme_filter := kv_schemes;
   E_overload.requests := overload_requests;
-  E_overload.scheme_filter := overload_schemes;
+  Kv_cell.filter := schemes;
   E_scale.explore_domains := explore_domains;
   match explore with
   | Some budget -> run_explore ~budget ~workers:explore_domains ~full
   | None ->
   Experiments.backend := backend;
   Experiments.sanitize := sanitize;
-  Experiments.json := json;
+  Row.enabled := json;
   Experiments.check_lin := check_lin;
   Experiments.history_out := history_out;
   Stall.trace_file := trace;
@@ -167,10 +133,7 @@ let main experiments backend full sanitize json trace metrics_out chaos_seed
   let experiments = if experiments = [] then [ "all" ] else experiments in
   let experiments =
     if List.mem "all" experiments then
-      [
-        "schemes"; "exp1"; "exp2"; "exp2-t4"; "exp3"; "memfig"; "summary";
-        "ablate"; "micro"; "e-stall"; "e-chaos";
-      ]
+      List.filter_map (fun (n, all, _) -> if all then Some n else None) runs
     else experiments
   in
   Printf.printf
@@ -206,7 +169,8 @@ open Cmdliner
 
 let experiments_arg =
   let doc =
-    Printf.sprintf "Experiments to run: %s." (String.concat ", " known)
+    Printf.sprintf "Experiments to run: %s, all."
+      (String.concat ", " (List.map (fun (n, _, _) -> n) runs))
   in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
@@ -242,8 +206,8 @@ let sanitize_arg =
 let json_arg =
   let doc =
     "Attach a telemetry recorder to every trial and write one \
-     BENCH_<experiment>.json per experiment (scheme, nprocs, Mops/s, peak \
-     bytes, limbo, latency percentiles)."
+     BENCH_<experiment>.json per experiment: its key fields, its declared \
+     metrics (unit, direction, exactness) and one row per trial or cell."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
@@ -307,22 +271,6 @@ let kv_args =
       & info [ "shards" ] ~docv:"N"
           ~doc:"kv: number of store shards (one record manager each).")
   in
-  let structure =
-    Arg.(
-      value & opt string "skiplist"
-      & info [ "structure" ] ~docv:"DS"
-          ~doc:
-            "kv: index structure per shard: $(b,skiplist), $(b,bst), \
-             $(b,hm_list) or $(b,hash).")
-  in
-  let dist =
-    Arg.(
-      value & opt string "zipfian"
-      & info [ "dist" ] ~docv:"DIST"
-          ~doc:
-            "kv: key-popularity distribution: $(b,uniform), $(b,zipfian) \
-             (theta 0.99) or $(b,zipfian:<theta>).")
-  in
   let arrival =
     Arg.(
       value & opt string "burst"
@@ -352,14 +300,6 @@ let kv_args =
       value & opt int 4096
       & info [ "nkeys" ] ~docv:"N" ~doc:"kv: size of the key universe.")
   in
-  let mix =
-    Arg.(
-      value & opt string "session"
-      & info [ "mix" ] ~docv:"MIX"
-          ~doc:
-            "kv: operation mix preset: $(b,read_heavy), $(b,session), \
-             $(b,write_heavy) or $(b,scan_heavy).")
-  in
   let slo =
     Arg.(
       value & opt string "p99=25000,p999=120000"
@@ -382,41 +322,27 @@ let kv_args =
              rows are byte-identical (deterministic-replay self-check; \
              skipped on the domains backend).")
   in
-  let schemes =
-    Arg.(
-      value & opt string ""
-      & info [ "kv-schemes" ] ~docv:"LIST"
-          ~doc:
-            ("kv: comma-separated subset of schemes to run (default all: "
-            ^ String.concat "," Kv_bench.scheme_names
-            ^ ")."))
-  in
   Term.(
-    const (fun a b c d e f g h i j k l -> (a, b, c, d, e, f, g, h, i, j, k, l))
-    $ shards $ structure $ dist $ arrival $ rate $ requests $ nkeys $ mix
-    $ slo $ procs $ explore_free $ schemes)
+    const (fun a b c d e f g h -> (a, b, c, d, e, f, g, h))
+    $ shards $ arrival $ rate $ requests $ nkeys $ slo $ procs $ explore_free)
 
-(* Flags of the e-overload campaign. *)
-let overload_args =
-  let requests =
-    Arg.(
-      value & opt int 0
-      & info [ "overload-requests" ] ~docv:"N"
-          ~doc:
-            "e-overload: requests per cell (0 = 6000, or 20000 with \
-             --full).")
-  in
-  let schemes =
-    Arg.(
-      value & opt string ""
-      & info [ "overload-schemes" ] ~docv:"LIST"
-          ~doc:
-            ("e-overload: comma-separated subset of schemes to run (default \
-              all: "
-            ^ String.concat "," (List.map (fun (s, _, _) -> s) E_overload.schemes)
-            ^ ")."))
-  in
-  Term.(const (fun a b -> (a, b)) $ requests $ schemes)
+let overload_requests_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "overload-requests" ] ~docv:"N"
+        ~doc:"e-overload: requests per cell (0 = 6000, or 20000 with --full).")
+
+let schemes_arg =
+  let names l = String.concat "," l in
+  Arg.(
+    value & opt string ""
+    & info [ "schemes" ] ~docv:"LIST"
+        ~doc:
+          (Printf.sprintf
+             "kv / e-overload: comma-separated subset of the campaign's \
+              schemes to run (default all; kv: %s; e-overload: %s)."
+             (names Kv_bench.scheme_names)
+             (names (List.map (fun (s, _, _) -> s) E_overload.schemes))))
 
 let cmd =
   let doc = "Reproduce the tables and figures of the DEBRA/DEBRA+ paper" in
@@ -426,6 +352,6 @@ let cmd =
       const main $ experiments_arg $ backend_arg $ full_arg $ sanitize_arg
       $ json_arg $ trace_arg $ metrics_arg $ chaos_seed_arg $ explore_arg
       $ explore_domains_arg $ check_lin_arg $ history_out_arg $ kv_args
-      $ overload_args)
+      $ overload_requests_arg $ schemes_arg)
 
 let () = exit (Cmd.eval cmd)

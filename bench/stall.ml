@@ -91,7 +91,7 @@ let run ~scale =
           }
         in
         let o = r.run cfg in
-        Experiments.record_outcome o;
+        Experiments.record_outcome ~panel:"e-stall" o;
         (r.rname, rec_, o))
       (scheme_runners ())
   in
@@ -189,10 +189,7 @@ let run ~scale =
                    results) );
           ]
       in
-      let oc = open_out file in
-      output_string oc (Telemetry.Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
+      Telemetry.Json.to_file file doc;
       Printf.printf "metrics written to %s\n" file);
   match !trace_file with
   | None -> ()

@@ -10,10 +10,10 @@
       (tools/bench_gate.py) holds them to the normal tolerance against
       the checked-in baseline;
     - {e domains} cells run on real OCaml 5 domains against the wall
-      clock: their throughput is recorded as [wall_mops] — a field the
-      gate's direction tables deliberately do not know — so the rows
-      document real-parallelism behaviour without making CI hostage to
-      runner hardware.
+      clock: their throughput is recorded as [wall_mops], declared
+      informational (no direction), so the rows document
+      real-parallelism behaviour without making CI hostage to runner
+      hardware.
 
     Every cell reuses the exp2-shape workload (prefilled structure,
     50i-50d, reclaimed records reused through the pool), so the numbers
@@ -25,12 +25,24 @@
 let structures = [ ("bst", "zoo"); ("list", "exp2") ]
 let schemes = [ "debra+"; "vbr"; "hyaline" ]
 
-let cycles_per_op (o : Workload.Trial.outcome) =
-  if o.Workload.Trial.ops = 0 then infinity
-  else
-    float_of_int o.Workload.Trial.nprocs
-    *. float_of_int o.Workload.Trial.virtual_time
-    /. float_of_int o.Workload.Trial.ops
+(* Sim cells are exact and gated; domains cells' wall-clock throughput
+   ([wall_mops], from ~0.03 s runs) and op counts vary run to run and are
+   informational. *)
+let table =
+  let m = Row.metric in
+  {
+    Row.key = [ "kind"; "structure"; "scheme"; "cell" ];
+    metrics =
+      [
+        ("ops", m ~exact:false "ops");
+        ("virtual_time", m "cycles");
+        ("limbo", m "records");
+        ("cycles_per_op", m ~better:`Lower "cycles/op");
+        ("mops", m ~better:`Higher "Mops/s");
+        ("wall_seconds", m ~exact:false "s");
+        ("wall_mops", m ~exact:false "Mops/s");
+      ];
+  }
 
 let sweep_cfg ~backend ~scale ~n ~range =
   {
@@ -60,33 +72,29 @@ let sweep_cfg ~backend ~scale ~n ~range =
 
 let sim_row ~structure ~scheme (o : Workload.Trial.outcome) =
   let open Telemetry.Json in
-  Obj
-    [
-      ("kind", String "sweep");
-      ("structure", String structure);
-      ("scheme", String scheme);
-      ("cell", String "sim");
-      ("ops", Int o.Workload.Trial.ops);
-      ("virtual_time", Int o.Workload.Trial.virtual_time);
-      ("limbo", Int o.Workload.Trial.limbo);
-      ("cycles_per_op", Float (cycles_per_op o));
-      ("mops", Float o.Workload.Trial.mops);
-    ]
+  [
+    ("kind", String "sweep");
+    ("structure", String structure);
+    ("scheme", String scheme);
+    ("cell", String "sim");
+    ("ops", Int o.Workload.Trial.ops);
+    ("virtual_time", Int o.Workload.Trial.virtual_time);
+    ("limbo", Int o.Workload.Trial.limbo);
+    ("cycles_per_op", Float (Experiments.cycles_per_op o));
+    ("mops", Float o.Workload.Trial.mops);
+  ]
 
-(* Wall-clock throughput under a deliberately different name: wall time
-   is genuinely non-deterministic, and the gate gates what it knows. *)
 let domains_row ~structure ~scheme (o : Workload.Trial.outcome) =
   let open Telemetry.Json in
-  Obj
-    [
-      ("kind", String "sweep");
-      ("structure", String structure);
-      ("scheme", String scheme);
-      ("cell", String "domains");
-      ("ops", Int o.Workload.Trial.ops);
-      ("wall_seconds", Float o.Workload.Trial.wall_seconds);
-      ("wall_mops", Float o.Workload.Trial.mops);
-    ]
+  [
+    ("kind", String "sweep");
+    ("structure", String structure);
+    ("scheme", String scheme);
+    ("cell", String "domains");
+    ("ops", Int o.Workload.Trial.ops);
+    ("wall_seconds", Float o.Workload.Trial.wall_seconds);
+    ("wall_mops", Float o.Workload.Trial.mops);
+  ]
 
 let run ~scale =
   let n = 4 and range = scale.Experiments.small_range in
@@ -111,13 +119,13 @@ let run ~scale =
               ( sim_row ~structure ~scheme o,
                 Printf.sprintf "%s  (%.0f cycles/op)"
                   (Workload.Report.fmt_mops o.Workload.Trial.mops)
-                  (cycles_per_op o) )
+                  (Experiments.cycles_per_op o) )
           | `Domains ->
               ( domains_row ~structure ~scheme o,
                 Printf.sprintf "%s wall"
                   (Workload.Report.fmt_mops o.Workload.Trial.mops) )
         in
-        Experiments.record_kv_row json;
+        Row.add table json;
         rows :=
           [
             structure;

@@ -233,11 +233,7 @@ let of_json j : t =
       a
   | _ -> fail "events: expected list"
 
-let save h path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (J.to_string (to_json h)))
+let save h path = J.to_file ~newline:false path (to_json h)
 
 let load path =
   let ic = open_in path in

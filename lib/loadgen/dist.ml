@@ -7,22 +7,9 @@
 
 type t = Uniform | Zipfian of float
 
-let of_string = function
-  | "uniform" -> Some Uniform
-  | "zipfian" | "zipf" -> Some (Zipfian 0.99)
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "zipfian" -> (
-          match float_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-          | Some theta when theta > 0.0 -> Some (Zipfian theta)
-          | _ -> None)
-      | _ -> None)
-
 let to_string = function
   | Uniform -> "uniform"
   | Zipfian theta -> Printf.sprintf "zipfian:%.2f" theta
-
-let names = [ "uniform"; "zipfian"; "zipfian:<theta>" ]
 
 (* [sampler t ~nkeys] returns a rank sampler in [0, nkeys). *)
 let sampler t ~nkeys =

@@ -2,11 +2,7 @@
 
 type t = Uniform | Zipfian of float  (** theta, YCSB-style *)
 
-val of_string : string -> t option
-(** ["uniform"], ["zipfian"] (theta 0.99) or ["zipfian:<theta>"]. *)
-
 val to_string : t -> string
-val names : string list
 
 val sampler : t -> nkeys:int -> Random.State.t -> int
 (** Draw a key rank in [\[0, nkeys)]; rank 0 is the hottest key. *)

@@ -49,8 +49,6 @@ let mix_of_string = function
 let mix_to_string m =
   Printf.sprintf "get=%d,put=%d,delete=%d,scan=%d" m.get m.put m.delete m.scan
 
-let mix_names = [ "read_heavy"; "session"; "write_heavy"; "scan_heavy" ]
-
 let op_kind = function
   | Get _ -> "get"
   | Put _ -> "put"

@@ -17,7 +17,6 @@ val mix_of_string : string -> mix option
 (** Preset mixes: [read_heavy], [session], [write_heavy], [scan_heavy]. *)
 
 val mix_to_string : mix -> string
-val mix_names : string list
 
 val op_kind : op -> string
 (** ["get"], ["put"], ["delete"] or ["scan"] — telemetry kind names. *)

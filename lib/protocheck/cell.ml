@@ -13,24 +13,10 @@
 
 open Reclaim
 
-(* Fresh-world parameters: tiny thresholds so retire/scan/advance paths are
-   reached by a short script; enough HP slots for the skiplist's towers;
-   ThreadScan buffers everything until the final flush (its signal-scan is
-   genuinely unsound under concurrent traversal — moot single-process, but
-   keep the sanitizer-matrix configuration). *)
-let params =
-  {
-    Intf.Params.default with
-    Intf.Params.block_capacity = 4;
-    check_thresh = 1;
-    incr_thresh = 1;
-    pool_cap_blocks = 2;
-    hp_slots = 48;
-    hp_retire_factor = 1;
-    suspect_blocks = 1;
-    st_segment_accesses = 4;
-    ts_buffer_blocks = 1000;
-  }
+(* Fresh-world parameters: aggressive knobs so retire/scan/advance paths
+   are reached by a short script; enough HP slots for the skiplist's
+   towers. *)
+let params = { Intf.Params.aggressive with hp_slots = 48 }
 
 let capacity = 512
 let single_cap = 64

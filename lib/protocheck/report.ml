@@ -33,63 +33,56 @@ type cell_result = {
 
 let clean c = c.violations = 0 && c.crashed = 0
 
-(* --- hand-rolled JSON (no external dependencies) --- *)
+module J = Telemetry.Json
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_string s = Printf.sprintf "\"%s\"" (escape s)
-
-let json_list f l = "[" ^ String.concat "," (List.map f l) ^ "]"
+let strings l = J.List (List.map (fun s -> J.String s) l)
 
 let json_violation (v : Engine.violation) =
-  Printf.sprintf
-    "{\"kind\":%s,\"pid\":%d,\"seq\":%d,\"record\":%s,\"detail\":%s,\"trace\":%s}"
-    (json_string (Engine.kind_name v.Engine.kind))
-    v.Engine.pid v.Engine.seq
-    (json_string (Memory.Ptr.to_string v.Engine.ptr))
-    (json_string v.Engine.detail)
-    (json_list json_string v.Engine.trace)
+  J.Obj
+    [
+      ("kind", J.String (Engine.kind_name v.Engine.kind));
+      ("pid", J.Int v.Engine.pid);
+      ("seq", J.Int v.Engine.seq);
+      ("record", J.String (Memory.Ptr.to_string v.Engine.ptr));
+      ("detail", J.String v.Engine.detail);
+      ("trace", strings v.Engine.trace);
+    ]
 
 let json_counterexample = function
-  | None -> "null"
+  | None -> J.Null
   | Some ce ->
-      Printf.sprintf "{\"deny\":%s,\"decisions\":%s,\"violations\":%s}"
-        (json_list string_of_int ce.deny)
-        (json_list json_string ce.decisions)
-        (json_list json_violation ce.violations)
+      J.Obj
+        [
+          ("deny", J.List (List.map (fun i -> J.Int i) ce.deny));
+          ("decisions", strings ce.decisions);
+          ("violations", J.List (List.map json_violation ce.violations));
+        ]
 
 let json_cell c =
-  Printf.sprintf
-    "{\"structure\":%s,\"scheme\":%s,\"paths\":%d,\"branch_points\":%d,\"diverged\":%d,\"crashed\":%d,\"violations\":%d,\"clean\":%b,\"counterexample\":%s}"
-    (json_string c.structure) (json_string c.scheme) c.paths c.branch_points
-    c.diverged c.crashed c.violations (clean c)
-    (json_counterexample c.counterexample)
-
-let to_json cells =
-  let total_paths = List.fold_left (fun a c -> a + c.paths) 0 cells in
-  let dirty = List.filter (fun c -> not (clean c)) cells in
-  Printf.sprintf
-    "{\"cells\":%d,\"paths\":%d,\"violating_cells\":%d,\"results\":%s}\n"
-    (List.length cells) total_paths (List.length dirty)
-    (json_list json_cell cells)
+  J.Obj
+    [
+      ("structure", J.String c.structure);
+      ("scheme", J.String c.scheme);
+      ("paths", J.Int c.paths);
+      ("branch_points", J.Int c.branch_points);
+      ("diverged", J.Int c.diverged);
+      ("crashed", J.Int c.crashed);
+      ("violations", J.Int c.violations);
+      ("clean", J.Bool (clean c));
+      ("counterexample", json_counterexample c.counterexample);
+    ]
 
 let write ~path cells =
-  let oc = open_out path in
-  output_string oc (to_json cells);
-  close_out oc
+  let total_paths = List.fold_left (fun a c -> a + c.paths) 0 cells in
+  let dirty = List.filter (fun c -> not (clean c)) cells in
+  J.to_file path
+    (J.Obj
+       [
+         ("cells", J.Int (List.length cells));
+         ("paths", J.Int total_paths);
+         ("violating_cells", J.Int (List.length dirty));
+         ("results", J.List (List.map json_cell cells));
+       ])
 
 let summary c =
   Printf.sprintf "%-10s x %-10s %4d paths, %3d branch points, %s%s" c.structure

@@ -55,6 +55,25 @@ module Params = struct
       padded_announcements = true;
       malloc_cost = 120;
     }
+
+  (** Reclamation knobs for verification runs of a few operations
+      (exploration, protocol check, sanitizer fuzz): tiny blocks and
+      thresholds of 1, so grace periods expire and scans run within a few
+      operations.  ThreadScan's delete buffer stays out of reach: its
+      mid-run signal scan is unsound for traversals that cross retired
+      records (paper §3), so those runs check its no-scan protocol.
+      Callers size [hp_slots] for their structures. *)
+  let aggressive =
+    {
+      default with
+      block_capacity = 4;
+      incr_thresh = 1;
+      pool_cap_blocks = 2;
+      hp_retire_factor = 1;
+      suspect_blocks = 1;
+      st_segment_accesses = 4;
+      ts_buffer_blocks = 1000;
+    }
 end
 
 (** The witness events of the typed surface ({!RECORD_MANAGER.Typed}) and

@@ -62,6 +62,16 @@ let to_string j =
   to_buffer buf j;
   Buffer.contents buf
 
+let to_file ?(newline = true) file j =
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      let buf = Buffer.create 65536 in
+      to_buffer buf j;
+      if newline then Buffer.add_char buf '\n';
+      Buffer.output_buffer oc buf)
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 

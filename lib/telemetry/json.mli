@@ -22,8 +22,12 @@ val to_string : t -> string
     bare [nan]). *)
 
 val to_buffer : Buffer.t -> t -> unit
-(** Same rendering, appended to an existing buffer — used by the trace
-    writer to avoid building the whole document as one string list. *)
+(** Same rendering, appended to an existing buffer — used by {!to_file}
+    to avoid building a large document as one string list. *)
+
+val to_file : ?newline:bool -> string -> t -> unit
+(** [to_file file json] writes the compact rendering to [file], followed
+    by a newline unless [~newline:false]. *)
 
 exception Parse_error of string
 (** Raised by {!of_string} with a short description and byte offset. *)

@@ -287,12 +287,4 @@ let metrics_json t =
       ("series", Json.Obj (List.map (fun g -> (g.gname, series_json g)) t.gauges));
     ]
 
-let write_metrics t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      Json.to_buffer buf (metrics_json t);
-      Buffer.output_buffer oc buf;
-      output_char oc '\n')
+let write_metrics t file = Json.to_file file (metrics_json t)

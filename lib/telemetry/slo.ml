@@ -107,28 +107,4 @@ let judge_demand budget ~scope ~kind ~demand h =
 let judge budget ~scope ~kind h =
   judge_demand budget ~scope ~kind ~demand:(Histogram.count h) h
 
-let verdict_json v =
-  Json.Obj
-    [
-      ("scope", Json.String v.scope);
-      ("kind", Json.String v.kind);
-      ("count", Json.Int v.count);
-      ("demand", Json.Int v.demand);
-      ("p50_ns", Json.Int v.p50);
-      ("p99_ns", Json.Int v.p99);
-      ("p999_ns", Json.Int v.p999);
-      ( "breaches",
-        Json.List
-          (List.map
-             (fun b ->
-               Json.Obj
-                 [
-                   ("percentile", Json.String b.percentile);
-                   ("observed_ns", Json.Int b.observed_ns);
-                   ("budget_ns", Json.Int b.budget_ns);
-                 ])
-             v.breaches) );
-      ("pass", Json.Bool v.pass);
-    ]
-
 let all_pass vs = List.for_all (fun v -> v.pass) vs

@@ -42,5 +42,4 @@ val judge_demand :
     falls among them reads {!unserved_ns} and breaches any budget.  A
     [demand] below the histogram count is clamped up to it. *)
 
-val verdict_json : verdict -> Json.t
 val all_pass : verdict list -> bool

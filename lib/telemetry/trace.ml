@@ -94,12 +94,4 @@ let to_json t =
   in
   Json.Obj top
 
-let write_file t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      Json.to_buffer buf (to_json t);
-      Buffer.output_buffer oc buf;
-      output_char oc '\n')
+let write_file t file = Json.to_file file (to_json t)

@@ -28,25 +28,10 @@ type config = {
   params : Intf.Params.t;  (** reclamation knobs; {!explore_params} default *)
 }
 
-(* Aggressive reclamation knobs, as in the sanitizer fuzz: tiny blocks and
-   thresholds of 1 so grace periods expire and scans run within a few
-   operations — otherwise no schedule short enough to explore would ever
-   free anything.  ThreadScan keeps its delete-buffer threshold out of
-   reach: its mid-run signal-scan is unsound for traversals that cross
-   retired records (paper §3), so its cell checks the no-scan protocol. *)
+(* Aggressive knobs, or no schedule short enough to explore would ever
+   free anything; enough hazard slots for the skip list's towers. *)
 let explore_params =
-  {
-    Intf.Params.default with
-    Intf.Params.block_capacity = 4;
-    check_thresh = 1;
-    incr_thresh = 1;
-    pool_cap_blocks = 2;
-    hp_slots = (2 * Ds.Skiplist.max_level) + 8;
-    hp_retire_factor = 1;
-    suspect_blocks = 1;
-    st_segment_accesses = 4;
-    ts_buffer_blocks = 1000;
-  }
+  { Intf.Params.aggressive with hp_slots = (2 * Ds.Skiplist.max_level) + 8 }
 
 let default_config =
   {
@@ -57,6 +42,17 @@ let default_config =
     seed = 7;
     capacity = 4096;
     params = explore_params;
+  }
+
+(* The exploration matrix's program: 2 processes x 3 operations over 2
+   keys, prefilled with 1 — small enough to explore at budget 2. *)
+let matrix_config =
+  {
+    default_config with
+    nprocs = 2;
+    ops_per_proc = 3;
+    key_range = 2;
+    prefill = 1;
   }
 
 let ds_names = [ "list"; "bst"; "skiplist"; "queue" ]
@@ -243,3 +239,23 @@ let verdict_summary = function
         stats.Lincheck.Explore.runs
         (Lincheck.Explore.schedule_to_string schedule)
         reason
+
+(** The exploration matrix: every structure x scheme cell explored on
+    {!matrix_config}, one verdict line per cell (byte-identical for any
+    [workers]).  Returns the number of rejected cells. *)
+let matrix ~budget ~max_runs ~workers =
+  let failures = ref 0 in
+  List.iter
+    (fun ds ->
+      List.iter
+        (fun scheme ->
+          let v =
+            explore ~budget ~max_runs ~workers ~ds ~scheme matrix_config
+          in
+          (match v with
+          | Lincheck.Explore.Fail _ -> incr failures
+          | Lincheck.Explore.Pass _ -> ());
+          Printf.printf "%-9s x %-11s %s\n%!" ds scheme (verdict_summary v))
+        scheme_names)
+    ds_names;
+  !failures

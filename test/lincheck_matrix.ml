@@ -6,7 +6,6 @@
    @lincheck-matrix alias, not in tier-1.  Exits non-zero on the first
    rejected cell, printing the replayable preemption schedule. *)
 
-module Explore = Lincheck.Explore
 module Lh = Workload.Lin_harness
 
 let budget = try int_of_string (Sys.getenv "LINCHECK_BUDGET") with Not_found -> 2
@@ -18,22 +17,11 @@ let workers =
   try int_of_string (Sys.getenv "LINCHECK_DOMAINS") with Not_found -> 1
 
 let () =
-  let cfg = { Lh.default_config with nprocs = 2; ops_per_proc = 3; key_range = 2; prefill = 1 } in
-  let failures = ref 0 in
-  let cells = ref 0 in
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun ds ->
-      List.iter
-        (fun scheme ->
-          incr cells;
-          let v = Lh.explore ~budget ~max_runs ~workers ~ds ~scheme cfg in
-          (match v with Explore.Fail _ -> incr failures | Explore.Pass _ -> ());
-          Printf.printf "%-9s x %-11s %s\n%!" ds scheme (Lh.verdict_summary v))
-        Lh.scheme_names)
-    Lh.ds_names;
+  let failures = Lh.matrix ~budget ~max_runs ~workers in
   Printf.printf "\n%d cells, %d failures, budget=%d, max_runs=%d, %.1fs\n"
-    !cells !failures budget max_runs
+    (List.length Lh.ds_names * List.length Lh.scheme_names)
+    failures budget max_runs
     (Unix.gettimeofday () -. t0);
   if workers > 1 then Printf.printf "(explored on %d domains)\n" workers;
-  exit (if !failures > 0 then 1 else 0)
+  exit (if failures > 0 then 1 else 0)

@@ -200,8 +200,7 @@ let test_golden_corpus () =
 (* Exploration: clean cells pass (while really exploring), and schedules
    replay deterministically. *)
 
-let smoke_cfg =
-  { Lh.default_config with nprocs = 2; ops_per_proc = 3; key_range = 2; prefill = 1 }
+let smoke_cfg = Lh.matrix_config
 
 let test_explore_clean () =
   List.iter

@@ -21,20 +21,7 @@ open Reclaim
 
 let seeds = [ 11; 23; 37; 41; 59; 101; 211; 307 ]
 
-let fuzz_params =
-  {
-    Intf.Params.default with
-    Intf.Params.block_capacity = 4;
-    check_thresh = 1;
-    incr_thresh = 1;
-    pool_cap_blocks = 2;
-    hp_slots = 24;
-    hp_retire_factor = 1;
-    suspect_blocks = 1;
-    st_segment_accesses = 4;
-    (* never reached: ThreadScan collects only in the final flush *)
-    ts_buffer_blocks = 1000;
-  }
+let fuzz_params = { Intf.Params.aggressive with hp_slots = 24 }
 
 let machine = Machine.Config.tiny ~contexts:4 ()
 let nprocs = 3

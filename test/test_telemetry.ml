@@ -223,6 +223,53 @@ let test_trace_well_formed () =
          t)
        (-1) limbo)
 
+(* The checked-in bench baselines are self-describing (bench/row.ml): every
+   row carries the declared key fields, every other scalar in a row is a
+   declared metric, and every metric has a unit and an [exact] flag (so
+   tools/bench_gate.py can gate it without knowing its name). *)
+let test_bench_baselines () =
+  let open Telemetry.Json in
+  List.iter
+    (fun file ->
+      (* dune runtest runs in _build/default/test, below the copied deps;
+         dune exec from the repo root sees the source tree *)
+      let path = if Sys.file_exists file then file else "../" ^ file in
+      let doc = of_string In_channel.(with_open_bin path input_all) in
+      let field name j = Option.value ~default:Null (member name j) in
+      let key, metrics, rows =
+        match (field "key" doc, field "metrics" doc, field "results" doc) with
+        | List key, Obj metrics, List rows ->
+            (List.map (function String k -> k | _ -> "") key, metrics, rows)
+        | _ -> Alcotest.failf "%s: not a key/metrics/results document" file
+      in
+      List.iter
+        (fun (name, decl) ->
+          match (field "unit" decl, field "better" decl, field "exact" decl) with
+          | String u, (Null | String ("higher" | "lower")), Bool _ when u <> ""
+            ->
+              ()
+          | _ -> Alcotest.failf "%s: metric %s is not fully declared" file name)
+        metrics;
+      Alcotest.(check bool) (file ^ ": has rows") true (rows <> []);
+      List.iter
+        (function
+          | Obj fields ->
+              List.iter
+                (fun k ->
+                  if not (List.mem_assoc k fields) then
+                    Alcotest.failf "%s: a row lacks key field %s" file k)
+                key;
+              List.iter
+                (function
+                  | _, (Obj _ | List _) -> ()
+                  | k, _ ->
+                      if not (List.mem k key || List.mem_assoc k metrics) then
+                        Alcotest.failf "%s: undeclared field %s" file k)
+                fields
+          | _ -> Alcotest.failf "%s: a row is not an object" file)
+        rows)
+    [ "BENCH_KV.json"; "BENCH_SIM.json"; "BENCH_SWEEP.json" ]
+
 let test_metrics_json () =
   let rec_ =
     Telemetry.Recorder.create ~sample_every:30_000 ~cycles_per_ns:3.0
@@ -397,7 +444,11 @@ let () =
             test_probe_fanout;
         ] );
       ( "json",
-        [ Alcotest.test_case "codec round-trip" `Quick test_json_roundtrip ] );
+        [
+          Alcotest.test_case "codec round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "bench baselines are self-describing" `Quick
+            test_bench_baselines;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "traced trial is well-formed catapult JSON"

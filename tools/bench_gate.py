@@ -9,129 +9,111 @@ invocation gates any number of files:
   bench_gate.py --pair BENCH_KV.json fresh_kv.json \\
                 --pair BENCH_SIM.json fresh_sim.json
 
-Two row schemas are understood, detected per row:
+Every file declares its own schema (bench/row.ml):
 
-  - KV rows (the E-kv campaign): keyed (scheme, structure, backend);
-    gated on throughput_mops (lower is worse) and every SLO verdict's
-    p99_ns matched by kind (higher is worse).
-  - SIM rows (the E-scale campaign, and any row carrying a "kind"
-    field): keyed by kind plus whichever of structure / scheme /
-    contexts / cell / domains are present; gated by a per-metric
-    direction table (cycles_per_op and mops are deterministic virtual-
-    time metrics and use the normal tolerance; steps_per_sec and
-    runs_per_sec are wall-clock and use the far looser
-    --wall-tolerance-pct, since runner hardware varies).
+  {"experiment": ..., "key": [field, ...],
+   "metrics": {name: {"unit": ..., "better": "higher" | "lower" | null,
+                      "exact": true | false}},
+   "results": [row, ...]}
 
-Deterministic metrics drift only when the code changes; the 15% default
-tolerance exists so deliberate trade-offs (e.g. heavier
+Rows are matched by their key fields.  Every metric whose "better" is
+non-null is gated: at --tolerance-pct when it is exact (deterministic
+virtual-time values, which move only when the code does) and at the far
+looser --wall-tolerance-pct when it is not (wall clock varies with runner
+hardware).  Metrics with a null "better" are informational.
+
+Rules:
+  - The bound is baseline * (1 - tolerance) for "higher" and baseline *
+    (1 + tolerance) for "lower", for every baseline including 0: a zero
+    baseline of a lower-is-better metric fails on any positive fresh
+    value, and a zero baseline of a higher-is-better metric cannot fail.
+  - A baseline row, or a gated metric of a baseline row, that is missing
+    from the fresh file fails.
+  - Both files must declare the same key and the same metrics (unit,
+    better, exact); otherwise they do not measure the same thing, and the
+    pair fails.
+
+The 15% default tolerance exists so deliberate trade-offs (e.g. heavier
 instrumentation) need only a baseline refresh (`dune exec
-bench/main.exe -- kv e-scale --json`, commit the BENCH_*.json) rather
-than a tuning dance.
+bench/main.exe -- kv e-scale sweep --json`, commit the BENCH_*.json)
+rather than a tuning dance.
 """
 
 import argparse
 import json
 import sys
 
-# SIM-schema metric directions.  Anything not listed is informational.
-LOWER_IS_WORSE = {"mops", "steps_per_sec", "runs_per_sec"}
-HIGHER_IS_WORSE = {"cycles_per_op"}
-WALL_CLOCK = {"steps_per_sec", "runs_per_sec"}
 
-KEY_FIELDS = ("kind", "structure", "scheme", "contexts", "cell", "domains")
-
-
-def row_key(row):
-    if "kind" in row:
-        return tuple((f, row[f]) for f in KEY_FIELDS if f in row)
-    return (row["scheme"], row["structure"], row["backend"])
-
-
-def rows_by_key(doc, path):
-    out = {}
+def load(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    rows = {}
     for row in doc["results"]:
-        key = row_key(row)
-        if key in out:
+        key = tuple(row[f] for f in doc["key"])
+        if key in rows:
             raise SystemExit(f"{path}: duplicate bench row for {key}")
-        out[key] = row
-    return out
+        rows[key] = row
+    return doc, rows
 
 
-def p99s(row):
-    return {v["kind"]: v["p99_ns"] for v in row.get("verdicts", [])}
+def row_namer(keys):
+    """Name rows by the key fields that vary across the baseline's rows."""
+    keys = list(keys)
+    width = len(keys[0]) if keys else 0
+    varying = [i for i in range(width) if len({k[i] for k in keys}) > 1]
+    shown = varying or range(width)
+    return lambda key: "/".join(str(key[i]) for i in shown if key[i] is not None)
 
 
-def key_name(key):
-    if key and isinstance(key[0], tuple):
-        return "/".join(str(v) for _, v in key)
-    return "/".join(str(v) for v in key)
-
-
-def check_kv_row(name, brow, frow, tol, failures):
-    bt, ft = brow["throughput_mops"], frow["throughput_mops"]
-    if ft < bt * (1.0 - tol):
-        failures.append(
-            f"{name}: throughput {ft:.3f} Mops/s is "
-            f"{100.0 * (bt - ft) / bt:.1f}% below baseline {bt:.3f}"
-        )
-    bp, fp = p99s(brow), p99s(frow)
-    for kind, b99 in sorted(bp.items()):
-        f99 = fp.get(kind)
-        if f99 is None:
-            failures.append(f"{name}: verdict '{kind}' missing from fresh run")
-        elif f99 > b99 * (1.0 + tol):
-            failures.append(
-                f"{name}: {kind} p99 {f99} ns is "
-                f"{100.0 * (f99 - b99) / b99:.1f}% above baseline {b99} ns"
-            )
-
-
-def check_sim_row(name, brow, frow, tol, wall_tol, failures):
-    for metric, bval in sorted(brow.items()):
-        if metric not in LOWER_IS_WORSE and metric not in HIGHER_IS_WORSE:
-            continue
-        fval = frow.get(metric)
-        if fval is None:
-            failures.append(f"{name}: metric '{metric}' missing from fresh run")
-            continue
-        if not bval:
-            continue
-        t = wall_tol if metric in WALL_CLOCK else tol
-        if metric in LOWER_IS_WORSE and fval < bval * (1.0 - t):
-            failures.append(
-                f"{name}: {metric} {fval:.3f} is "
-                f"{100.0 * (bval - fval) / bval:.1f}% below baseline {bval:.3f}"
-            )
-        elif metric in HIGHER_IS_WORSE and fval > bval * (1.0 + t):
-            failures.append(
-                f"{name}: {metric} {fval:.3f} is "
-                f"{100.0 * (fval - bval) / bval:.1f}% above baseline {bval:.3f}"
-            )
+def declaration_errors(base, fresh):
+    errors = []
+    if base["key"] != fresh["key"]:
+        errors.append(f"key {base['key']} in baseline, {fresh['key']} in fresh")
+    for name in sorted(set(base["metrics"]) | set(fresh["metrics"])):
+        b, f = base["metrics"].get(name), fresh["metrics"].get(name)
+        if b != f:
+            errors.append(f"metric '{name}' declared {b} in baseline, {f} in fresh")
+    return errors
 
 
 def check_pair(baseline_path, fresh_path, tol, wall_tol, failures):
-    with open(baseline_path) as fh:
-        base = rows_by_key(json.load(fh), baseline_path)
-    with open(fresh_path) as fh:
-        fresh = rows_by_key(json.load(fh), fresh_path)
+    base, brows = load(baseline_path)
+    fresh, frows = load(fresh_path)
+    errors = declaration_errors(base, fresh)
+    if errors:
+        failures.extend(f"{baseline_path} vs {fresh_path}: {e}" for e in errors)
+        return 0
+    gated = sorted((m, d) for m, d in base["metrics"].items() if d["better"])
+    row_name = row_namer(brows)
 
     compared = 0
-    for key, brow in sorted(base.items(), key=lambda kv: repr(kv[0])):
-        frow = fresh.get(key)
-        name = f"{baseline_path}:{key_name(key)}"
+    for key, brow in sorted(brows.items(), key=lambda kv: repr(kv[0])):
+        name = f"{baseline_path}:{row_name(key)}"
+        frow = frows.get(key)
         if frow is None:
             failures.append(f"{name}: row missing from fresh run")
             continue
-        compared += 1
-        if "kind" in brow:
-            check_sim_row(name, brow, frow, tol, wall_tol, failures)
-        else:
-            check_kv_row(name, brow, frow, tol, failures)
+        for metric, decl in gated:
+            if metric not in brow:
+                continue
+            bval, fval = brow[metric], frow.get(metric)
+            if fval is None:
+                failures.append(f"{name}: metric '{metric}' missing from fresh run")
+                continue
+            compared += 1
+            t = tol if decl["exact"] else wall_tol
+            higher = {"higher": True, "lower": False}[decl["better"]]
+            if (fval < bval * (1.0 - t)) if higher else (fval > bval * (1.0 + t)):
+                pct = (
+                    f"{100.0 * abs(fval - bval) / bval:.1f}%" if bval else "infinitely"
+                )
+                failures.append(
+                    f"{name}: {metric} {fval:g} {decl['unit']} is {pct} "
+                    f"{'below' if higher else 'above'} baseline {bval:g}"
+                )
 
     if compared == 0:
-        failures.append(
-            f"{baseline_path} vs {fresh_path}: no comparable rows"
-        )
+        failures.append(f"{baseline_path} vs {fresh_path}: no comparable metrics")
     return compared
 
 
@@ -154,8 +136,8 @@ def main():
         "--wall-tolerance-pct",
         type=float,
         default=75.0,
-        help="tolerance for wall-clock metrics (steps/sec, runs/sec), which "
-        "vary with runner hardware",
+        help="tolerance for metrics declared exact: false (wall clock), "
+        "which vary with runner hardware",
     )
     args = ap.parse_args()
 
@@ -177,8 +159,8 @@ def main():
     for f in failures:
         print(f"FAIL {f}")
     print(
-        f"bench gate: {len(pairs)} file pair(s), {compared} rows compared, "
-        f"{len(failures)} regressions (tolerance {args.tolerance_pct:.0f}%, "
+        f"bench gate: {len(pairs)} file pair(s), {compared} metrics compared, "
+        f"{len(failures)} failures (tolerance {args.tolerance_pct:.0f}%, "
         f"wall-clock {args.wall_tolerance_pct:.0f}%)"
     )
     return 1 if failures else 0
