@@ -119,13 +119,15 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
     | Report.Skiplist -> script_skiplist
 
   (* One symbolic path: a fresh world, the engine on its event stream, the
-     oracle answering [Adversary] exactly at the [deny] indices. *)
+     oracle answering [Adversary] exactly at the [deny] indices.  A path
+     that completes reconciles the shadow limbo ledger with the
+     reclaimer's own. *)
   let run_path ~config ~structure ~deny =
     let group = Runtime.Group.create ~seed:1 1 in
     let heap = Memory.Heap.create () in
     let env = Intf.Env.create ~params group heap in
     let rm = RM.create env in
-    let eng = Engine.create ~config ~nprocs:1 () in
+    let eng = Engine.create ~config ~heap ~group () in
     let orc = Oracle.create ~deny () in
     let probe =
       Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
@@ -143,6 +145,8 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
       | Memory.Arena.Double_free _ -> `Crashed "double-free trap"
     in
     Runtime.Group.unsubscribe group probe;
+    if outcome = `Ok then
+      Sanitizer.leak_check (Engine.shadow eng) ~limbo_size:(RM.limbo_size rm);
     {
       outcome;
       violations = Engine.violations eng;
@@ -159,8 +163,7 @@ module Make (RM : Intf.RECORD_MANAGER) = struct
     | Report.Bst | Report.Skiplist -> false
 
   let config_for structure =
-    Engine.config ~scheme:RM.Reclaimer.name ~strict:(strict_for structure)
-      RM.Reclaimer.discipline
+    Engine.config ~strict:(strict_for structure) RM.Reclaimer.discipline
 
   (* Path enumeration: the all-grant path, then every single adversarial
      denial of a branch point it reached, then nearby pairs (deny budget

@@ -37,15 +37,15 @@ module J = Telemetry.Json
 
 let strings l = J.List (List.map (fun s -> J.String s) l)
 
-let json_violation (v : Engine.violation) =
+let json_violation { Engine.violation = v; trace } =
   J.Obj
     [
-      ("kind", J.String (Engine.kind_name v.Engine.kind));
-      ("pid", J.Int v.Engine.pid);
-      ("seq", J.Int v.Engine.seq);
-      ("record", J.String (Memory.Ptr.to_string v.Engine.ptr));
-      ("detail", J.String v.Engine.detail);
-      ("trace", strings v.Engine.trace);
+      ("kind", J.String (Sanitizer.kind_name v.kind));
+      ("pid", J.Int v.pid);
+      ("seq", J.Int v.seq);
+      ("record", J.String (Memory.Ptr.to_string v.ptr));
+      ("detail", J.String v.detail);
+      ("trace", strings trace);
     ]
 
 let json_counterexample = function

@@ -56,8 +56,3 @@ type t =
 type point = Acquire_point | Cas_point
 
 type decision = Grant | Adversary
-
-(** [true] for the witness events only the typed surface emits. *)
-let is_witness = function
-  | Fresh _ | Publish _ | Abandon _ | Root _ | Acquire _ | Unlink _ -> true
-  | _ -> false

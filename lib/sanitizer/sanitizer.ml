@@ -41,6 +41,9 @@ type kind =
   | Premature_free
   | Double_free
   | Leak
+  | Unquiesced_access
+  | Retire_without_unlink
+  | Skipped_validation
 
 let kind_name = function
   | Use_after_free -> "use-after-free"
@@ -48,6 +51,9 @@ let kind_name = function
   | Premature_free -> "premature-free"
   | Double_free -> "double-free"
   | Leak -> "leak"
+  | Unquiesced_access -> "unquiesced-access"
+  | Retire_without_unlink -> "retire-without-unlink"
+  | Skipped_validation -> "skipped-validation"
 
 type violation = {
   kind : kind;
@@ -122,22 +128,16 @@ let create ~scheme ~discipline ~heap ~group =
     seen = Hashtbl.create 64;
   }
 
-let flag t ctx kind ~ptr ~detail =
-  let dkey = (kind, ptr) in
-  if not (Hashtbl.mem t.seen dkey) then begin
-    Hashtbl.add t.seen dkey ();
+let add t kind ~pid ~time ~ptr ~detail =
+  let ptr = Memory.Ptr.unmark ptr in
+  if not (Hashtbl.mem t.seen (kind, ptr)) then begin
+    Hashtbl.add t.seen (kind, ptr) ();
     t.nviols <- t.nviols + 1;
-    t.viols <-
-      {
-        kind;
-        pid = ctx.Runtime.Ctx.pid;
-        time = Runtime.Ctx.now ctx;
-        seq = t.seq;
-        ptr;
-        detail;
-      }
-      :: t.viols
+    t.viols <- { kind; pid; time; seq = t.seq; ptr; detail } :: t.viols
   end
+
+let flag t ctx kind ~ptr ~detail =
+  add t kind ~pid:ctx.Runtime.Ctx.pid ~time:(Runtime.Ctx.now ctx) ~ptr ~detail
 
 let provenance r =
   Printf.sprintf "alloc by pid %d at #%d%s" r.owner r.alloc_seq
@@ -343,18 +343,15 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
       ps.qcount <- ps.qcount + 1
   | Epoch_advance _ | Signal_sent _ | Sweep _ | Fresh _ | Publish _
   | Abandon _ | Root _ | Acquire _ | Unlink _ ->
-      (* Reclamation control-plane events: observability only, no shadow
-         state transitions.  Soundness is judged from the lifecycle and
-         protection events alone.  (Witness events are filtered before
-         [on_event].) *)
+      (* Reclamation control-plane and witness events: no shadow state
+         transition.  Soundness is judged from the lifecycle and protection
+         events alone; the witness rules are protocheck's. *)
       ()
 
 let with_checks t f =
   let s =
     Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope t.heap)
-      ~event:(fun ctx ev ->
-        (* Witness events belong to the protocol analyzer. *)
-        if not (Memory.Smr_event.is_witness ev) then on_event t ctx ev)
+      ~event:(on_event t)
       ~access:(fun _ ~line:_ _ -> t.accesses <- t.accesses + 1)
       ()
   in
@@ -364,25 +361,25 @@ let with_checks t f =
 let leak_check t ~limbo_size =
   if t.discipline.track_limbo && t.ledger <> limbo_size then begin
     t.seq <- t.seq + 1;
-    let dkey = (Leak, Memory.Ptr.null) in
-    if not (Hashtbl.mem t.seen dkey) then begin
-      Hashtbl.add t.seen dkey ();
-      t.nviols <- t.nviols + 1;
-      t.viols <-
-        {
-          kind = Leak;
-          pid = 0;
-          time = 0;
-          seq = t.seq;
-          ptr = Memory.Ptr.null;
-          detail =
-            Printf.sprintf
-              "shadow ledger says %d records in limbo, reclaimer reports %d"
-              t.ledger limbo_size;
-        }
-        :: t.viols
-    end
+    add t Leak ~pid:0 ~time:0 ~ptr:Memory.Ptr.null
+      ~detail:
+        (Printf.sprintf
+           "shadow ledger says %d records in limbo, reclaimer reports %d"
+           t.ledger limbo_size)
   end
+
+let state t p =
+  match Hashtbl.find_opt t.records (Memory.Ptr.unmark p) with
+  | Some r -> r.state
+  | None -> Published
+
+let in_session t ~pid = t.procs.(pid).in_session
+let protected t ~pid p = holds_any t.procs.(pid).hazards (Memory.Ptr.unmark p)
+
+let publish t p =
+  match Hashtbl.find_opt t.records (Memory.Ptr.unmark p) with
+  | Some ({ state = Fresh; _ } as r) -> r.state <- Published
+  | _ -> ()
 
 let violations t = List.rev t.viols
 let violation_count t = t.nviols

@@ -24,10 +24,9 @@ let () =
           Printf.printf "  deny set: [%s]\n"
             (String.concat "; " (List.map string_of_int ce.deny));
           List.iter
-            (fun v ->
-              Format.printf "  %a@." Protocheck.Engine.pp_violation v;
-              List.iter (fun line -> Printf.printf "    %s\n" line)
-                v.Protocheck.Engine.trace)
+            (fun { Protocheck.Engine.violation; trace } ->
+              Format.printf "  %a@." Sanitizer.pp_violation violation;
+              List.iter (fun line -> Printf.printf "    %s\n" line) trace)
             ce.violations)
     dirty;
   if dirty <> [] then exit 1

@@ -18,11 +18,15 @@ module Registry = Reclaim.Registry
 module RM_hp = (val Registry.rm Check (Registry.find "hp"))
 module MB = Mutant_bst.Make (RM_hp)
 
-let has_kind k (ce : Report.counterexample) =
-  List.exists (fun v -> v.Engine.kind = k) ce.violations
-
-let find_kind k (ce : Report.counterexample) =
-  List.find (fun v -> v.Engine.kind = k) ce.violations
+(* A violation of kind [k] is present and carries its counterexample
+   trace. *)
+let check_traced k vs =
+  match
+    List.find_opt (fun (v : Engine.violation) -> v.violation.kind = k) vs
+  with
+  | None -> Alcotest.failf "no %s violation" (Sanitizer.kind_name k)
+  | Some v ->
+      Alcotest.(check bool) "counterexample trace present" true (v.trace <> [])
 
 (* Every cell of the real matrix must be clean on every explored path.
    Diverged paths (a structure that stops making progress under
@@ -42,12 +46,7 @@ let test_broken_ebr_rejected () =
   Alcotest.(check bool) "rejected" false (Report.clean c);
   match c.Report.counterexample with
   | None -> Alcotest.fail "no counterexample path recorded"
-  | Some ce ->
-      Alcotest.(check bool) "premature-free" true
-        (has_kind Engine.Premature_free ce);
-      let v = find_kind Engine.Premature_free ce in
-      Alcotest.(check bool) "counterexample trace present" true
-        (v.Engine.trace <> [])
+  | Some ce -> check_traced Premature_free ce.violations
 
 let test_broken_hp_rejected () =
   let c = Matrix.cell Broken_schemes.broken_hp Report.List in
@@ -55,14 +54,10 @@ let test_broken_hp_rejected () =
   match c.Report.counterexample with
   | None -> Alcotest.fail "no counterexample path recorded"
   | Some ce ->
-      Alcotest.(check bool) "skipped-validation" true
-        (has_kind Engine.Skipped_validation ce);
+      check_traced Skipped_validation ce.violations;
       (* the bug only surfaces when a validation is forced to fail *)
       Alcotest.(check bool) "needs an adversarial decision" true
-        (ce.Report.deny <> []);
-      let v = find_kind Engine.Skipped_validation ce in
-      Alcotest.(check bool) "counterexample trace present" true
-        (v.Engine.trace <> [])
+        (ce.Report.deny <> [])
 
 (* The raw-API BST under a strict hazard configuration: unprotected
    traversal and witness-less retire, both on the all-grant path. *)
@@ -71,10 +66,8 @@ let test_mutant_bst_rejected () =
   let heap = Memory.Heap.create () in
   let env = Reclaim.Intf.Env.create ~params:Cell.params group heap in
   let rm = RM_hp.create env in
-  let config =
-    Engine.config ~scheme:"hp" ~strict:true RM_hp.Reclaimer.discipline
-  in
-  let eng = Engine.create ~config ~nprocs:1 () in
+  let config = Engine.config ~strict:true RM_hp.Reclaimer.discipline in
+  let eng = Engine.create ~config ~heap ~group () in
   let probe =
     Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
       ~event:(Engine.on_event eng) ()
@@ -88,17 +81,8 @@ let test_mutant_bst_rejected () =
   ignore (MB.contains t ctx 3);
   ignore (MB.delete t ctx 8);
   Runtime.Group.unsubscribe group probe;
-  Alcotest.(check bool) "retire-without-unlink" true
-    (Engine.has eng Engine.Retire_without_unlink);
-  Alcotest.(check bool) "unprotected-access" true
-    (Engine.has eng Engine.Unprotected_access);
-  let v =
-    List.find
-      (fun v -> v.Engine.kind = Engine.Retire_without_unlink)
-      (Engine.violations eng)
-  in
-  Alcotest.(check bool) "counterexample trace present" true
-    (v.Engine.trace <> [])
+  check_traced Retire_without_unlink (Engine.violations eng);
+  check_traced Unprotected_access (Engine.violations eng)
 
 (* The deleted sanitizer checks are subsumed by the witness API: a second
    retire of the same unlinked witness is an [Invalid_argument] at the API

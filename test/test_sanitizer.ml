@@ -305,55 +305,168 @@ let test_broken_hyaline_classification () =
           Alcotest.failf "unexpected violation kind %s" (Sanitizer.kind_name k))
     (Sanitizer.violations san)
 
-(* The sanitizer's own state machine, exercised directly (no simulator):
-   premature free and access-after-free on a half-instrumented toy.  A
-   second Retire of the same incarnation is deliberately emitted and must
-   be {e ignored} (not flagged, not double-counted in the limbo ledger):
-   the double-retire check moved into the type system — [Typed.retire]
-   consumes its witness — so the sanitizer treats the event as a no-op. *)
-let test_state_machine_direct () =
+(* ------------------------------------------------------------------ *)
+(* The one rule set, hand-fed (no simulator).  Each script runs once under
+   [Sanitizer.with_checks] and once under a protocheck engine subscriber,
+   which drives its own sanitizer and adds the witness rules; both must
+   return the pinned lifecycle verdicts.  The witness kinds are the
+   engine's alone (a hand-fed retire has no unlink witness), so they are
+   left out of the comparison. *)
+
+type world = {
+  group : Runtime.Group.t;
+  heap : Memory.Heap.t;
+  arena : Memory.Arena.t;
+}
+
+let ctx w pid = Runtime.Group.ctx w.group pid
+let emit w pid ev = Memory.Heap.emit w.heap (ctx w pid) ev
+let alloc w = Memory.Arena.claim_fresh (ctx w 0) w.arena
+let read w pid p = ignore (Memory.Arena.read (ctx w pid) w.arena p 0)
+let free w p = Memory.Arena.release (ctx w 0) w.arena p ~recycle:true
+
+(* Pid 0 allocates, retires and frees [p]; [before] and [between] set up
+   the other processes around the retire. *)
+let retire_then_free ~before ~between w =
+  let p = alloc w in
+  before w p;
+  emit w 0 (Memory.Smr_event.Retire p);
+  between w p;
+  free w p
+
+(* (name, discipline, verdicts, script) *)
+let scripts =
+  let open Memory.Discipline in
+  let open Memory.Smr_event in
+  let session = make Epoch Grace_session in
+  let nothing _ _ = () in
+  [
+    ( "grace-session: free inside the retire-time session",
+      session,
+      [ Sanitizer.Use_after_free; Premature_free ],
+      fun w ->
+        let p = alloc w in
+        Memory.Arena.write (ctx w 0) w.arena p 0 1;
+        (* publication: a non-owner access *)
+        read w 1 p;
+        emit w 1 Leave_q;
+        emit w 0 (Retire p);
+        (* a second retire of the incarnation is untypeable: ignored, not
+           double-counted in the limbo ledger *)
+        emit w 0 (Retire p);
+        free w p;
+        try read w 1 p with Memory.Arena.Use_after_free _ -> () );
+    ( "grace-qpoint: free before every pid's next Enter_q",
+      make ~quiescence:Point Epoch Grace_qpoint,
+      [ Premature_free ],
+      retire_then_free ~before:nothing ~between:(fun w _ ->
+          emit w 0 Enter_q) );
+    ( "grace-qpoint: free after every pid's next Enter_q",
+      make ~quiescence:Point Epoch Grace_qpoint,
+      [],
+      retire_then_free ~before:nothing ~between:(fun w _ ->
+          emit w 0 Enter_q;
+          emit w 1 Enter_q) );
+    ( "hazard-scan: protection registered before the retire",
+      make Hazard Hazard_scan,
+      [ Premature_free ],
+      retire_then_free
+        ~before:(fun w p -> emit w 1 (Protect p))
+        ~between:nothing );
+    ( "hazard-scan: protection registered after the retire",
+      make Hazard Hazard_scan,
+      [],
+      retire_then_free ~before:nothing ~between:(fun w p ->
+          emit w 1 (Protect p)) );
+    ( "rprotect after the retire still blocks a free",
+      session,
+      [ Premature_free ],
+      retire_then_free ~before:nothing ~between:(fun w p ->
+          emit w 1 (Rprotect p)) );
+    ( "a crashed pid blocks no free",
+      session,
+      [],
+      retire_then_free
+        ~before:(fun w _ -> emit w 1 Leave_q)
+        ~between:(fun w _ -> Runtime.Group.mark_crashed w.group 1) );
+    ( "double free: pool put, then free",
+      session,
+      [ Double_free ],
+      retire_then_free ~before:nothing ~between:(fun w p ->
+          emit w 0 (Pool_put p)) );
+    ( "pool take resets the binding",
+      session,
+      [],
+      fun w ->
+        let p = alloc w in
+        emit w 0 (Retire p);
+        emit w 0 (Pool_put p);
+        emit w 0 (Pool_take p);
+        read w 1 p;
+        emit w 0 (Pool_put p) );
+  ]
+
+let lifecycle_verdicts (vs : Sanitizer.violation list) =
+  List.filter_map
+    (fun (v : Sanitizer.violation) ->
+      match v.kind with
+      | Unquiesced_access | Retire_without_unlink | Skipped_validation -> None
+      | k -> Some k)
+    vs
+  |> List.sort_uniq compare
+  |> List.map Sanitizer.kind_name
+
+(* A fresh two-process world; [check] runs [script] under one checker
+   and returns its violations after a leak check against an empty
+   limbo. *)
+let verdicts discipline script check =
   let group = Runtime.Group.create ~seed:1 2 in
   let heap = Memory.Heap.create () in
   let arena =
     Memory.Heap.new_arena heap ~name:"toy" ~mut_fields:1 ~const_fields:0
       ~capacity:64
   in
-  let ctx0 = Runtime.Group.ctx group 0 in
-  let ctx1 = Runtime.Group.ctx group 1 in
-  let discipline =
-    {
-      Memory.Discipline.access = Epoch;
-      free = Grace_session;
-      quiescence = Interval;
-      track_limbo = true;
-    }
+  let san =
+    check ~discipline ~heap ~group (fun () -> script { group; heap; arena })
   in
+  Sanitizer.leak_check san ~limbo_size:0;
+  lifecycle_verdicts (Sanitizer.violations san)
+
+let under_sanitizer ~discipline ~heap ~group run =
   let san = Sanitizer.create ~scheme:"toy" ~discipline ~heap ~group in
-  Sanitizer.with_checks san (fun () ->
-      let p = Memory.Arena.claim_fresh ctx0 arena in
-      Memory.Arena.write ctx0 arena p 0 1;
-      (* publication: a non-owner access *)
-      ignore (Memory.Arena.read ctx1 arena p 0);
-      Memory.Heap.emit heap ctx1 Memory.Smr_event.Leave_q;
-      Memory.Heap.emit heap ctx0 (Memory.Smr_event.Retire p);
-      Memory.Heap.emit heap ctx0 (Memory.Smr_event.Retire p);
-      (* freeing while pid 1 is still in the session open at retire *)
-      Memory.Arena.release ctx0 arena p ~recycle:true;
-      (* the record is freed now: any instrumented access is flagged *)
-      (try ignore (Memory.Arena.read ctx1 arena p 0)
-       with Memory.Arena.Use_after_free _ -> ());
-      Sanitizer.leak_check san ~limbo_size:0);
-  Alcotest.(check bool) "premature free" true
-    (Sanitizer.has san Sanitizer.Premature_free);
-  Alcotest.(check bool) "use after free" true
-    (Sanitizer.has san Sanitizer.Use_after_free);
-  Alcotest.(check bool) "no leak flagged" false
-    (Sanitizer.has san Sanitizer.Leak)
+  Sanitizer.with_checks san run;
+  san
+
+let under_engine ~discipline ~heap ~group run =
+  let module E = Protocheck.Engine in
+  let config = E.config ~strict:false discipline in
+  let eng = E.create ~config ~heap ~group () in
+  let s =
+    Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
+      ~event:(E.on_event eng) ()
+  in
+  Runtime.Group.subscribe group s;
+  Fun.protect ~finally:(fun () -> Runtime.Group.unsubscribe group s) run;
+  E.shadow eng
+
+let parity_tests =
+  List.map
+    (fun (name, discipline, expect, script) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let expect =
+            List.map Sanitizer.kind_name (List.sort_uniq compare expect)
+          in
+          Alcotest.(check (list string))
+            "sanitizer" expect
+            (verdicts discipline script under_sanitizer);
+          Alcotest.(check (list string))
+            "protocheck engine" expect
+            (verdicts discipline script under_engine)))
+    scripts
 
 let () =
   Alcotest.run "sanitizer"
-    ((("state-machine",
-       [ Alcotest.test_case "direct" `Quick test_state_machine_direct ])
+    ((("state-machine", parity_tests)
      :: List.map (fun (e : Registry.entry) -> (e.name, (fuzz e).tests))
           Registry.all)
     @ [
