@@ -1,5 +1,5 @@
 (** DEBRA+: fault-tolerant distributed epoch-based reclamation (paper §5,
-    Fig. 6).
+    Fig. 6): DEBRA's epoch core ({!Debra.Core}) plus §5's additions.
 
     DEBRA+ extends DEBRA with {e neutralizing}: a process that lags the
     epoch while its peers' limbo bags grow is sent a (simulated POSIX)
@@ -17,110 +17,39 @@
 
     The number of records waiting to be freed is O(n(nm + c)): once a
     process' current bag exceeds the suspect threshold it neutralizes every
-    laggard, so the epoch keeps advancing even across crashes. *)
+    laggard, so the epoch keeps advancing even across crashes.
 
-type local = {
-  bags : Bag.Blockbag.t array array;  (* [arena][epoch slot] *)
-  mutable index : int;
-  mutable check_next : int;
-  mutable ops_since_check : int;
-  mutable ann : int;
-  sig_attempts : int array;  (* per-target resends since last ack *)
-  sig_last : int array;  (* per-target virtual time of last resend *)
-}
+    Everything else — epoch, announcements, bag triples, [leave_qstate],
+    [retire], the gauges — is the core's.  This file holds only:
+    - the signal handler, installed by [create];
+    - the RProtect rows: [rprotect], [runprotect_all], [is_rprotected];
+    - the core's [rotate] hook: the threshold-gated partition-and-release;
+    - its [lagging] hook, [suspect_neutralized], and its [passed] hook,
+      which acknowledges a pending neutralization;
+    - the signalling rounds of [emergency_reclaim];
+    - the rprotect [keep] of [flush]. *)
 
 let name = "debra+"
 
-let discipline = Memory.Discipline.(make Epoch Grace_session)
+let discipline = Debra.discipline
+
+(* The §5 state the core carries for DEBRA+. *)
+type ext = {
+  rp_rows : Runtime.Shared_array.t array;  (* RProtected[pid] *)
+  rp_count : Runtime.Shared_array.t;  (* published row sizes, padded *)
+  scanning : Bag.Hash_set.t array;  (* per-process scratch for scans *)
+  scan_threshold : int;  (* blocks *)
+  sig_attempts : int array array;  (* [pid][target] resends since last ack *)
+  sig_last : int array array;  (* [pid][target] virtual time of last resend *)
+}
 
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 
-  type t = {
-    env : Intf.Env.t;
-    pool : P.t;
-    epoch : int Runtime.Svar.t;
-    announce : Runtime.Shared_array.t;
-    locals : local array;
-    rp_rows : Runtime.Shared_array.t array;  (* RProtected[pid] *)
-    rp_count : Runtime.Shared_array.t;  (* published row sizes, padded *)
-    scanning : Bag.Hash_set.t array;  (* per-process scratch for scans *)
-    scan_threshold : int;  (* blocks *)
-  }
+  include Debra.Core (P) (struct type t = ext end)
 
   let name = name
-  let discipline = discipline
   let supports_crash_recovery = true
-  let allows_retired_traversal = true
-  let sandboxed = false
-
-  let epoch_of ann = ann land lnot 1
-  let quiescent_bit ann = ann land 1 = 1
-  let is_quiescent t ctx = quiescent_bit t.locals.(ctx.Runtime.Ctx.pid).ann
-
-  let enter_qstate t ctx =
-    let pid = ctx.Runtime.Ctx.pid in
-    let l = t.locals.(pid) in
-    l.ann <- l.ann lor 1;
-    Runtime.Shared_array.set ctx t.announce pid l.ann;
-    Intf.Env.emit t.env ctx Memory.Smr_event.Enter_q
-
-  let create env pool =
-    let n = Intf.Env.nprocs env in
-    let params = env.Intf.Env.params in
-    let arenas = Memory.Ptr.max_arenas in
-    let k = params.Intf.Params.hp_slots in
-    let b = params.Intf.Params.block_capacity in
-    let announce =
-      Runtime.Shared_array.create ~padded:params.Intf.Params.padded_announcements
-        n
-    in
-    for pid = 0 to n - 1 do
-      Runtime.Shared_array.poke announce pid 1
-    done;
-    let t =
-      {
-        env;
-        pool;
-        epoch = Runtime.Svar.make 2;
-        announce;
-        locals =
-          Array.init n (fun pid ->
-              {
-                bags =
-                  Array.init arenas (fun _ ->
-                      Array.init 3 (fun _ ->
-                          Bag.Blockbag.create env.Intf.Env.block_pools.(pid)));
-                index = 0;
-                check_next = 0;
-                ops_since_check = 0;
-                ann = 1;
-                sig_attempts = Array.make n 0;
-                sig_last = Array.make n 0;
-              });
-        rp_rows = Runtime.Shared_array.rows n k;
-        rp_count = Runtime.Shared_array.create ~padded:true n;
-        scanning = Array.init n (fun _ -> Bag.Hash_set.create ~expected:(n * k));
-        scan_threshold =
-          ((n * k) + b - 1) / b + params.Intf.Params.scan_blocks_slack;
-      }
-    in
-    (* Install the signal handler on every process context. *)
-    Array.iter
-      (fun ctx ->
-        ctx.Runtime.Ctx.handler <-
-          (fun ctx ->
-            if is_quiescent t ctx then
-              ctx.Runtime.Ctx.stats.Runtime.Ctx.signals_ignored <-
-                ctx.Runtime.Ctx.stats.Runtime.Ctx.signals_ignored + 1
-            else begin
-              enter_qstate t ctx;
-              ctx.Runtime.Ctx.stats.Runtime.Ctx.neutralized <-
-                ctx.Runtime.Ctx.stats.Runtime.Ctx.neutralized + 1;
-              raise Runtime.Ctx.Neutralized
-            end))
-      env.Intf.Env.group.Runtime.Group.ctxs;
-    t
 
   let current_blocks l =
     Array.fold_left
@@ -131,11 +60,11 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
 
   let rprotect t ctx p =
     let pid = ctx.Runtime.Ctx.pid in
-    let c = Runtime.Shared_array.peek t.rp_count pid in
-    if c >= Runtime.Shared_array.length t.rp_rows.(pid) then
+    let c = Runtime.Shared_array.peek t.x.rp_count pid in
+    if c >= Runtime.Shared_array.length t.x.rp_rows.(pid) then
       invalid_arg "Debra_plus.rprotect: out of RProtect slots (raise hp_slots)";
-    Runtime.Shared_array.set ctx t.rp_rows.(pid) c (Memory.Ptr.unmark p);
-    Runtime.Shared_array.set ctx t.rp_count pid (c + 1);
+    Runtime.Shared_array.set ctx t.x.rp_rows.(pid) c (Memory.Ptr.unmark p);
+    Runtime.Shared_array.set ctx t.x.rp_count pid (c + 1);
     Runtime.Ctx.fence ctx;
     (* After the count write: the announcement is now visible to scans. *)
     if Runtime.Ctx.observed ctx then
@@ -144,53 +73,56 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let runprotect_all t ctx =
     (* Before the count write: the announcements are still visible. *)
     Intf.Env.emit t.env ctx Memory.Smr_event.Runprotect_all;
-    Runtime.Shared_array.set ctx t.rp_count ctx.Runtime.Ctx.pid 0
+    Runtime.Shared_array.set ctx t.x.rp_count ctx.Runtime.Ctx.pid 0
 
   let is_rprotected t ctx p =
     let pid = ctx.Runtime.Ctx.pid in
-    let c = Runtime.Shared_array.get ctx t.rp_count pid in
+    let c = Runtime.Shared_array.get ctx t.x.rp_count pid in
     let p = Memory.Ptr.unmark p in
     let rec go i =
       if i >= c then false
-      else if Runtime.Shared_array.get ctx t.rp_rows.(pid) i = p then true
+      else if Runtime.Shared_array.get ctx t.x.rp_rows.(pid) i = p then true
       else go (i + 1)
     in
     go 0
 
-  (* Rotate limbo bags; when the freshly-rotated current bag is big enough
-     to amortize a full RProtect scan, partition out the protected records
-     and bulk-transfer the full blocks behind them.  With [complete] (the
-     allocation-failure path) the scan runs regardless of the threshold and
-     the partial head blocks are drained record-by-record too, still keeping
-     every rprotected record in limbo. *)
-  let rotate_and_reclaim ?(complete = false) t ctx l =
-    l.index <- (l.index + 1) mod 3;
-    let released = ref 0 in
-    if complete || current_blocks l >= t.scan_threshold then begin
-      let scanning = t.scanning.(ctx.Runtime.Ctx.pid) in
-      Scan_util.collect_announcements ctx ~into:scanning
-        ~nprocs:(Intf.Env.nprocs t.env)
-        ~row:(fun other -> t.rp_rows.(other))
-        ~count:(fun ctx other -> Runtime.Shared_array.get ctx t.rp_count other);
-      Array.iter
-        (fun triple ->
+  (* Hash every rprotected record of every process into our scratch set. *)
+  let collect t ctx =
+    let scanning = t.x.scanning.(ctx.Runtime.Ctx.pid) in
+    Scan_util.collect_announcements ctx ~into:scanning
+      ~nprocs:(Intf.Env.nprocs t.env)
+      ~row:(fun other -> t.x.rp_rows.(other))
+      ~count:(fun ctx other -> Runtime.Shared_array.get ctx t.x.rp_count other);
+    scanning
+
+  (* When the freshly-rotated current bag is big enough to amortize a full
+     RProtect scan, partition out the protected records and bulk-transfer
+     the full blocks behind them.  With [complete] (the allocation-failure
+     path) the scan runs regardless of the threshold and the partial head
+     blocks are drained record-by-record too, still keeping every
+     rprotected record in limbo. *)
+  let rotate t ctx l complete =
+    if complete || current_blocks l >= t.x.scan_threshold then begin
+      let scanning = collect t ctx in
+      let release_block b = P.release_block t.pool ctx b in
+      Array.fold_left
+        (fun released triple ->
           let bag = triple.(l.index) in
-          released :=
-            !released
+          let released =
+            released
             + Scan_util.partition_and_release ctx bag ~protected:scanning
-                ~release_block:(fun b -> P.release_block t.pool ctx b);
+                ~release_block
+          in
           if complete then
-            released :=
-              !released
-              + Scan_util.flush_bag ctx bag
-                  ~keep:(fun p -> Bag.Hash_set.mem scanning p)
-                  ~release:(fun ctx p -> P.release t.pool ctx p)
-                  ~release_block:(fun b -> P.release_block t.pool ctx b))
-        l.bags;
-      if !released > 0 then
-        Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep !released)
-    end;
-    !released
+            released
+            + Scan_util.flush_bag ctx bag
+                ~keep:(fun p -> Bag.Hash_set.mem scanning p)
+                ~release:(fun ctx p -> P.release t.pool ctx p)
+                ~release_block
+          else released)
+        0 l.bags
+    end
+    else 0
 
   (* Neutralize a laggard.  Under reliable delivery one signal suffices:
      once it lands, the target quiesces before its next shared access, so
@@ -213,116 +145,73 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
                true
            | false -> true (* ESRCH: crashed, permanently quiescent *)
          else begin
+           let pid = ctx.Runtime.Ctx.pid in
+           let attempts = t.x.sig_attempts.(pid) in
+           let last = t.x.sig_last.(pid) in
            let now = Runtime.Ctx.now ctx in
-           let a = l.sig_attempts.(other) in
-           if a = 0 || now - l.sig_last.(other) >= 64 * (1 lsl min a 10) then
+           let a = attempts.(other) in
+           if a = 0 || now - last.(other) >= 64 * (1 lsl min a 10) then
              (match Runtime.Group.send_signal g ~from:ctx ~target:other with
              | true ->
                  Intf.Env.emit t.env ctx (Memory.Smr_event.Signal_sent other);
-                 l.sig_attempts.(other) <- a + 1;
-                 l.sig_last.(other) <- now;
+                 attempts.(other) <- a + 1;
+                 last.(other) <- now;
                  false
              | false -> true)
            else false
          end
        end
 
-  let leave_qstate t ctx =
-    let pid = ctx.Runtime.Ctx.pid in
-    let n = Intf.Env.nprocs t.env in
-    let l = t.locals.(pid) in
-    let params = t.env.Intf.Env.params in
-    Intf.Env.emit t.env ctx Memory.Smr_event.Leave_q;
-    let read_epoch = Runtime.Svar.get ctx t.epoch in
-    if epoch_of l.ann <> read_epoch then begin
-      l.ops_since_check <- 0;
-      l.check_next <- 0;
-      ignore (rotate_and_reclaim t ctx l)
-    end;
-    l.ops_since_check <- l.ops_since_check + 1;
-    if l.ops_since_check >= params.Intf.Params.check_thresh then begin
-      l.ops_since_check <- 0;
-      let other = l.check_next mod n in
-      let a = Runtime.Shared_array.get ctx t.announce other in
-      let passed =
-        if epoch_of a = read_epoch || quiescent_bit a then begin
-          (* Any pending neutralization of [other] is acknowledged. *)
-          l.sig_attempts.(other) <- 0;
-          true
-        end
-        else other <> pid && suspect_neutralized t ctx l other
-      in
-      if passed then begin
-        l.check_next <- l.check_next + 1;
-        if
-          l.check_next >= n
-          && l.check_next >= params.Intf.Params.incr_thresh
-          && Runtime.Svar.cas ctx t.epoch ~expect:read_epoch (read_epoch + 2)
-        then
-          Intf.Env.emit t.env ctx
-            (Memory.Smr_event.Epoch_advance (read_epoch + 2))
-      end
-    end;
-    l.ann <- read_epoch;
-    Runtime.Shared_array.set ctx t.announce pid read_epoch
+  let lagging t ctx l other =
+    other <> ctx.Runtime.Ctx.pid && suspect_neutralized t ctx l other
 
-  let protect _t _ctx _p ~verify:_ = true
-  let unprotect _t _ctx _p = ()
-  let unprotect_all _t _ctx = ()
-  let is_protected _t _ctx _p = true
+  (* Any pending neutralization of [other] is acknowledged. *)
+  let passed t ctx other = t.x.sig_attempts.(ctx.Runtime.Ctx.pid).(other) <- 0
 
-  let retire t ctx p =
-    ctx.Runtime.Ctx.stats.Runtime.Ctx.retires <-
-      ctx.Runtime.Ctx.stats.Runtime.Ctx.retires + 1;
-    Runtime.Ctx.work ctx 2;
-    let p = Memory.Ptr.unmark p in
-    Intf.Env.emit t.env ctx (Memory.Smr_event.Retire p);
-    let l = t.locals.(ctx.Runtime.Ctx.pid) in
-    Bag.Blockbag.add l.bags.(Memory.Ptr.arena_id p).(l.index) p
-
-  let local_limbo l =
-    Array.fold_left
-      (fun acc triple ->
-        Array.fold_left (fun acc b -> acc + Bag.Blockbag.size b) acc triple)
-      0 l.bags
-
-  let limbo_per_proc t = Array.map local_limbo t.locals
-  let limbo_size t = Array.fold_left (fun acc l -> acc + local_limbo l) 0 t.locals
-
-  let epoch_lag t =
-    let e = Runtime.Svar.peek t.epoch in
-    Array.map
-      (fun l ->
-        if quiescent_bit l.ann then 0 else max 0 ((e - epoch_of l.ann) / 2))
-      t.locals
-
-  let flush t ctx =
-    (* Records rprotected by an unfinished recovery stay in limbo; under the
-       quiescent-shutdown contract all rp rows of {e surviving} processes
-       are empty and the bags drain completely.  A process that crashed
-       mid-recovery is permanently non-quiescent: its rp row is still
-       published, so the records it announced are kept in limbo rather than
-       freed — the crash-leak accounting the leak ledger reports as
-       remaining limbo, bounded by hp_slots per crashed process. *)
-    let scanning = t.scanning.(ctx.Runtime.Ctx.pid) in
-    Scan_util.collect_announcements ctx ~into:scanning
-      ~nprocs:(Intf.Env.nprocs t.env)
-      ~row:(fun other -> t.rp_rows.(other))
-      ~count:(fun ctx other -> Runtime.Shared_array.get ctx t.rp_count other);
+  let create env pool =
+    let n = Intf.Env.nprocs env in
+    let params = env.Intf.Env.params in
+    let k = params.Intf.Params.hp_slots in
+    let b = params.Intf.Params.block_capacity in
+    let x =
+      {
+        rp_rows = Runtime.Shared_array.rows n k;
+        rp_count = Runtime.Shared_array.create ~padded:true n;
+        scanning = Array.init n (fun _ -> Bag.Hash_set.create ~expected:(n * k));
+        scan_threshold =
+          ((n * k) + b - 1) / b + params.Intf.Params.scan_blocks_slack;
+        sig_attempts = Array.make_matrix n n 0;
+        sig_last = Array.make_matrix n n 0;
+      }
+    in
+    let t = make env pool x ~rotate ~lagging ~passed in
+    (* Install the signal handler on every process context. *)
     Array.iter
-      (fun l ->
-        Array.iter
-          (fun triple ->
-            Array.iter
-              (fun b ->
-                ignore
-                  (Scan_util.flush_bag ctx b
-                     ~keep:(fun p -> Bag.Hash_set.mem scanning p)
-                     ~release:(fun ctx p -> P.release t.pool ctx p)
-                     ~release_block:(fun blk -> P.release_block t.pool ctx blk)))
-              triple)
-          l.bags)
-      t.locals
+      (fun ctx ->
+        ctx.Runtime.Ctx.handler <-
+          (fun ctx ->
+            if is_quiescent t ctx then
+              ctx.Runtime.Ctx.stats.Runtime.Ctx.signals_ignored <-
+                ctx.Runtime.Ctx.stats.Runtime.Ctx.signals_ignored + 1
+            else begin
+              enter_qstate t ctx;
+              ctx.Runtime.Ctx.stats.Runtime.Ctx.neutralized <-
+                ctx.Runtime.Ctx.stats.Runtime.Ctx.neutralized + 1;
+              raise Runtime.Ctx.Neutralized
+            end))
+      env.Intf.Env.group.Runtime.Group.ctxs;
+    t
+
+  (* Records rprotected by an unfinished recovery stay in limbo; under the
+     quiescent-shutdown contract all rp rows of {e surviving} processes are
+     empty and the bags drain completely.  A process that crashed
+     mid-recovery is permanently non-quiescent: its rp row is still
+     published, so the records it announced are kept in limbo rather than
+     freed — the crash-leak accounting the leak ledger reports as remaining
+     limbo, bounded by hp_slots per crashed process. *)
+  let flush t ctx =
+    let scanning = collect t ctx in
+    flush_bags t ctx ~keep:(fun p -> Bag.Hash_set.mem scanning p)
 
   (* Allocation-failure path with neutralization: rotate-and-drain like
      DEBRA, then force an epoch advance by signalling every laggard instead
@@ -340,19 +229,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     let g = t.env.Intf.Env.group in
     let l = t.locals.(pid) in
     let freed = ref 0 in
-    let observe () =
-      let e = Runtime.Svar.get ctx t.epoch in
-      if epoch_of l.ann <> e then begin
-        (* Move only the local mirror: publishing a newer epoch while
-           mid-operation would be unsound (see Debra.emergency_reclaim). *)
-        l.ann <- e lor (l.ann land 1);
-        l.ops_since_check <- 0;
-        l.check_next <- 0;
-        freed := !freed + rotate_and_reclaim ~complete:true t ctx l
-      end;
-      e
-    in
-    let e = observe () in
+    let e = observe t ctx l freed in
     let self = Runtime.Shared_array.get ctx t.announce pid in
     if epoch_of self = e || quiescent_bit self then begin
       let reliable = not g.Runtime.Group.signals_unreliable in
@@ -374,10 +251,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
         done;
         if !all_ok then begin
           advanced := true;
-          if Runtime.Svar.cas ctx t.epoch ~expect:e (e + 2) then begin
-            Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
-            ignore (observe ())
-          end
+          if try_advance t ctx e then ignore (observe t ctx l freed)
         end
         else Runtime.Ctx.work ctx 64 (* yield so pending handlers can run *)
       done

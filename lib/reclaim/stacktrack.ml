@@ -1,6 +1,7 @@
 (** StackTrack-style reclamation (Alistarh, Eugster, Herlihy, Matveev,
-    Shavit, EuroSys'14), over the simulated best-effort transactions of
-    [Htm.Stm] semantics (paper §3).
+    Shavit, EuroSys'14) (paper §3).  There is no transaction layer: a
+    segment is a calibrated per-segment cost, and
+    {!Memory.Arena.Use_after_free} stands in for the abort.
 
     The original splits every operation into short hardware transactions
     ("segments"); pointers live in registers during a segment and are

@@ -183,6 +183,130 @@ let test_debra_plus_rprotect_survives () =
   Alcotest.(check bool) "no longer rprotected" false
     (RM_debra_plus.is_rprotected rm ctx victim)
 
+(* The epoch protocol both DEBRA and DEBRA+ run, driven through the
+   allocation-failure path so every epoch advance is one the test asked
+   for ([incr_thresh] is out of reach of the amortized check). *)
+module Epoch_core (RM : Intf.RECORD_MANAGER) = struct
+  module S = Setup (RM)
+
+  let params = { params_tiny with Intf.Params.incr_thresh = 1_000_000 }
+
+  (* Counts the epoch advances [f] makes. *)
+  let advances group heap f =
+    let n = ref 0 in
+    let counter =
+      Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
+        ~event:(fun _ctx -> function
+          | Memory.Smr_event.Epoch_advance _ -> incr n
+          | _ -> ())
+        ()
+    in
+    Runtime.Group.subscribe group counter;
+    f ();
+    Runtime.Group.unsubscribe group counter;
+    !n
+
+  (* Mid-operation our published announcement keeps the epoch we entered
+     with, so the emergency path may advance the epoch once per operation
+     and no further, however often it is asked. *)
+  let test_one_advance_per_operation () =
+    let group, heap, _env, rm, _arena = S.make ~params ~n:2 () in
+    let ctx = Runtime.Group.ctx group 0 in
+    for op = 1 to 3 do
+      RM.leave_qstate rm ctx;
+      let k =
+        advances group heap (fun () ->
+            for _ = 1 to 4 do ignore (RM.emergency_reclaim rm ctx) done)
+      in
+      Alcotest.(check int) (Printf.sprintf "op %d: advances" op) 1 k;
+      RM.enter_qstate rm ctx
+    done
+
+  (* Records retired in one operation stay in limbo across the next two
+     advances, and leave when their bag becomes current again. *)
+  let test_bag_freed_when_it_comes_round () =
+    let group, _heap, _env, rm, arena = S.make ~params ~n:2 () in
+    let ctx = Runtime.Group.ctx group 0 in
+    RM.leave_qstate rm ctx;
+    for i = 1 to 8 do
+      let p = RM.alloc rm ctx arena in
+      Memory.Arena.set_const ctx arena p 0 i;
+      RM.retire rm ctx p
+    done;
+    let freed = Array.make 3 0 in
+    for op = 0 to 2 do
+      if op > 0 then RM.leave_qstate rm ctx;
+      freed.(op) <- RM.emergency_reclaim rm ctx;
+      RM.enter_qstate rm ctx
+    done;
+    Alcotest.(check (array int)) "freed per advance" [| 0; 0; 8 |] freed;
+    Alcotest.(check int) "limbo empty" 0 (RM.limbo_size rm)
+
+  let cases =
+    [
+      Alcotest.test_case "emergency advances once per operation" `Quick
+        test_one_advance_per_operation;
+      Alcotest.test_case "bag freed when it comes round" `Quick
+        test_bag_freed_when_it_comes_round;
+    ]
+end
+
+module Core_debra = Epoch_core (RM_debra)
+module Core_debra_plus = Epoch_core (RM_debra_plus)
+
+(* DEBRA+'s [flush] keeps an rprotected record in limbo, and releases it
+   once the protection is dropped. *)
+let test_debra_plus_flush_keeps_rprotected () =
+  let group, _heap, _env, rm, arena = S_debra_plus.make ~n:2 () in
+  let ctx = Runtime.Group.ctx group 0 in
+  RM_debra_plus.leave_qstate rm ctx;
+  let victim = RM_debra_plus.alloc rm ctx arena in
+  RM_debra_plus.rprotect rm ctx victim;
+  RM_debra_plus.retire rm ctx victim;
+  for i = 1 to 7 do
+    let p = RM_debra_plus.alloc rm ctx arena in
+    Memory.Arena.set_const ctx arena p 0 i;
+    RM_debra_plus.retire rm ctx p
+  done;
+  RM_debra_plus.flush rm ctx;
+  Alcotest.(check int) "only the victim stays" 1 (RM_debra_plus.limbo_size rm);
+  Memory.Arena.validate arena victim;
+  RM_debra_plus.runprotect_all rm ctx;
+  RM_debra_plus.flush rm ctx;
+  Alcotest.(check int) "limbo empty" 0 (RM_debra_plus.limbo_size rm);
+  Alcotest.(check bool) "victim freed" false (Memory.Arena.is_valid arena victim)
+
+(* DEBRA+ rotates without releasing anything until the bag just made
+   current holds enough blocks to amortize a scan of every RProtect row:
+   here ceil(2 * 64 / 4) + 1 = 33 blocks, counting the head block each
+   arena's bag keeps even when empty. *)
+let test_debra_plus_rotation_waits_for_scan_threshold () =
+  let params = { params_tiny with Intf.Params.hp_slots = 64 } in
+  let group, _heap, _env, rm, arena = S_debra_plus.make ~params ~n:2 () in
+  let ctx = Runtime.Group.ctx group 0 in
+  let ctx1 = Runtime.Group.ctx group 1 in
+  let retire_and_run k =
+    RM_debra_plus.leave_qstate rm ctx;
+    for i = 1 to k do
+      let p = RM_debra_plus.alloc rm ctx arena in
+      Memory.Arena.set_const ctx arena p 0 i;
+      RM_debra_plus.retire rm ctx p
+    done;
+    RM_debra_plus.enter_qstate rm ctx;
+    for _ = 1 to 40 do
+      RM_debra_plus.leave_qstate rm ctx;
+      RM_debra_plus.enter_qstate rm ctx;
+      RM_debra_plus.leave_qstate rm ctx1;
+      RM_debra_plus.enter_qstate rm ctx1
+    done;
+    RM_debra_plus.limbo_size rm
+  in
+  Alcotest.(check int) "2 blocks: below the threshold" 8 (retire_and_run 8);
+  let limbo = retire_and_run 200 in
+  Alcotest.(check bool)
+    (Printf.sprintf "50 more blocks: released (limbo %d)" limbo)
+    true (limbo < 208)
+
 (* HP: a protected record survives a scan; unprotected retired records are
    reclaimed once the retire threshold is crossed. *)
 let test_hp_scan_respects_announcements () =
@@ -591,14 +715,20 @@ let () =
             test_debra_quiescent_idler_harmless;
           Alcotest.test_case "non-quiescent laggard blocks" `Quick
             test_debra_nonquiescent_blocks;
-        ] );
+        ]
+        @ Core_debra.cases );
       ( "debra+",
         [
           Alcotest.test_case "neutralizes laggard" `Quick
             test_debra_plus_neutralizes_laggard;
           Alcotest.test_case "rprotect survives scan" `Quick
             test_debra_plus_rprotect_survives;
-        ] );
+          Alcotest.test_case "flush keeps rprotected" `Quick
+            test_debra_plus_flush_keeps_rprotected;
+          Alcotest.test_case "rotation waits for scan threshold" `Quick
+            test_debra_plus_rotation_waits_for_scan_threshold;
+        ]
+        @ Core_debra_plus.cases );
       ( "hp",
         [
           Alcotest.test_case "scan respects announcements" `Quick
