@@ -15,9 +15,16 @@ let rec pop ctx t =
       if Runtime.Svar.cas ctx t.head ~expect:old rest then Some x
       else pop ctx t
 
-let drain ctx t f =
-  let rec go n = match pop ctx t with None -> n | Some x -> f x; go (n + 1) in
-  go 0
+(* Top level, not a local [go]: a closure over [ctx t f] would cost words
+   on every drain, and EBR drains once per epoch advance. *)
+let rec drain_from ctx t f n =
+  match pop ctx t with
+  | None -> n
+  | Some x ->
+      f ctx x;
+      drain_from ctx t f (n + 1)
+
+let drain ctx t f = drain_from ctx t f 0
 
 let size t =
   let rec go n acc = match n with Nil -> acc | Cons (_, r) -> go r (acc + 1) in

@@ -9,8 +9,9 @@ val create : unit -> t
 val push : Runtime.Ctx.t -> t -> int -> unit
 val pop : Runtime.Ctx.t -> t -> int option
 
-(** [drain ctx t f] pops until empty, applying [f]; returns the count. *)
-val drain : Runtime.Ctx.t -> t -> (int -> unit) -> int
+(** [drain ctx t f] pops until empty, applying [f ctx]; returns the count.
+    Passing [ctx] on lets a caller bind [f] once instead of per drain. *)
+val drain : Runtime.Ctx.t -> t -> (Runtime.Ctx.t -> int -> unit) -> int
 
 (** Uninstrumented size, O(n); for tests and memory accounting. *)
 val size : t -> int

@@ -23,6 +23,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     announce : Runtime.Shared_array.t;
     limbo : Bag.Shared_intbag.t array;  (* 3 epoch bags *)
     my_ann : int array;  (* local mirror of own announcement *)
+    release : Runtime.Ctx.t -> int -> unit;  (* drain callback, bound once *)
   }
 
   let name = name
@@ -47,6 +48,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       announce;
       limbo = Array.init 3 (fun _ -> Bag.Shared_intbag.create ());
       my_ann = Array.make n 1;
+      release = P.release pool;
     }
 
   let epoch_of ann = ann land lnot 1
@@ -75,13 +77,14 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
       if not (epoch_of a = e || quiescent_bit a) then all_ok := false
     done;
     if !all_ok && Runtime.Svar.cas ctx t.epoch ~expect:e (e + 2) then begin
-      Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
+      (* Built only when observed: with one process this branch runs on
+         every operation. *)
+      if Runtime.Ctx.observed ctx then
+        Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
       (* The new epoch is e+2; records retired in epoch e-2 are now safe. *)
       let safe = bag_of t (e + 4) (* (e+4)/2 mod 3 = (e-2)/2 mod 3 *) in
-      let released =
-        Bag.Shared_intbag.drain ctx safe (fun p -> P.release t.pool ctx p)
-      in
-      if released > 0 then
+      let released = Bag.Shared_intbag.drain ctx safe t.release in
+      if released > 0 && Runtime.Ctx.observed ctx then
         Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep released)
     end
 
@@ -134,7 +137,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
        at shutdown. *)
     Array.iter
       (fun b ->
-        ignore (Bag.Shared_intbag.drain ctx b (fun p -> P.release t.pool ctx p)))
+        ignore (Bag.Shared_intbag.drain ctx b t.release))
       t.limbo
 
   (* Allocation-failure path.  EBR already scans every announcement each
@@ -154,9 +157,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     if !all_ok && Runtime.Svar.cas ctx t.epoch ~expect:e (e + 2) then begin
       Intf.Env.emit t.env ctx (Memory.Smr_event.Epoch_advance (e + 2));
       let safe = bag_of t (e + 4) in
-      let released =
-        Bag.Shared_intbag.drain ctx safe (fun p -> P.release t.pool ctx p)
-      in
+      let released = Bag.Shared_intbag.drain ctx safe t.release in
       if released > 0 then
         Intf.Env.emit t.env ctx (Memory.Smr_event.Sweep released);
       released

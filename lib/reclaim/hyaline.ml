@@ -178,10 +178,14 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
        process consumed the now-last reference during that yield it would
        free the batch while this session still looks open;
      - a physical free only ever runs between the freer's own sessions. *)
+  let free_batches t ctx = function
+    | [] -> ()  (* the common case: no [free_batch t ctx] closure built *)
+    | bs -> List.iter (free_batch t ctx) bs
+
   let leave_qstate t ctx =
     let pid = ctx.Runtime.Ctx.pid in
     let freeable = drop_references t ctx in
-    List.iter (free_batch t ctx) freeable;
+    free_batches t ctx freeable;
     let e = Runtime.Svar.get ctx t.era in
     t.my_slot.(pid) <- e;
     Runtime.Shared_array.set ctx t.slots pid e;
@@ -193,7 +197,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     let freeable = drop_references t ctx in
     t.my_slot.(pid) <- 0;
     Runtime.Shared_array.set ctx t.slots pid 0;
-    List.iter (free_batch t ctx) freeable
+    free_batches t ctx freeable
 
   let is_quiescent t ctx = t.my_slot.(ctx.Runtime.Ctx.pid) = 0
 

@@ -203,7 +203,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     let scanning = t.scanning.(pid) in
     Bag.Hash_set.clear scanning;
     ignore
-      (Bag.Shared_intbag.drain ctx !(t.mark_bag) (fun r ->
+      (Bag.Shared_intbag.drain ctx !(t.mark_bag) (fun _ r ->
            Bag.Hash_set.insert scanning r));
     Array.iter
       (fun r -> if r <> 0 then Bag.Hash_set.insert scanning r)

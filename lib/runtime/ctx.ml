@@ -25,7 +25,6 @@ type t = {
   mutable sig_mask : int;
   mutable handler : t -> unit;
   probe : probe;
-  mutable access_impl : t -> line:int -> access_kind -> unit;
   mutable now_impl : unit -> int;
   mutable stall_impl : int -> unit;
   mutable rng : Random.State.t;
@@ -33,13 +32,18 @@ type t = {
 }
 
 (* The probe: the subscribers, and per channel the callbacks composed from
-   them — rebuilt only when a subscription changes. *)
+   them — rebuilt only when a subscription changes — plus the backend's
+   access step.  [slow] is true exactly when an access has more to run than
+   its poll and stats: an access subscriber, or a step other than
+   [no_step]. *)
 and probe = {
   mutable subs : subscriber list;  (* subscription order *)
   mutable accesses : (t -> line:int -> access_kind -> unit) array;
   mutable events : (int * (t -> Event.t -> unit)) array;  (* (scope, f) *)
   mutable entries : (t -> unit) array;
   mutable steer : (int * (t -> Event.point -> int -> Event.decision)) option;
+  mutable step : t -> line:int -> access_kind -> unit;
+  mutable slow : bool;
 }
 
 and subscriber = {
@@ -66,6 +70,8 @@ let fresh_stats () =
     signals_ignored = 0;
   }
 
+let no_step _ ~line:_ _ = ()
+
 let make ~pid ~nprocs ~seed =
   {
     pid;
@@ -80,20 +86,25 @@ let make ~pid ~nprocs ~seed =
         events = [||];
         entries = [||];
         steer = None;
+        step = no_step;
+        slow = false;
       };
-    access_impl = (fun _ ~line:_ _ -> ());
     now_impl = (fun () -> 0);
     stall_impl = (fun _ -> ());
     rng = Random.State.make [| seed; pid |];
     stats = fresh_stats ();
   }
 
-let poll ctx =
-  if ctx.sig_mask = 0 && Atomic.get ctx.sig_pending then begin
-    Atomic.set ctx.sig_pending false;
-    Array.iter (fun f -> f ctx) ctx.probe.entries;
-    ctx.handler ctx
-  end
+let[@inline never] deliver ctx =
+  Atomic.set ctx.sig_pending false;
+  let es = ctx.probe.entries in
+  for i = 0 to Array.length es - 1 do
+    es.(i) ctx
+  done;
+  ctx.handler ctx
+
+let[@inline] poll ctx =
+  if ctx.sig_mask = 0 && Atomic.get ctx.sig_pending then deliver ctx
 
 (* Masking defers handler delivery; the pending flag stays set, so the
    handler runs at the first access after the outermost [unmask] — the
@@ -105,6 +116,13 @@ let unmask ctx =
   assert (ctx.sig_mask > 0);
   ctx.sig_mask <- ctx.sig_mask - 1
 
+let[@inline never] observe ctx ~line kind =
+  let fs = ctx.probe.accesses in
+  for i = 0 to Array.length fs - 1 do
+    fs.(i) ctx ~line kind
+  done;
+  ctx.probe.step ctx ~line kind
+
 let access ctx ~line kind =
   poll ctx;
   let s = ctx.stats in
@@ -114,14 +132,12 @@ let access ctx ~line kind =
   | Cas -> s.cass <- s.cass + 1
   | Fence -> s.fences <- s.fences + 1
   | Work c -> s.local_work <- s.local_work + c);
-  let fs = ctx.probe.accesses in
-  for i = 0 to Array.length fs - 1 do
-    fs.(i) ctx ~line kind
-  done;
-  ctx.access_impl ctx ~line kind
+  if ctx.probe.slow then observe ctx ~line kind
 
 let subscriber ?(scope = -1) ?access ?event ?handler_entry ?decide () =
   { scope; access; event; handler_entry; decide }
+
+let update_slow p = p.slow <- Array.length p.accesses > 0 || p.step != no_step
 
 let recompose p =
   let chan get = Array.of_list (List.filter_map get p.subs) in
@@ -129,7 +145,8 @@ let recompose p =
   p.accesses <- chan (fun s -> s.access);
   p.events <- chan (fun s -> scoped s s.event);
   p.entries <- chan (fun s -> s.handler_entry);
-  p.steer <- List.find_map (fun s -> scoped s s.decide) p.subs
+  p.steer <- List.find_map (fun s -> scoped s s.decide) p.subs;
+  update_slow p
 
 let subscribe ctx s =
   let p = ctx.probe in
@@ -143,6 +160,16 @@ let unsubscribe ctx s =
   let p = ctx.probe in
   p.subs <- List.filter (fun s' -> s' != s) p.subs;
   recompose p
+
+let set_access_step ctx f =
+  ctx.probe.step <- f;
+  update_slow ctx.probe
+
+let clear_access_step ctx =
+  ctx.probe.step <- no_step;
+  update_slow ctx.probe
+
+let fast_path ctx = not ctx.probe.slow
 
 let in_scope s scope = s < 0 || s = scope
 let observed ctx = Array.length ctx.probe.events > 0

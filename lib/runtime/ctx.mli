@@ -55,12 +55,9 @@ type t = {
   mutable handler : t -> unit;
       (** signal handler; invoked at the next instrumented access after
           [sig_pending] is set.  Default: ignore. *)
-  probe : probe;  (** this context's subscribers (see {!subscribe}) *)
-  mutable access_impl : t -> line:int -> access_kind -> unit;
-      (** the backend's per-access step, run after every subscriber: the
-          simulator charges cache-model costs and yields to the scheduler
-          here.  Set and restored by the backend with [now_impl] and
-          [stall_impl].  Default: no-op. *)
+  probe : probe;
+      (** this context's subscribers (see {!subscribe}) and the backend's
+          access step (see {!set_access_step}) *)
   mutable now_impl : unit -> int;
       (** current time in cycles (virtual under the simulator, scaled
           wall-clock under domains). *)
@@ -93,8 +90,23 @@ val unmask : t -> unit
 
 (** [access ctx ~line kind] records one instrumented shared-memory access:
     polls the signal flag, updates statistics, runs the access subscribers,
-    then the backend's [access_impl]. *)
+    then the backend's access step.  With no access subscriber and no step
+    ({!fast_path}), the last two cost one branch. *)
 val access : t -> line:int -> access_kind -> unit
+
+(** [set_access_step ctx f] installs the backend's per-access step, run
+    after every access subscriber: the simulator charges cache-model costs
+    and yields to the scheduler here.  Set and cleared by the backend with
+    [now_impl] and [stall_impl]. *)
+val set_access_step : t -> (t -> line:int -> access_kind -> unit) -> unit
+
+(** [clear_access_step ctx] removes the backend's step; with no access
+    subscriber left, [ctx] is back on the fast path. *)
+val clear_access_step : t -> unit
+
+(** [true] when an access runs only its poll, its stats and one branch:
+    [ctx] has no access subscriber and no backend step. *)
+val fast_path : t -> bool
 
 (** {1 The probe}
 
@@ -103,7 +115,7 @@ val access : t -> line:int -> access_kind -> unit
     {!subscriber} bundles up to four callbacks:
 
     - [access]: each instrumented access, after the signal poll and before
-      the backend's [access_impl] (the simulator's cache charge and yield);
+      the backend's access step (the simulator's cache charge and yield);
     - [event]: each {!Event.t} emitted on this context under a heap scope
       the subscriber's [scope] matches (omitted: every scope);
     - [handler_entry]: on entry to each handler run, before the handler
@@ -113,7 +125,8 @@ val access : t -> line:int -> access_kind -> unit
 
     Channels run subscribers in subscription order; [unsubscribe] removes
     exactly one, in any order.  Dispatch is rebuilt only on (un)subscribe;
-    an empty channel costs one branch. *)
+    an empty channel costs one branch, and the access channel shares its
+    branch with the backend step. *)
 
 type subscriber
 

@@ -173,17 +173,13 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
   let install pid =
     let ctx = Group.ctx group pid in
     let context = core_of pid in
-    ctx.Ctx.access_impl <-
-      (fun _ ~line kind ->
+    Ctx.set_access_step ctx (fun _ ~line kind ->
         last_line.(pid) <- line;
         charge := Machine.Cache.access cache ~context kind ~line;
         perform Yield);
     ctx.Ctx.now_impl <- (fun () -> cores.(context).time);
     ctx.Ctx.stall_impl <- (fun cycles -> perform (Stall cycles))
   in
-  for pid = 0 to n - 1 do
-    install pid
-  done;
   let live = ref n in
   let steps = ref 0 in
   let crashed = Array.make n false in
@@ -390,11 +386,16 @@ let run ?(machine = Machine.Config.intel_i7_4770) ?(max_steps = 2_000_000_000)
   let restore_backend () =
     Array.iter
       (fun ctx ->
-        ctx.Ctx.access_impl <- (fun _ ~line:_ _ -> ());
+        Ctx.clear_access_step ctx;
         ctx.Ctx.now_impl <- (fun () -> 0);
         ctx.Ctx.stall_impl <- (fun _ -> ()))
       group.Group.ctxs
   in
+  (* Installed last, after every argument check, so that nothing raised
+     before the [try] leaves a context with the simulator's step. *)
+  for pid = 0 to n - 1 do
+    install pid
+  done;
   (try
      while !live > 0 && !failure = None do
        incr steps;

@@ -85,8 +85,10 @@ type policy =
 
 (** [run ~machine group bodies] runs [bodies.(pid)] for each pid to
     completion and returns the outcome.  Sets each context's backend slots
-    ([access_impl], [now_impl], [stall_impl]) for the duration of the run;
-    probe subscribers are left alone and run before each access step.
+    (its access step, [now_impl], [stall_impl]) for the duration of the run
+    and clears them after, also on a [Stuck] escape, so the contexts return
+    to {!Ctx.fast_path}; probe subscribers are left alone and run before
+    each access step.
     Exceptions other than [Ctx.Crashed] escaping a body abort the
     simulation and are re-raised.
 

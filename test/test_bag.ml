@@ -201,7 +201,7 @@ let test_shared_intbag () =
   done;
   Alcotest.(check int) "size" 50 (Bag.Shared_intbag.size b);
   let sum = ref 0 in
-  let n = Bag.Shared_intbag.drain c b (fun x -> sum := !sum + x) in
+  let n = Bag.Shared_intbag.drain c b (fun _ x -> sum := !sum + x) in
   Alcotest.(check int) "drained" 50 n;
   Alcotest.(check int) "sum" (50 * 51 / 2) !sum
 

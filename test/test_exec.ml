@@ -235,6 +235,69 @@ let test_backend_contract () =
   | Ok _ -> Alcotest.fail "accepted bogus backend")
 
 (* ------------------------------------------------------------------ *)
+(* The access fast path                                                 *)
+
+(* An access with no access subscriber and no backend step runs its poll,
+   its stats and one branch.  A subscriber added mid-run on a domain sees
+   every later access and nothing once removed; the simulator's step holds
+   the slow path only for the run, also when the run escapes with [Stuck]
+   or rejects its arguments. *)
+let test_fast_path () =
+  let module Ctx = Runtime.Ctx in
+  let group = Runtime.Group.create ~seed:5 2 in
+  let ctxs = group.Runtime.Group.ctxs in
+  let all_fast () = Array.for_all Ctx.fast_path ctxs in
+  Alcotest.(check bool) "fresh contexts fast" true (all_fast ());
+  let v = Runtime.Svar.make 0 in
+  let touch ctx k =
+    for i = 1 to k do
+      Runtime.Svar.set ctx v i;
+      ignore (Runtime.Svar.get ctx v);
+      ignore (Runtime.Svar.cas ctx v ~expect:i (i + 1));
+      Ctx.fence ctx;
+      Ctx.work ctx 3
+    done
+  in
+  let seen = ref 0 and expected = ref 0 and slow_while_hooked = ref false in
+  let fast_after = ref false in
+  let body pid () =
+    let ctx = Runtime.Group.ctx group pid in
+    touch ctx 10;
+    if pid = 0 then begin
+      let unhook = Ctx.add_hook ctx (fun _ ~line:_ _ -> incr seen) in
+      slow_while_hooked := not (Ctx.fast_path ctx);
+      touch ctx 7;
+      expected := 7 * 5;
+      unhook ();
+      fast_after := Ctx.fast_path ctx;
+      touch ctx 4
+    end
+  in
+  ignore (Runtime.Domain_runner.run group (Array.init 2 body));
+  Alcotest.(check bool) "slow while hooked" true !slow_while_hooked;
+  Alcotest.(check int) "hook saw every access while subscribed" !expected
+    !seen;
+  Alcotest.(check bool) "unhooking restores the fast path" true !fast_after;
+  let during = Array.make 2 true in
+  let sim_body pid () =
+    let ctx = Runtime.Group.ctx group pid in
+    touch ctx 3;
+    during.(pid) <- Ctx.fast_path ctx
+  in
+  ignore (Sim.run group (Array.init 2 sim_body));
+  Alcotest.(check (array bool)) "sim step installed" [| false; false |] during;
+  Alcotest.(check bool) "fast after Sim.run" true (all_fast ());
+  let spin pid () = touch (Runtime.Group.ctx group pid) 1_000 in
+  (match Sim.run ~max_steps:50 group (Array.init 2 spin) with
+  | _ -> Alcotest.fail "step budget not exceeded"
+  | exception Sim.Stuck _ -> ());
+  Alcotest.(check bool) "fast after a Stuck escape" true (all_fast ());
+  (match Sim.run ~tick:(0, ignore) group (Array.init 2 spin) with
+  | _ -> Alcotest.fail "tick interval 0 accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "fast after a rejected tick" true (all_fast ())
+
+(* ------------------------------------------------------------------ *)
 (* Sim equivalence: the refactored pipeline reproduces pre-refactor     *)
 (* outcomes exactly                                                     *)
 
@@ -349,6 +412,7 @@ let () =
           Alcotest.test_case "crash marked in group" `Quick
             test_domain_crash_marked;
           Alcotest.test_case "backend contracts" `Quick test_backend_contract;
+          Alcotest.test_case "access fast path" `Quick test_fast_path;
         ] );
       ( "sim-equivalence",
         [

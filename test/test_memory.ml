@@ -182,10 +182,13 @@ let test_unobserved_allocation () =
    warm when no subscriber listens: an unobserved [protect]+[unprotect]
    pair — paid per node a traversal reaches — and DEBRA+'s recovery
    [rprotect]+[runprotect_all] pair each stay under one minor word.  The
-   epoch schemes' [leave_qstate]+[enter_qstate] pair stays under four: only
-   the limbo-bag rotation allocates, amortized over the [INCR_THRESH]
-   operations between epoch advances, and a scheme hook bound per call
-   instead of once at [create] would add words to every pair. *)
+   [leave_qstate]+[enter_qstate] pair of DEBRA, DEBRA+, EBR and Hyaline
+   stays under four: only the limbo-bag rotation allocates, amortized over
+   the [INCR_THRESH] operations between epoch advances, and a scheme hook
+   bound per call instead of once at [create] would add words to every
+   pair.  With one process EBR advances its epoch on every pair, so an
+   event built before its [Ctx.observed] test, or a drain callback bound
+   per advance, fails here. *)
 let verify () = true
 
 let test_protect_allocation (e : Reclaim.Registry.entry) () =
@@ -217,7 +220,7 @@ let test_protect_allocation (e : Reclaim.Registry.entry) () =
   per_pair "rprotect+runprotect_all" (fun () ->
       RM.rprotect rm c p;
       RM.runprotect_all rm c);
-  if e.name = "debra" || e.name = "debra+" then
+  if List.mem e.name [ "debra"; "debra+"; "ebr"; "hyaline" ] then
     per_pair ~bound:4. "leave_qstate+enter_qstate" (fun () ->
         RM.leave_qstate rm c;
         RM.enter_qstate rm c)
