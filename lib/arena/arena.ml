@@ -20,7 +20,8 @@ type t = {
   mut_fields : int;
   const_fields : int;
   capacity : int;
-  data_mut : int Atomic.t array;  (* capacity * mut_fields *)
+  data_mut : int Atomic.t array;
+      (* capacity * mut_fields; [unclaimed] until the slot's first claim *)
   data_const : int array;  (* capacity * const_fields *)
   state : int array;  (* per slot *)
   gen : int array;  (* per slot, monotonically increasing *)
@@ -38,6 +39,15 @@ type t = {
   frees : int Atomic.t;
 }
 
+(* The one cell every never-claimed slot's fields share.  Cells are
+   installed by [claim_fresh] before the slot's pointer exists, and on
+   domains that pointer reaches another domain only through an atomic
+   (a publishing write or CAS, or the pool's and free list's atomics), which
+   orders the installation before any reader indexes the cells.  So no valid
+   pointer reads this cell; it must never be written either ([poke] checks,
+   the instrumented writers validate first). *)
+let unclaimed = Atomic.make 0
+
 let create ?scope ?budget ~heap_id ~name ~mut_fields ~const_fields ~capacity
     () =
   assert (capacity > 0 && mut_fields >= 0 && const_fields >= 0);
@@ -52,7 +62,7 @@ let create ?scope ?budget ~heap_id ~name ~mut_fields ~const_fields ~capacity
     mut_fields;
     const_fields;
     capacity;
-    data_mut = Array.init (capacity * mut_fields) (fun _ -> Atomic.make 0);
+    data_mut = Array.make (capacity * mut_fields) unclaimed;
     data_const = Array.make (max 1 (capacity * const_fields)) 0;
     state = Array.make capacity state_unallocated;
     gen = Array.make capacity 0;
@@ -138,6 +148,10 @@ let claim_fresh ctx t =
     uncharge_budget t;
     raise (Arena_full t.name)
   end;
+  let base = slot * t.mut_fields in
+  for f = 0 to t.mut_fields - 1 do
+    t.data_mut.(base + f) <- Atomic.make 0
+  done;
   t.state.(slot) <- state_allocated;
   note_alloc t ctx;
   let p = Ptr.make ~arena:t.heap_id ~slot ~gen:t.gen.(slot) in
@@ -250,7 +264,14 @@ let set_const ctx t p f v =
   t.data_const.(const_index t p f) <- v
 
 let peek t p f = Atomic.get t.data_mut.(mut_index t p f)
-let poke t p f v = Atomic.set t.data_mut.(mut_index t p f) v
+let poke t p f v =
+  let cell = t.data_mut.(mut_index t p f) in
+  if cell == unclaimed then
+    invalid_arg
+      (Printf.sprintf "Arena.poke: %s: slot %d never claimed" t.name
+         (Ptr.slot p));
+  Atomic.set cell v
+
 let peek_const t p f = t.data_const.(const_index t p f)
 
 let budget t = t.budget

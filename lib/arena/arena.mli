@@ -63,7 +63,8 @@ val record_bytes : t -> int
     default).  Benchmarks can disable it to measure pure scheme costs. *)
 val set_checking : t -> bool -> unit
 
-(** [claim_fresh ctx t] bump-allocates a never-used slot.
+(** [claim_fresh ctx t] bump-allocates a never-used slot and installs its
+    mutable field cells, all 0 (until then the slot has none).
     @raise Arena_full when the arena is exhausted.
     @raise Out_of_memory when the heap's record budget is exhausted. *)
 val claim_fresh : Runtime.Ctx.t -> t -> Ptr.t
@@ -104,7 +105,10 @@ val cas : Runtime.Ctx.t -> t -> Ptr.t -> int -> expect:int -> int -> bool
 val get_const : Runtime.Ctx.t -> t -> Ptr.t -> int -> int
 val set_const : Runtime.Ctx.t -> t -> Ptr.t -> int -> int -> unit
 
-(** Uninstrumented accessors for setup and test assertions. *)
+(** Uninstrumented accessors for setup and test assertions.  A slot's
+    mutable fields exist from its first claim: [peek] on a never-claimed
+    slot reads 0.
+    @raise Invalid_argument from [poke] on a never-claimed slot. *)
 
 val peek : t -> Ptr.t -> int -> int
 val poke : t -> Ptr.t -> int -> int -> unit

@@ -16,13 +16,18 @@ let rec pop ctx t =
       else pop ctx t
 
 (* Top level, not a local [go]: a closure over [ctx t f] would cost words
-   on every drain, and EBR drains once per epoch advance. *)
+   on every drain, and EBR drains once per epoch advance.  Matches the head
+   itself rather than going through [pop], whose [Some x] would cost words
+   per drained record; the accesses are [pop]'s. *)
 let rec drain_from ctx t f n =
-  match pop ctx t with
-  | None -> n
-  | Some x ->
-      f ctx x;
-      drain_from ctx t f (n + 1)
+  match Runtime.Svar.get ctx t.head with
+  | Nil -> n
+  | Cons (x, rest) as old ->
+      if Runtime.Svar.cas ctx t.head ~expect:old rest then begin
+        f ctx x;
+        drain_from ctx t f (n + 1)
+      end
+      else drain_from ctx t f n
 
 let drain ctx t f = drain_from ctx t f 0
 

@@ -151,12 +151,23 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
      time proves the child had not been retired when our announcement became
      visible.  Anything other than Clean is "suspicious" and restarts the
      operation — the paper's workaround, which forfeits lock-freedom. *)
-  let protect_child t ctx s ~parent ~child =
-    match
-      T.acquire t.rm ctx s child ~verify:(fun () ->
-          state_of (update_of t ctx parent) = clean
-          && (left_of t ctx parent = child || right_of t ctx parent = child))
-    with
+  type edge = { mutable parent : Memory.Ptr.t; mutable child : Memory.Ptr.t }
+
+  (* One [verify] closure per search, over the edge the next step protects:
+     a closure per step would cost words on every node visited. *)
+  let edge_verifier t ctx =
+    let e = { parent = Memory.Ptr.null; child = Memory.Ptr.null } in
+    let verify () =
+      let parent = e.parent and child = e.child in
+      state_of (update_of t ctx parent) = clean
+      && (left_of t ctx parent = child || right_of t ctx parent = child)
+    in
+    (e, verify)
+
+  let protect_child t ctx s (e, verify) ~parent ~child =
+    e.parent <- parent;
+    e.child <- child;
+    match T.acquire t.rm ctx s child ~verify with
     | Some _ -> true
     | None -> false
 
@@ -175,6 +186,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       if (not (Memory.Ptr.is_null p)) && p <> t.root then
         RM.unprotect t.rm ctx p
     in
+    let ev = edge_verifier t ctx in
     let rec step gp gpupdate p pupdate l =
       if is_leaf t l then { gp; p; l; pupdate; gpupdate }
       else begin
@@ -185,7 +197,8 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
           if key < key_of t ctx p' then left_of t ctx p'
           else right_of t ctx p'
         in
-        if not (protect_child t ctx s ~parent:p' ~child:l') then raise Restart;
+        if not (protect_child t ctx s ev ~parent:p' ~child:l') then
+          raise Restart;
         unprotect_maybe gp;
         step gp' gpupdate' p' pupdate' l'
       end
@@ -195,7 +208,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       let l =
         if key < inf2 then left_of t ctx t.root else right_of t ctx t.root
       in
-      if not (protect_child t ctx s ~parent:t.root ~child:l) then begin
+      if not (protect_child t ctx s ev ~parent:t.root ~child:l) then begin
         RM.unprotect_all t.rm ctx;
         from_root ()
       end

@@ -64,12 +64,18 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
 
   exception Restart
 
+  type edge = { mutable prev : T.guard; mutable cur : Memory.Ptr.t }
+
   (* [find t ctx s key] returns (prev, cur) with prev.next = cur, cur a
      guard on the first node of key >= [key] (or [None] at the end of the
      list), prev guarded (the permanent head needs no announcement).
      Marked nodes met along the way are unlinked and retired — the unlink
      CAS mints the witness its retire spends. *)
   let find t ctx s key =
+    (* One [verify] closure per search, over the (prev, cur) pair the next
+       acquire validates, instead of one per node visited. *)
+    let edge = { prev = T.root_guard t.rm s t.head; cur = Memory.Ptr.null } in
+    let verify () = next_of t ctx edge.prev = edge.cur in
     let rec from_head () =
       let head = T.root_guard t.rm s t.head in
       match scan head (next_of t ctx head) with
@@ -81,9 +87,9 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       if Memory.Ptr.is_null cur then (prev, None)
       else begin
         let cur = Memory.Ptr.unmark cur in
-        match
-          T.acquire t.rm ctx s cur ~verify:(fun () -> next_of t ctx prev = cur)
-        with
+        edge.prev <- prev;
+        edge.cur <- cur;
+        match T.acquire t.rm ctx s cur ~verify with
         | None -> raise Restart
         | Some curg -> (
             let next = next_of t ctx curg in

@@ -156,13 +156,14 @@ type 'a run_res = {
 
 (* Execute one schedule: replay the [forced] choices (shallowest first),
    then extend with default choices, recording alternatives at every fresh
-   choice point.  Pure per call — safe to run concurrently as long as
-   [run_one]/[check] build fresh program instances. *)
+   choice point while the preemption budget is not spent.  Pure per call —
+   safe to run concurrently as long as [run_one]/[check] build fresh
+   program instances. *)
 let run_job ~budget ~wide ~(run_one : Sim.policy -> 'a)
     ~(check : 'a -> string option) (forced : frame list) : 'a run_res =
   let forced_arr = Array.of_list forced in
   let nforced = Array.length forced_arr in
-  let preempts0 = count_preempts forced in
+  let spent = count_preempts forced >= budget in
   let branches = ref 0 in
   let fresh = ref [] in
   (* Sleep set at the deepest replayed node; choices before it already
@@ -182,23 +183,28 @@ let run_job ~budget ~wide ~(run_one : Sim.policy -> 'a)
       if di = nforced - 1 then live_sleep := wake !live_sleep cands.(i);
       i
     end
+    else if spent then begin
+      (* Budget spent: every fresh frame would have no alternatives, lie
+         deeper than any frame backtracking can branch from, and never be a
+         preemption, so recording it (or its sleep set) changes nothing. *)
+      let xi = default_index dr cands in
+      note dr cands.(xi).Sim.cand_core;
+      xi
+    end
     else begin
       let xi = default_index dr cands in
       let x = cands.(xi) in
       let alts =
-        if preempts0 >= budget then []
-        else
-          Array.to_list cands
-          |> List.filter (fun c ->
-                 c.Sim.cand_core <> x.Sim.cand_core
-                 && (wide
-                    (* a fiber that has not run yet has no recorded
-                       pending access (line -1): always branchable *)
-                    || c.Sim.cand_line < 0
-                    || c.Sim.cand_line = x.Sim.cand_line)
-                 && not
-                      (List.mem (c.Sim.cand_pid, c.Sim.cand_line)
-                         !live_sleep))
+        Array.to_list cands
+        |> List.filter (fun c ->
+               c.Sim.cand_core <> x.Sim.cand_core
+               && (wide
+                  (* a fiber that has not run yet has no recorded
+                     pending access (line -1): always branchable *)
+                  || c.Sim.cand_line < 0
+                  || c.Sim.cand_line = x.Sim.cand_line)
+               && not
+                    (List.mem (c.Sim.cand_pid, c.Sim.cand_line) !live_sleep))
       in
       if alts <> [] then incr branches;
       fresh :=
@@ -237,7 +243,10 @@ let siblings (stack : frame list) : frame list list =
   let rec per_frame rev_stack =
     match rev_stack with
     | [] -> []
+    | { f_alts = []; _ } :: shallower -> per_frame shallower
     | f :: shallower ->
+        (* Copied only where a sibling needs it: a copy per frame would
+           cost the square of the run's depth. *)
         let prefix = List.rev_map (fun g -> { g with f_alts = [] }) shallower in
         let rec alts sleep = function
           | [] -> []

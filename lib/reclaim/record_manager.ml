@@ -128,7 +128,7 @@ module Make
      and no golden trace. *)
   module Typed = struct
     type session = S
-    type guard = { gp : Memory.Ptr.t }
+    type guard = { gp : Memory.Ptr.t } [@@unboxed]
     type fresh = { fp : Memory.Ptr.t; mutable spent : bool }
     type unlinked = { up : Memory.Ptr.t; mutable consumed : bool }
 

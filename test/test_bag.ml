@@ -203,7 +203,20 @@ let test_shared_intbag () =
   let sum = ref 0 in
   let n = Bag.Shared_intbag.drain c b (fun _ x -> sum := !sum + x) in
   Alcotest.(check int) "drained" 50 n;
-  Alcotest.(check int) "sum" (50 * 51 / 2) !sum
+  Alcotest.(check int) "sum" (50 * 51 / 2) !sum;
+  (* Draining allocates nothing per record: EBR drains its limbo bag at
+     every epoch advance. *)
+  let records = 100_000 in
+  for i = 1 to records do
+    Bag.Shared_intbag.push c b i
+  done;
+  let w0 = Gc.minor_words () in
+  let n = Bag.Shared_intbag.drain c b (fun _ x -> sum := !sum + x) in
+  let per_record = (Gc.minor_words () -. w0) /. float_of_int records in
+  Alcotest.(check int) "drained all" records n;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per drained record < 0.1" per_record)
+    true (per_record < 0.1)
 
 (* qcheck properties *)
 

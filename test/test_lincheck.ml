@@ -220,6 +220,26 @@ let test_explore_clean () =
                (Explore.schedule_to_string schedule)))
     [ ("list", "debra"); ("queue", "debra+"); ("bst", "hp") ]
 
+(* Exhaustive budget-2 counts of the HP-style BST cells, where a process
+   spins in its restart loop for up to a fairness quantum after the budget
+   is spent.  Every explorer shortcut must leave the explored tree — runs
+   and branch points — exactly as it was. *)
+let test_exhaustive_counts () =
+  List.iter
+    (fun (scheme, runs, branch_points) ->
+      let cell = "bst/" ^ scheme in
+      match
+        Lh.explore ~budget:2 ~max_runs:100_000 ~ds:"bst" ~scheme smoke_cfg
+      with
+      | Explore.Pass st ->
+          Alcotest.(check bool)
+            (cell ^ " exhaustive") false st.Explore.truncated;
+          Alcotest.(check int) (cell ^ " runs") runs st.Explore.runs;
+          Alcotest.(check int)
+            (cell ^ " branch points") branch_points st.Explore.branch_points
+      | v -> Alcotest.fail (cell ^ ": " ^ Lh.verdict_summary v))
+    [ ("hp", 1152, 1151); ("rc", 1140, 1139); ("vbr", 1127, 1126) ]
+
 let test_replay_deterministic () =
   let policy () = Explore.policy_of_schedule [] in
   let h1 = Lh.run_once ~ds:"list" ~scheme:"ebr" smoke_cfg (policy ()) in
@@ -460,6 +480,8 @@ let () =
       ( "explore",
         [
           Alcotest.test_case "clean cells pass" `Quick test_explore_clean;
+          Alcotest.test_case "exhaustive bst counts" `Quick
+            test_exhaustive_counts;
           Alcotest.test_case "parallel explore equivalent" `Slow
             test_parallel_explore_equivalent;
           Alcotest.test_case "replay deterministic" `Quick
