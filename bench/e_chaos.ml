@@ -8,20 +8,21 @@
     - {e crash faults} (a process dies mid-operation, inside its signal
       handler, or right after neutralizing): survivors must finish the
       workload, the structure must pass its invariant walk, the sanitizer
-      must stay silent — and the limbo consequences must match the paper's
-      story: DEBRA+ neutralizes the dead process (ESRCH counts as
-      permanently quiescent) and keeps limbo bounded by the E-stall bound,
-      while EBR/QSBR/DEBRA can never advance past it and grow without
-      bound;
+      must stay silent — and the limbo consequences must match each
+      scheme's declared robustness ({!Reclaim.Intf.Robustness}): DEBRA+
+      neutralizes the dead process (ESRCH counts as permanently quiescent)
+      and keeps limbo within its O(mn²) bound, the per-record schemes
+      within theirs, while EBR/QSBR/DEBRA can never advance past it and
+      grow without bound;
     - {e signal faults} (dropped / delayed deliveries): DEBRA+'s
       retry-with-backoff path must still neutralize, keeping limbo
       bounded;
     - {e bounded memory} (E-oom): with allocation headroom above the
-      prefilled live set capped at the limbo bound, schemes with a working
-      emergency-reclamation path (DEBRA, DEBRA+, HP ...) must complete the
-      trial — their pipeline inventory stays within the bound — while
-      [none], which never frees, must exhaust the headroom and report it
-      cleanly.
+      prefilled live set capped at a third of the paper's bound, schemes
+      with a working emergency-reclamation path (DEBRA, DEBRA+, HP ...)
+      must complete the trial — their pipeline inventory stays within the
+      bound — while a scheme that never frees ([none], whose discipline
+      tracks no limbo) must exhaust the headroom and report it cleanly.
 
     Every trial's plan derives from one printed seed; a failing
     configuration prints the exact replay command. *)
@@ -38,18 +39,28 @@ let failures = ref 0
 let nprocs = 8
 let default_seeds = [ 42 ]
 
-let limbo_bound ~n ~block_capacity = 3 * n * n * block_capacity
-
 type verdict = {
   v_structure : string;
   v_scheme : string;
   v_fault : string;
   v_seed : int;
   v_outcome : Workload.Trial.outcome option;  (* None = wedged (Sim.Stuck) *)
+  v_fired : int option;  (* times the cell's fault fired *)
   v_errors : string list;  (* empty = pass *)
 }
 
-let check_verdict ~expect_oom ~expect_crash ~limbo_check ~bound
+(* How many times a cell's fault fired: crashes for the crash kinds,
+   dropped or delayed deliveries for the signal kinds, refused allocations
+   for the memory cap.  A cell whose count is 0 tested nothing. *)
+let fired fault (s : Chaos.summary) =
+  match fault with
+  | `Crash | `Crash_in_handler | `Crash_neutralizer -> s.Chaos.crashes
+  | `Drop -> s.Chaos.signals_dropped
+  | `Delay -> s.Chaos.signals_delayed
+  | `Oom _ -> s.Chaos.budget_refusals
+
+(* [judge_limbo]: what the scheme's declaration says of its limbo. *)
+let check_verdict ~expect_oom ~expect_crash ~judge_limbo
     (o : Workload.Trial.outcome) =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -65,23 +76,7 @@ let check_verdict ~expect_oom ~expect_crash ~limbo_check ~bound
     err "allocation failed (emergency reclamation did not free enough)";
   if expect_crash && o.Workload.Trial.crashed = 0 then
     err "crash fault never fired";
-  (match limbo_check with
-  | `Bounded ->
-      if o.Workload.Trial.limbo > bound then
-        err "limbo %d exceeds bound %d (neutralization failed)"
-          o.Workload.Trial.limbo bound
-  | `Unbounded ->
-      (* Whether growth crosses the full m*n^2*B bound within the trial
-         depends on its length; what must hold is that the pinned scheme's
-         limbo keeps growing well past any steady-state level.  A quarter
-         of the bound is far above every scheme's fault-free steady state
-         at this scale and far below where pinned growth lands. *)
-      let floor = bound / 4 in
-      if o.Workload.Trial.limbo <= floor then
-        err "limbo %d below growth floor %d (crashed process did not pin \
-             reclamation?)"
-          o.Workload.Trial.limbo floor
-  | `Ignore -> ());
+  Option.iter (err "%s") (judge_limbo o.Workload.Trial.limbo);
   List.rev !errs
 
 let verdict_json v =
@@ -117,6 +112,7 @@ let verdict_json v =
                     ( "signals_delivered_late",
                       Int s.Chaos.signals_delivered_late );
                   ] );
+          ("fired", match v.v_fired with None -> Null | Some f -> Int f);
         ])
 
 let fault_name = function
@@ -139,7 +135,7 @@ let run ~scale =
       incr_thresh = n;
     }
   in
-  let bound = limbo_bound ~n ~block_capacity in
+  let bound = Reclaim.Registry.paper_bound ~n params in
   let seeds =
     match !replay_seed with Some s -> [ s ] | None -> default_seeds
   in
@@ -152,14 +148,23 @@ let run ~scale =
     n range duration bound
     (String.concat ", " (List.map string_of_int seeds));
   let verdicts = ref [] in
-  let trial ?(params = params) ~structure ~(runner : runner) ~fault ~seed
-      ~expect_oom ~limbo_check ~budget () =
+  (* One faulted trial of [scheme].  Its expectations come from the
+     scheme's declarations: with [judged], its limbo is held to its
+     declared robustness; under the memory cap, only a scheme that never
+     frees (its discipline tracks no limbo) may exhaust the headroom. *)
+  let trial ?(params = params) ~structure ~scheme ~fault ~seed ~judged () =
+    let e = Reclaim.Registry.find scheme in
     let kind = [ fault ] in
     let plan = Chaos.random_plan ~seed ~nprocs:n kind in
-    let expect_crash =
+    let expect_crash, expect_oom =
       match fault with
-      | `Crash | `Crash_in_handler | `Crash_neutralizer -> true
-      | _ -> false
+      | `Crash | `Crash_in_handler | `Crash_neutralizer -> (true, false)
+      | `Oom _ -> (false, not e.discipline.Memory.Discipline.track_limbo)
+      | `Drop | `Delay -> (false, false)
+    in
+    let judge_limbo limbo =
+      if judged then Reclaim.Registry.limbo_verdict e ~n params ~limbo
+      else None
     in
     let cfg =
       {
@@ -169,139 +174,105 @@ let run ~scale =
         with
         Workload.Schemes.sanitize = true;
         chaos = Some plan;
-        budget;
+        budget = -1;
         max_steps = Some 40_000_000;
         history = None;
         seed;
       }
     in
     let fname = fault_name fault in
+    let verdict ~outcome ~fired errors =
+      {
+        v_structure = structure;
+        v_scheme = scheme;
+        v_fault = fname;
+        v_seed = seed;
+        v_outcome = outcome;
+        v_fired = fired;
+        v_errors = errors;
+      }
+    in
     let v =
-      match runner.run cfg with
+      match (runner ~ds:structure scheme).run cfg with
       | o ->
           Experiments.record_outcome
             ~panel:(Printf.sprintf "%s %s seed %d" structure fname seed)
             o;
-          {
-            v_structure = structure;
-            v_scheme = runner.rname;
-            v_fault = fname;
-            v_seed = seed;
-            v_outcome = Some o;
-            v_errors =
-              check_verdict ~expect_oom ~expect_crash ~limbo_check ~bound o;
-          }
+          verdict ~outcome:(Some o)
+            ~fired:(Option.map (fired fault) o.Workload.Trial.chaos)
+            (check_verdict ~expect_oom ~expect_crash ~judge_limbo o)
       | exception Sim.Stuck info ->
-          {
-            v_structure = structure;
-            v_scheme = runner.rname;
-            v_fault = fname;
-            v_seed = seed;
-            v_outcome = None;
-            v_errors =
-              [
-                Printf.sprintf "wedged: %s (after %d steps)" info.Sim.s_reason
-                  info.Sim.s_steps;
-              ];
-          }
+          verdict ~outcome:None ~fired:None
+            [
+              Printf.sprintf "wedged: %s (after %d steps)" info.Sim.s_reason
+                info.Sim.s_steps;
+            ]
     in
     verdicts := v :: !verdicts;
     if v.v_errors <> [] then begin
       incr failures;
-      Printf.printf "FAIL %-8s %-10s %-16s seed %d\n" structure
-        runner.rname fname seed;
+      Printf.printf "FAIL %-8s %-10s %-16s seed %d\n" structure scheme fname
+        seed;
       List.iter (fun e -> Printf.printf "       %s\n" e) v.v_errors;
       Printf.printf "       plan: %s\n" (Chaos.plan_to_string plan);
       Printf.printf "       replay: debra-bench e-chaos --chaos-seed %d\n" seed
-    end;
-    v
+    end
   in
   (* --- E-crash: one process dies mid-operation. ------------------- *)
   List.iter
     (fun seed ->
       (* Epoch schemes without neutralization: the dead non-quiescent
          process pins the epoch/qpoint forever; limbo must blow through
-         the bound.  DEBRA+ gets ESRCH, counts the corpse as permanently
-         quiescent, and stays bounded. *)
+         the growth floor.  DEBRA+ gets ESRCH, counts the corpse as
+         permanently quiescent, and stays bounded; the per-record schemes
+         (a corpse pins at most its own protections), VBR (versions, not
+         grace periods, protect readers) and Hyaline (a corpse is charged
+         no later batch) stay within their own bounds. *)
       List.iter
-        (fun (runner, limbo_check) ->
-          ignore
-            (trial ~structure:"bst" ~runner ~fault:`Crash ~seed
-               ~expect_oom:false ~limbo_check ~budget:(-1) ()))
-        [
-          (runner ~ds:"bst" "ebr", `Unbounded);
-          (runner ~ds:"bst" "qsbr", `Unbounded);
-          (runner ~ds:"bst" "debra", `Unbounded);
-          (runner ~ds:"bst" "debra+", `Bounded);
-          (* Per-record schemes: a crash leaks at most k records; limbo
-             stays bounded by their ordinary thresholds. *)
-          (runner ~ds:"bst" "hp", `Bounded);
-          (runner ~ds:"bst" "rc", `Bounded);
-          (* Next-generation reclaimers: VBR frees full blocks eagerly on
-             retire (a corpse pins nothing — versions, not grace periods,
-             protect readers), and Hyaline discounts crashed processes
-             when sealing batches, so both stay within the bound. *)
-          (runner ~ds:"bst" "vbr", `Bounded);
-          (runner ~ds:"bst" "hyaline", `Bounded);
-        ];
-      (* Same story on the list structure, for the schemes where the
-         contrast matters. *)
+        (fun scheme ->
+          trial ~structure:"bst" ~scheme ~fault:`Crash ~seed ~judged:true ())
+        [ "ebr"; "qsbr"; "debra"; "debra+"; "hp"; "rc"; "vbr"; "hyaline" ];
+      (* Same story on the list structure.  The list's op rate at this
+         scale retires too few records to judge unbounded growth; these
+         trials check crash-safety (invariants, sanitizer, survivors
+         finishing) on a second structure, and a bounded declaration is
+         still asserted. *)
       List.iter
-        (fun (runner, limbo_check) ->
-          ignore
-            (trial ~structure:"list" ~runner ~fault:`Crash ~seed
-               ~expect_oom:false ~limbo_check ~budget:(-1) ()))
-        (* The list's op rate at this scale retires too few records to
-           judge limbo shape; these trials check crash-safety (invariants,
-           sanitizer, survivors finishing) on a second structure.  DEBRA+'s
-           bound is still asserted. *)
-        [
-          (runner ~ds:"list" "debra", `Ignore);
-          (runner ~ds:"list" "debra+", `Bounded);
-        ];
+        (fun scheme ->
+          trial ~structure:"list" ~scheme ~fault:`Crash ~seed
+            ~judged:
+              (Reclaim.Intf.Robustness.bounded
+                 (Reclaim.Registry.find scheme).robustness)
+            ())
+        [ "debra"; "debra+" ];
       (* DEBRA+-specific fault kinds: die inside the signal handler, die
          right after neutralizing, and unreliable signal delivery. *)
       List.iter
         (fun fault ->
-          ignore
-            (trial ~structure:"bst"
-               ~runner:(runner ~ds:"bst" "debra+")
-               ~fault ~seed ~expect_oom:false ~limbo_check:`Bounded
-               ~budget:(-1) ()))
+          trial ~structure:"bst" ~scheme:"debra+" ~fault ~seed ~judged:true ())
         [ `Crash_in_handler; `Crash_neutralizer; `Drop; `Delay ])
     seeds;
   (* --- E-oom: bounded memory. ------------------------------------- *)
   (* Tight headroom above the prefill's claims: n^2 * B records, a third
-     of the limbo bound.  Local pool bags are kept small
+     of the paper's bound.  Local pool bags are kept small
      ([pool_cap_blocks = 2]) so free records spill to the shared bag
      instead of being hoarded per-process — the configuration a
      memory-constrained deployment would run.  A reclaiming scheme's
      inventory (young limbo + pool stock) is recyclable: when the cap
      binds, emergency reclamation drains limbo back into the pools and
-     the trial completes.  [none] allocates fresh records for every
-     operation and must exhaust the headroom within a few thousand
-     operations. *)
+     the trial completes — VBR's retire frees blocks immediately and
+     Hyaline's batches drain at session boundaries.  [none] allocates
+     fresh records for every operation and must exhaust the headroom
+     within a few thousand operations. *)
   let oom_headroom = n * n * block_capacity in
   let oom_params = { params with Reclaim.Intf.Params.pool_cap_blocks = 2 } in
   List.iter
     (fun seed ->
       List.iter
-        (fun ((runner : runner), expect_oom) ->
-          ignore
-            (trial ~params:oom_params ~structure:"bst" ~runner
-               ~fault:(`Oom oom_headroom) ~seed ~expect_oom
-               ~limbo_check:`Ignore ~budget:(-1) ()))
-        [
-          (runner ~ds:"bst" "none", true);
-          (runner ~ds:"bst" "debra", false);
-          (runner ~ds:"bst" "debra+", false);
-          (runner ~ds:"bst" "hp", false);
-          (* VBR's retire frees blocks immediately and Hyaline's batches
-             drain at session boundaries: both keep inventory recyclable
-             and must complete within the same headroom. *)
-          (runner ~ds:"bst" "vbr", false);
-          (runner ~ds:"bst" "hyaline", false);
-        ])
+        (fun scheme ->
+          trial ~params:oom_params ~structure:"bst" ~scheme
+            ~fault:(`Oom oom_headroom) ~seed ~judged:false ())
+        [ "none"; "debra"; "debra+"; "hp"; "vbr"; "hyaline" ])
     seeds;
   let verdicts = List.rev !verdicts in
   (* Summary table. *)

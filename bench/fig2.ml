@@ -1,7 +1,12 @@
 (** Figure 2 of the paper: the summary table of reclamation schemes.  The
-    rows are properties; the data is static metadata carried alongside each
-    scheme implementation (or, for schemes the paper only surveys, taken
-    from its table). *)
+    rows are properties.  For a scheme this repository implements, the
+    fault-tolerance column is its declared robustness ({!Reclaim.Registry});
+    the rest, and every column of the schemes the paper only surveys, is
+    static data taken from its table. *)
+
+(* Implemented (by registry name), or only surveyed, with the paper's
+   fault-tolerance entry. *)
+type source = Scheme of string | Survey of { fault_tolerant : bool }
 
 type scheme_row = {
   id : string;
@@ -10,10 +15,9 @@ type scheme_row = {
   per_retire : bool;  (* per retired record *)
   other_mods : string;
   timing_assumptions : string;  (* "", "progress", "correctness" *)
-  fault_tolerant : bool;
   termination : string;
   retired_to_retired : bool;
-  implemented : bool;  (* implemented in this repository *)
+  source : source;
 }
 
 let schemes =
@@ -25,10 +29,9 @@ let schemes =
       per_retire = true;
       other_mods = "break pointer cycles";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "lock-free";
       retired_to_retired = true;
-      implemented = true;
+      source = Scheme "rc";
     };
     {
       id = "HP";
@@ -37,10 +40,9 @@ let schemes =
       per_retire = true;
       other_mods = "recovery when protect fails";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "wait-free";
       retired_to_retired = false;
-      implemented = true;
+      source = Scheme "hp";
     };
     {
       id = "B&C";
@@ -49,10 +51,9 @@ let schemes =
       per_retire = true;
       other_mods = "recovery code (a)+(b)";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "lock-free";
       retired_to_retired = true;
-      implemented = false;
+      source = Survey { fault_tolerant = true };
     };
     {
       id = "TS";
@@ -61,10 +62,9 @@ let schemes =
       per_retire = true;
       other_mods = "";
       timing_assumptions = "progress";
-      fault_tolerant = false;
       termination = "blocking";
       retired_to_retired = false;
-      implemented = true;
+      source = Scheme "threadscan";
     };
     {
       id = "ST";
@@ -73,10 +73,9 @@ let schemes =
       per_retire = true;
       other_mods = "transaction checkpoints every few lines";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "lock-free";
       retired_to_retired = false;
-      implemented = true;
+      source = Scheme "stacktrack";
     };
     {
       id = "EBR";
@@ -85,10 +84,9 @@ let schemes =
       per_retire = true;
       other_mods = "";
       timing_assumptions = "";
-      fault_tolerant = false;
       termination = "lock-free";
       retired_to_retired = true;
-      implemented = true;
+      source = Scheme "ebr";
     };
     {
       id = "QSBR";
@@ -97,10 +95,9 @@ let schemes =
       per_retire = true;
       other_mods = "identify quiescent points manually";
       timing_assumptions = "";
-      fault_tolerant = false;
       termination = "lock-free";
       retired_to_retired = true;
-      implemented = true;
+      source = Scheme "qsbr";
     };
     {
       id = "DTA";
@@ -109,10 +106,9 @@ let schemes =
       per_retire = true;
       other_mods = "integrate with list synchronization (lists only)";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "lock-free";
       retired_to_retired = false;
-      implemented = false;
+      source = Survey { fault_tolerant = true };
     };
     {
       id = "QS";
@@ -121,10 +117,9 @@ let schemes =
       per_retire = true;
       other_mods = "rooster processes";
       timing_assumptions = "correctness";
-      fault_tolerant = false;
       termination = "lock-free (rooster)";
       retired_to_retired = false;
-      implemented = false;
+      source = Survey { fault_tolerant = false };
     };
     {
       id = "OA";
@@ -133,10 +128,9 @@ let schemes =
       per_retire = true;
       other_mods = "normalized form; instrument every read/write/CAS";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "lock-free";
       retired_to_retired = true;
-      implemented = false;
+      source = Survey { fault_tolerant = true };
     };
     {
       id = "DEBRA";
@@ -145,10 +139,9 @@ let schemes =
       per_retire = true;
       other_mods = "";
       timing_assumptions = "";
-      fault_tolerant = false;
       termination = "wait-free";
       retired_to_retired = true;
-      implemented = true;
+      source = Scheme "debra";
     };
     {
       id = "DEBRA+";
@@ -157,10 +150,9 @@ let schemes =
       per_retire = true;
       other_mods = "crash recovery code (trivial for many structures)";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "wait-free (signals)";
       retired_to_retired = true;
-      implemented = true;
+      source = Scheme "debra+";
     };
     (* Post-paper schemes implemented behind the same Record Manager
        face, for contrast with the 2015 survey rows above. *)
@@ -171,10 +163,9 @@ let schemes =
       per_retire = true;
       other_mods = "version re-validation on every deref; type-stable arena";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "lock-free";
       retired_to_retired = false;
-      implemented = true;
+      source = Scheme "vbr";
     };
     {
       id = "Hyaline";
@@ -183,10 +174,9 @@ let schemes =
       per_retire = true;
       other_mods = "";
       timing_assumptions = "";
-      fault_tolerant = true;
       termination = "lock-free";
       retired_to_retired = true;
-      implemented = true;
+      source = Scheme "hyaline";
     };
   ]
 
@@ -217,10 +207,15 @@ let print () =
           yn s.per_retire;
           s.other_mods;
           s.timing_assumptions;
-          yn s.fault_tolerant;
+          yn
+            (match s.source with
+            | Scheme name ->
+                Reclaim.Intf.Robustness.bounded
+                  (Reclaim.Registry.find name).robustness
+            | Survey { fault_tolerant } -> fault_tolerant);
           s.termination;
           yn s.retired_to_retired;
-          yn s.implemented;
+          yn (match s.source with Scheme _ -> true | Survey _ -> false);
         ])
       schemes
   in

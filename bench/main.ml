@@ -150,6 +150,11 @@ let main experiments backend full sanitize json trace metrics_out chaos_seed
       !Experiments.lin_failures;
     exit 1
   end;
+  if !Stall.failures > 0 then begin
+    Printf.eprintf "e-stall: %d scheme(s) disagreed with their declaration\n"
+      !Stall.failures;
+    exit 1
+  end;
   if !E_chaos.failures > 0 then begin
     Printf.eprintf "e-chaos: %d configuration(s) failed\n" !E_chaos.failures;
     exit 1

@@ -6,10 +6,11 @@ exception Out_of_memory of string
 (* A live-record budget shared by every arena of one heap: the simulated
    analogue of running the process under a bounded heap (ulimit -v).  A
    negative limit means unlimited; the counter still tracks so the limit can
-   be installed mid-run. *)
-type budget = { mutable limit : int; b_live : int Atomic.t }
+   be installed mid-run.  [refused] counts the allocations it turned down. *)
+type budget = { mutable limit : int; b_live : int Atomic.t; refused : int Atomic.t }
 
-let budget_unlimited () = { limit = -1; b_live = Atomic.make 0 }
+let budget_unlimited () =
+  { limit = -1; b_live = Atomic.make 0; refused = Atomic.make 0 }
 
 let state_unallocated = 0
 let state_allocated = 1
@@ -132,6 +133,7 @@ let charge_budget t =
   let l = 1 + Atomic.fetch_and_add b.b_live 1 in
   if b.limit >= 0 && l > b.limit then begin
     ignore (Atomic.fetch_and_add b.b_live (-1));
+    Atomic.incr b.refused;
     raise
       (Out_of_memory
          (Printf.sprintf "%s: %d live records exceed heap budget of %d" t.name

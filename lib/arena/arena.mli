@@ -33,8 +33,9 @@ type t
 
 (** A live-record budget shared by the arenas of one heap.  [limit < 0]
     (the default) means unlimited; the live counter is maintained either
-    way so a limit can be installed mid-run. *)
-type budget = { mutable limit : int; b_live : int Atomic.t }
+    way so a limit can be installed mid-run.  [refused] counts the
+    allocations the limit turned down. *)
+type budget = { mutable limit : int; b_live : int Atomic.t; refused : int Atomic.t }
 
 val budget_unlimited : unit -> budget
 

@@ -33,6 +33,7 @@ let set_checking t b = Array.iter (fun a -> Arena.set_checking a b) t.arenas
 let set_record_budget t limit = t.budget.Arena.limit <- limit
 let record_budget t = t.budget.Arena.limit
 let budget_live t = Atomic.get t.budget.Arena.b_live
+let budget_refusals t = Atomic.get t.budget.Arena.refused
 
 let sum f t = Array.fold_left (fun acc a -> acc + f a) 0 t.arenas
 let live_records t = sum Arena.live_records t

@@ -33,11 +33,13 @@ val set_checking : t -> bool -> unit
     simultaneously-live records across {e all} arenas of this heap at [k];
     further allocations raise {!Arena.Out_of_memory} until records are
     released.  [k < 0] (the default) removes the cap.  [budget_live] is the
-    current charge against the budget. *)
+    current charge against the budget; [budget_refusals] counts the
+    allocations the cap has turned down. *)
 
 val set_record_budget : t -> int -> unit
 val record_budget : t -> int
 val budget_live : t -> int
+val budget_refusals : t -> int
 
 (** Aggregated statistics over all arenas. *)
 

@@ -113,6 +113,7 @@ type summary = {
   signals_dropped : int;
   signals_delayed : int;
   signals_delivered_late : int;
+  budget_refusals : int;
 }
 
 type t = {
@@ -121,6 +122,7 @@ type t = {
   acc : int array;  (* per-pid instrumented accesses since install *)
   (* crash triggers *)
   crash_at : (int * crash_kind) option array;  (* per pid, access-count keyed *)
+  was_in_op : bool array;  (* per pid: [in_op] at the previous access *)
   mutable handler_nth : int;  (* group-wide nth handler run; -1 = never *)
   mutable handler_runs_total : int;
   armed : bool array;  (* crash at the pid's next access (Neutralizer) *)
@@ -134,6 +136,7 @@ type t = {
   route_installed : bool;
   (* memory *)
   saved_budget : int;
+  refusals_before : int;  (* the heap's budget refusals at install *)
   mutable probe : Runtime.Ctx.subscriber option;  (* [None] once uninstalled *)
   (* outcome *)
   mutable crashes : int;
@@ -176,6 +179,7 @@ let install ?(in_op = fun (_ : Runtime.Ctx.t) -> true) plan ~group ~heap =
       heap;
       acc = Array.make n 0;
       crash_at;
+      was_in_op = Array.make n false;
       handler_nth = !handler_nth;
       handler_runs_total = 0;
       armed = Array.make n false;
@@ -187,6 +191,7 @@ let install ?(in_op = fun (_ : Runtime.Ctx.t) -> true) plan ~group ~heap =
       pending = Array.make n [];
       route_installed = !drops <> [] || !delays <> [];
       saved_budget;
+      refusals_before = Memory.Heap.budget_refusals heap;
       probe = None;
       crashes = 0;
       handler_crashes = 0;
@@ -223,8 +228,20 @@ let install ?(in_op = fun (_ : Runtime.Ctx.t) -> true) plan ~group ~heap =
       raise Runtime.Ctx.Crashed
     end;
     match t.crash_at.(pid) with
-    | Some (at, kind) when t.acc.(pid) >= at ->
-        if kind <> In_operation || in_op c then begin
+    | Some (at, kind) when t.acc.(pid) >= at - 1 ->
+        (* [In_operation] waits until the process has been mid-operation
+           since its previous access too: at the access that publishes a
+           leave from the quiescent state it is in-operation by its own
+           view but still quiescent to everyone else, and a crash there
+           would pin nothing. *)
+        let ready =
+          kind <> In_operation
+          ||
+          let now = in_op c and before = t.was_in_op.(pid) in
+          t.was_in_op.(pid) <- now;
+          now && before
+        in
+        if t.acc.(pid) >= at && ready then begin
           t.crash_at.(pid) <- None;
           t.crashes <- t.crashes + 1;
           note t
@@ -322,6 +339,7 @@ let summary t =
     signals_dropped = t.dropped;
     signals_delayed = t.delayed;
     signals_delivered_late = t.delivered_late;
+    budget_refusals = Memory.Heap.budget_refusals t.heap - t.refusals_before;
   }
 
 let fired t = List.rev t.log

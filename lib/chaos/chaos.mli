@@ -29,8 +29,12 @@ type crash_kind =
   | Anywhere  (** at the [at]-th instrumented access, wherever that lands *)
   | In_operation
       (** at the first access at or past [at] where the process is
-          mid-operation (non-quiescent) — the adversarial case for
-          epoch-based schemes, which [install]'s [in_op] predicate decides *)
+          mid-operation (non-quiescent), and was at its previous access
+          too — the adversarial case for epoch-based schemes, which
+          [install]'s [in_op] predicate decides.  The second condition
+          skips the access that publishes the process' leave from the
+          quiescent state, where a crash would leave it quiescent to its
+          peers *)
   | In_handler
       (** on entry to the [at]-th signal-handler run {e group-wide}: that
           process dies inside its handler, before any recovery code runs.
@@ -92,6 +96,7 @@ type summary = {
   signals_dropped : int;
   signals_delayed : int;
   signals_delivered_late : int;  (** delayed deliveries that landed *)
+  budget_refusals : int;  (** allocations the record budget turned down *)
 }
 
 type t

@@ -221,15 +221,6 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     in
     from_root ()
 
-  (* [cas_child parent old new_] replaces child [old] of [parent]; helpers
-     race benignly because each transition happens at most once. *)
-  let cas_child t ctx parent old new_ =
-    if left_of t ctx parent = old then
-      Memory.Arena.cas ctx t.internal parent f_left ~expect:old new_
-    else if right_of t ctx parent = old then
-      Memory.Arena.cas ctx t.internal parent f_right ~expect:old new_
-    else false
-
   (* The descriptor displaced by a successful update-word CAS is what that
      CAS unlinks: passing it to [cas_at ~unlinks] mints the witness the
      winner's retire consumes. *)
@@ -245,11 +236,30 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
      operations: true in operation bodies, false in neutralization recovery,
      where only RProtected records may be touched. *)
 
+  (* The child CAS replaces [l] under [p] by the new internal node, whose
+     children are the new leaf and a copy of [l], as in EFRB: [l] itself
+     never returns to the tree, so a helper that reaches this CAS late
+     (after the insert completed and a delete spliced the copy back under
+     [p]) finds no [l] to replace.  Re-parenting [l] instead lets that late
+     CAS resurrect the deleted internal node.  The process whose CAS
+     succeeds unlinked [l] and retires it. *)
   let help_insert t ctx op =
     let p = Memory.Arena.get_const ctx t.info op c_p in
     let l = Memory.Arena.get_const ctx t.info op c_l in
     let new_internal = Memory.Arena.get_const ctx t.info op c_new in
-    ignore (cas_child t ctx p l new_internal);
+    (match
+       if left_of t ctx p = l then Some f_left
+       else if right_of t ctx p = l then Some f_right
+       else None
+     with
+    | Some field -> (
+        match
+          T.cas_at t.rm ctx t.internal p field ~expect:l new_internal
+            ~publishes:[] ~unlinks:[ l ]
+        with
+        | Some ws -> retire_all t ctx ws
+        | None -> ())
+    | None -> ());
     ignore
       (Memory.Arena.cas ctx t.internal p f_update
          ~expect:(pack t ~state:iflag ~info:op)
@@ -380,15 +390,17 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
 
   let insert t ctx ~key ~value =
     assert (key < inf1);
-    (* Quiescent preamble: allocate the three records of an insertion.  The
+    (* Quiescent preamble: allocate the four records of an insertion.  The
        fresh witnesses stay live across retries — only the successful flag
-       CAS publishes (and spends) all three at once. *)
+       CAS publishes (and spends) all four at once. *)
     let new_leaf = T.alloc t.rm ctx t.leaf in
     let new_leafp = T.fresh_ptr new_leaf in
     T.init_const t.rm ctx t.leaf new_leaf c_key key;
     T.init_const t.rm ctx t.leaf new_leaf c_value value;
     let new_internal = T.alloc t.rm ctx t.internal in
     let new_internalp = T.fresh_ptr new_internal in
+    let sibling = T.alloc t.rm ctx t.leaf in
+    let siblingp = T.fresh_ptr sibling in
     let op = T.alloc t.rm ctx t.info in
     let opp = T.fresh_ptr op in
     let published = ref false in
@@ -420,14 +432,18 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
             end
             else begin
               let lkey = key_of t ctx l in
+              (* [l]'s replacement copy; see [help_insert]. *)
+              T.init_const t.rm ctx t.leaf sibling c_key lkey;
+              T.init_const t.rm ctx t.leaf sibling c_value
+                (Memory.Arena.get_const ctx t.leaf l c_value);
               T.init_const t.rm ctx t.internal new_internal c_ikey
                 (max key lkey);
               if key < lkey then begin
                 T.init t.rm ctx t.internal new_internal f_left new_leafp;
-                T.init t.rm ctx t.internal new_internal f_right l
+                T.init t.rm ctx t.internal new_internal f_right siblingp
               end
               else begin
-                T.init t.rm ctx t.internal new_internal f_left l;
+                T.init t.rm ctx t.internal new_internal f_left siblingp;
                 T.init t.rm ctx t.internal new_internal f_right new_leafp
               end;
               T.init t.rm ctx t.internal new_internal f_update 0;
@@ -441,7 +457,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
               let flagged = pack t ~state:iflag ~info:opp in
               match
                 T.cas_at t.rm ctx t.internal p f_update ~expect:pupdate flagged
-                  ~publishes:[ op; new_internal; new_leaf ]
+                  ~publishes:[ op; new_internal; new_leaf; sibling ]
                   ~unlinks:(displaced t ~old_word:pupdate ~new_word:flagged)
               with
               | Some ws ->
@@ -464,6 +480,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     if not result then begin
       T.abandon t.rm ctx new_leaf;
       T.abandon t.rm ctx new_internal;
+      T.abandon t.rm ctx sibling;
       T.abandon t.rm ctx op
     end;
     result

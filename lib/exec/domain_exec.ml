@@ -9,15 +9,16 @@
     under the simulator.
 
     What degrades relative to {!Sim_exec} is spelled out in [limitations]
-    (and DESIGN.md §10): no cache model, approximate signal delivery and
-    sampling cadence, no livelock diagnosis, and none of the
-    deterministic-replay machinery that the sanitizer and the sim-only
-    chaos triggers rely on. *)
+    (and DESIGN.md §10): no cache model, approximate sampling cadence, no
+    livelock diagnosis, and none of the deterministic-replay machinery
+    that the sanitizer and the sim-only chaos triggers rely on.  Signal
+    delivery is not on the list: the runner makes neutralization
+    acknowledgement-based (see {!Runtime.Domain_runner}), so a signalled
+    process that is preempted past its poll is waited for, not assumed
+    stopped. *)
 
 let limitations =
   [
-    "signal delivery is approximate: one in-flight access may complete \
-     after the flag is set";
     "no cache model: cache_stats and context_switches are not reported";
     "sampling cadence and tick timestamps are approximate (wall-clock \
      sleeps, not exact boundaries)";

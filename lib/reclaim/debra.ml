@@ -33,6 +33,11 @@ let name = "debra"
 
 let discipline = Memory.Discipline.(make Epoch Grace_session)
 
+let robustness =
+  Intf.Robustness.Unbounded
+    "the quiescent bit excuses only processes between operations: one that \
+     stops inside an operation pins the epoch, as in EBR (paper §4)"
+
 module Core (P : Intf.POOL) (X : sig type t end) = struct
   type local = {
     (* bags.(arena).(i): the three limbo bags for that record type *)

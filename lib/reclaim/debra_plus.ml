@@ -33,6 +33,15 @@ let name = "debra+"
 
 let discipline = Debra.discipline
 
+(* §5: once a process' limbo passes the suspect threshold it neutralizes
+   every laggard, and a crashed one answers ESRCH, so the epoch keeps
+   advancing past a stopped process.  At most n² + O(n) blocks of B
+   records are trapped across the m = 3 limbo bags of each process: the
+   O(mn²) bound, with its constant made concrete as m·n²·B. *)
+let robustness =
+  Intf.Robustness.Bounded
+    (fun ~n params -> 3 * n * n * params.Intf.Params.block_capacity)
+
 (* The §5 state the core carries for DEBRA+. *)
 type ext = {
   rp_rows : Runtime.Shared_array.t array;  (* RProtected[pid] *)

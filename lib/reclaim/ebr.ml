@@ -13,6 +13,11 @@ let name = "ebr"
 
 let discipline = Memory.Discipline.(make Epoch Grace_session)
 
+let robustness =
+  Intf.Robustness.Unbounded
+    "a process stopped inside an operation holds the global epoch, so \
+     nothing retired after it stops is ever freed (paper §2)"
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

@@ -28,6 +28,14 @@ let threshold (params : Intf.Params.t) ~n =
     (params.Intf.Params.hp_retire_factor * n * k)
     (min (2 * params.Intf.Params.block_capacity) (n * k))
 
+(* A stopped process pins at most its own k hazard pointers and its own
+   bag; every process' limbo stays within [max(threshold, nk)]: Θ(nk) per
+   process. *)
+let robustness =
+  Intf.Robustness.Bounded
+    (fun ~n params ->
+      n * max (threshold params ~n) (n * params.Intf.Params.hp_slots))
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

@@ -51,6 +51,19 @@ let name = "hyaline"
    closed: exactly the retire-time session snapshot [Grace_session] replays. *)
 let discipline = Memory.Discipline.(make Epoch Grace_session)
 
+(* Bounded against a crash: a dead process is charged no batch sealed after
+   its death, so it pins only the batches charged to its last session.
+   With every process holding one open batch and at most n sealed ones
+   awaiting sessions that were open at seal time, (n + n²)·B.  That count
+   assumes survivors seal at most n batches each while one operation is in
+   flight.  A live process that stalls inside an operation is charged
+   every later batch (E-stall's stall lifts limbo from ~400 to ~23,000
+   records); the per-record birth eras of the robust Hyaline-S, which
+   bound that case, are not implemented. *)
+let robustness =
+  Intf.Robustness.Bounded
+    (fun ~n params -> (n + (n * n)) * params.Intf.Params.block_capacity)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

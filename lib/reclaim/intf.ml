@@ -76,6 +76,46 @@ module Params = struct
     }
 end
 
+(** What a process that stops mid-operation (crashes, or stalls and never
+    comes back) does to the records waiting to be freed: the paper's
+    fault-tolerance axis (Fig. 2's column, the O(mn{^2}) bound of §5).
+    Each scheme declares it once, next to its [discipline]; Fig. 2 and the
+    fault campaigns (E-stall, E-chaos, E-overload) derive their
+    expectations from that declaration.  A bound holds at least against a
+    crash the OS reports (E-chaos' fault); where a stall that nobody
+    reports behaves differently, the scheme's declaration says so. *)
+module Robustness = struct
+  type t =
+    | Bounded of (n:int -> Params.t -> int)
+        (** at most [bound ~n params] records wait to be freed among [n]
+            processes, whatever the stopped process does *)
+    | Unbounded of string
+        (** why one stopped process can keep every later retire in limbo *)
+
+  let bounded = function Bounded _ -> true | Unbounded _ -> false
+
+  (** The verdict a fault campaign draws from a declaration, given the
+      records in limbo after a process stopped mid-operation: a bounded
+      scheme must stay within its own bound; an unbounded one must have
+      grown past [floor], a level far above any scheme's fault-free steady
+      state in that campaign, or the fault never pinned it.  [None] when
+      the run agrees with the declaration. *)
+  let verdict t ~n params ~floor ~limbo =
+    match t with
+    | Bounded bound ->
+        let b = bound ~n params in
+        if limbo > b then Some (Printf.sprintf "limbo %d exceeds bound %d" limbo b)
+        else None
+    | Unbounded _ ->
+        if limbo <= floor then
+          Some
+            (Printf.sprintf
+               "limbo %d below growth floor %d (the stopped process did not \
+                pin reclamation?)"
+               limbo floor)
+        else None
+end
+
 (** The witness events of the typed surface ({!RECORD_MANAGER.Typed}) and
     its decision points: part of the one {!Memory.Smr_event} type, on the
     same stream as the reclaimers' and arenas' events. *)
@@ -260,13 +300,14 @@ end
 
 module type MAKE_RECLAIMER = functor (P : POOL) -> RECLAIMER with module Pool = P
 
-(** A reclamation scheme as {!Registry} sees it: the name and checking
-    discipline are known without applying the functor (the reclaimer
-    re-exports both), so the registry can pick the scheme's allocator/pool
-    pairing before assembling a Record Manager. *)
+(** A reclamation scheme as {!Registry} sees it: the name, checking
+    discipline and robustness are known without applying the functor (the
+    reclaimer re-exports the first two), so the registry can pick the
+    scheme's allocator/pool pairing before assembling a Record Manager. *)
 module type SCHEME = sig
   val name : string
   val discipline : Memory.Discipline.t
+  val robustness : Robustness.t
 
   module Make : MAKE_RECLAIMER
 end

@@ -8,6 +8,9 @@ let name = "none"
 (* Never frees, so no free is premature and the leak ledger is moot. *)
 let discipline = Memory.Discipline.(make ~track_limbo:false Epoch Skip)
 
+let robustness =
+  Intf.Robustness.Unbounded "never frees: every retired record leaks"
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

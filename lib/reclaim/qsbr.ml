@@ -28,6 +28,11 @@ let name = "qsbr"
    pass one after the retire. *)
 let discipline = Memory.Discipline.(make ~quiescence:Point Epoch Grace_qpoint)
 
+let robustness =
+  Intf.Robustness.Unbounded
+    "a process that stops before its next quiescent point holds back every \
+     grace period, so nothing retired after it stops is ever freed (paper §2)"
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

@@ -29,6 +29,16 @@ let name = "rc"
 
 let discipline = Memory.Discipline.(make Hazard Hazard_scan)
 
+(* A stopped process keeps at most k counts raised (the structures'
+   protection footprint, as HP's slots); every process scans at 2B
+   retired records and keeps only the records still counted. *)
+let robustness =
+  Intf.Robustness.Bounded
+    (fun ~n params ->
+      n
+      * ((2 * params.Intf.Params.block_capacity)
+        + (n * params.Intf.Params.hp_slots)))
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

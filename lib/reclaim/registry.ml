@@ -5,8 +5,8 @@
     Every campaign, matrix and test picks its schemes from {!all} by name
     and gets its Record Manager from {!rm}; nothing else applies
     {!Record_manager.Make} to a production scheme.  Registering a scheme
-    is its reclaimer file (which declares [name], [discipline] and [Make],
-    see {!Intf.SCHEME}) plus one line in {!all}. *)
+    is its reclaimer file (which declares [name], [discipline],
+    [robustness] and [Make], see {!Intf.SCHEME}) plus one line in {!all}. *)
 
 (** How a scheme's freed records may come back for reuse — its pairing
     constraint.
@@ -27,6 +27,7 @@ type entry = {
   name : string;
   reclaimer : (module Intf.MAKE_RECLAIMER);
   discipline : Memory.Discipline.t;
+  robustness : Intf.Robustness.t;
   reuse : reuse;
 }
 
@@ -35,6 +36,7 @@ let entry ?(reuse = Pooled) (module S : Intf.SCHEME) =
     name = S.name;
     reclaimer = (module S.Make);
     discipline = S.discipline;
+    robustness = S.robustness;
     reuse;
   }
 
@@ -61,6 +63,24 @@ let find name =
   match List.find_opt (fun e -> e.name = name) all with
   | Some e -> e
   | None -> invalid_arg ("Registry: unknown scheme " ^ name)
+
+(** The paper's §5 bound, as DEBRA+ declares it: the limbo yardstick the
+    fault campaigns print, size their watermarks by, and set the growth
+    floor of unbounded schemes from. *)
+let paper_bound ~n params =
+  match (find "debra+").robustness with
+  | Intf.Robustness.Bounded bound -> bound ~n params
+  | Unbounded why -> invalid_arg ("Registry: DEBRA+ declared unbounded: " ^ why)
+
+(** A fault campaign's verdict on [e]'s limbo after a process stopped
+    mid-operation ({!Intf.Robustness.verdict}), unbounded growth being
+    judged against a quarter of the paper's bound: far above every
+    scheme's fault-free steady state at bench scale, far below where
+    pinned growth lands. *)
+let limbo_verdict e ~n params ~limbo =
+  Intf.Robustness.verdict e.robustness ~n params
+    ~floor:(paper_bound ~n params / 4)
+    ~limbo
 
 (** The allocator/pool pairings the campaigns use.
 

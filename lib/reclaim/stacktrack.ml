@@ -32,6 +32,17 @@ let name = "stacktrack"
    cannot see other processes' unpublished register pointers. *)
 let discipline = Memory.Discipline.(make Lenient Skip)
 
+(* As HP: a stopped process pins at most its k published pointers, and
+   every process scans at [max(2B, f·n·k)] retired records. *)
+let robustness =
+  Intf.Robustness.Bounded
+    (fun ~n params ->
+      let k = params.Intf.Params.hp_slots in
+      n
+      * max
+          (2 * params.Intf.Params.block_capacity)
+          (max 1 params.Intf.Params.hp_retire_factor * n * k))
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

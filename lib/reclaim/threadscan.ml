@@ -31,6 +31,12 @@ let name = "threadscan"
    roots its scan collects. *)
 let discipline = Memory.Discipline.(make Epoch Hazard_scan)
 
+let robustness =
+  Intf.Robustness.Unbounded
+    "a collector waits for the acknowledgement of every process inside an \
+     operation: one that stops there without dying blocks every later \
+     collection (the progress assumption of paper §3)"
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

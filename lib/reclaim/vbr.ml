@@ -36,6 +36,14 @@ let name = "vbr"
    read of reclaimed memory is the checkpoint rollback, not a violation. *)
 let discipline = Memory.Discipline.(make Lenient Skip)
 
+(* No grace period: a block of retired records goes back the moment it
+   fills, so each process holds under one block per record type whatever
+   any other process does (VBR is robust by construction). *)
+let robustness =
+  Intf.Robustness.Bounded
+    (fun ~n params ->
+      n * Memory.Ptr.max_arenas * params.Intf.Params.block_capacity)
+
 module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   module Pool = P
 

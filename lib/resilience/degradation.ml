@@ -6,8 +6,9 @@
     pre-burst, burst, post-burst — and judges three things:
 
     - {e limbo bound}: the maximum sampled per-shard limbo population
-      must stay at or below the scheme's theoretical bound (for DEBRA-
-      family epochs, [3 * n * n * block_capacity]; campaign-supplied);
+      must stay at or below the scheme's theoretical bound
+      (campaign-supplied; E-overload passes the paper's bound,
+      [Reclaim.Registry.paper_bound]);
     - {e goodput floor}: the {e served rate} (requests completed per
       unit time) in the worst phase must be at least [floor_pct]% of the
       pre-burst served rate.  Rate, not served/demand: an open-loop

@@ -9,12 +9,31 @@ let run ?(cycles_per_second = 1_000_000_000.) ?tick group bodies =
   in
   let install ctx =
     ctx.Ctx.now_impl <- now;
-    (* A stalled process simply sleeps; this keeps it non-quiescent, which is
-       the pathology DEBRA+ exists to neutralize. *)
+    (* A stalled process sleeps, staying non-quiescent: the pathology
+       DEBRA+ exists to neutralize.  A signal wakes it to run its handler,
+       as a POSIX signal interrupts [nanosleep]; otherwise a sleeper could
+       acknowledge nothing until its stall ends. *)
     ctx.Ctx.stall_impl <-
-      (fun cycles -> Unix.sleepf (float_of_int cycles /. cycles_per_second))
+      (fun cycles ->
+        let until =
+          Unix.gettimeofday () +. (float_of_int cycles /. cycles_per_second)
+        in
+        let rec nap () =
+          let left = until -. Unix.gettimeofday () in
+          if left > 0. && not (Atomic.get ctx.Ctx.sig_pending) then begin
+            Unix.sleepf (Float.min left 1e-4);
+            nap ()
+          end
+        in
+        nap ();
+        Ctx.poll ctx)
   in
   Array.iter install group.Group.ctxs;
+  (* A signal here is a flag the target reads at its next instrumented
+     access, and a target past that poll may be preempted before its
+     memory operation for as long as the OS likes.  So a sent signal
+     proves nothing until the target's announcement acknowledges it. *)
+  group.Group.signals_unreliable <- true;
   let outcomes = Array.make n Finished in
   (* The periodic sampler: a dedicated domain driving the telemetry tick at
      roughly one call per [every] cycles of wall time.  Unlike the

@@ -4,10 +4,14 @@
     instrumented access costs one atomic flag poll), and [Ctx.now] reports
     scaled wall-clock time in nominal cycles.
 
-    Under this runner the signal-delivery guarantee is approximate: a process
-    that has passed its flag poll may complete one in-flight access after
-    being signalled (see DESIGN.md §2); the deterministic simulator provides
-    the exact guarantee. *)
+    Under this runner a signal does not stop its target at once: a process
+    that has passed its flag poll may be preempted before its memory
+    operation for an unbounded time and complete that access after being
+    signalled (see DESIGN.md §2).  [run] therefore marks the group's
+    signals unreliable ({!Group.t.signals_unreliable}), so a sender counts a
+    signalled process as neutralized only once its announcement
+    acknowledges it.  A stalled process ([Ctx.stall]) wakes early to
+    handle a pending signal. *)
 
 type outcome = Finished | Crashed of exn
 

@@ -72,8 +72,10 @@ val on_event : t -> Runtime.Ctx.t -> Memory.Smr_event.t -> unit
 
 (** [leak_check t ~limbo_size] reconciles the shadow ledger (records retired
     but never freed) against the reclaimer's reported [limbo_size]; any
-    disagreement is recorded as a {!Leak} violation.  Call after quiescing
-    and [flush]ing the reclaimer.  No-op when [track_limbo] is off. *)
+    disagreement is recorded as a {!Leak} violation, except that each
+    process which crashed right after announcing a retire may have taken
+    that one record with it.  Call after quiescing and [flush]ing the
+    reclaimer.  No-op when [track_limbo] is off. *)
 val leak_check : t -> limbo_size:int -> unit
 
 val violations : t -> violation list

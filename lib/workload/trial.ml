@@ -207,24 +207,29 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
           in
           (* Stalled-process campaign (E-stall): park the victim — the
              highest pid — mid-operation at its first instrumented access
-             past [at], for [cycles] of backend time.  A signal sent to the
-             parked process is handled at its next access after waking, as
-             a POSIX signal interrupts a descheduled thread on resume. *)
+             past [at], for [cycles] of backend time.  Mid-operation means
+             since its previous access too, as for chaos' [In_operation]
+             crashes: parked on the access that publishes its leave from
+             the quiescent state, it would look quiescent to its peers.  A
+             signal sent to the parked process is handled at its next
+             access after waking, as a POSIX signal interrupts a
+             descheduled thread on resume. *)
           let restore_stall =
             match stall with
             | None -> None
             | Some (at, cycles) ->
                 let victim = Runtime.Group.ctx group (n - 1) in
-                let fired = ref false in
+                let fired = ref false and was_in_op = ref false in
                 Some
                   (Runtime.Ctx.add_hook victim (fun c ~line:_ _kind ->
-                       if
-                         (not !fired)
-                         && Runtime.Ctx.now c >= at
-                         && not (RM.is_quiescent rm c)
-                       then begin
-                         fired := true;
-                         Runtime.Ctx.stall c cycles
+                       if not !fired then begin
+                         let in_op = not (RM.is_quiescent rm c) in
+                         if Runtime.Ctx.now c >= at && in_op && !was_in_op
+                         then begin
+                           fired := true;
+                           Runtime.Ctx.stall c cycles
+                         end
+                         else was_in_op := in_op
                        end))
           in
           let plain_body pid () =

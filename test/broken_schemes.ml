@@ -5,7 +5,7 @@
    must reject these mutants — the checkers by classifying the violation
    against the discipline each mutant declares (that of the scheme it
    breaks, without the leak ledger, which is meaningless for a run that
-   crashes), the explorer by finding a schedule whose run trips the arena's
+   crashes; each also claims the robustness of the scheme it breaks), the explorer by finding a schedule whose run trips the arena's
    use-after-free / double-free traps and printing it for replay. *)
 
 open Reclaim
@@ -18,6 +18,8 @@ module Broken_ebr = struct
 
   let discipline =
     Memory.Discipline.(make ~track_limbo:false Epoch Grace_session)
+
+  let robustness = Ebr.robustness
 
   module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     module Pool = P
@@ -67,6 +69,8 @@ module Broken_hp = struct
 
   let discipline =
     Memory.Discipline.(make ~track_limbo:false Hazard Hazard_scan)
+
+  let robustness = Hp.robustness
 
   module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     module Pool = P
@@ -236,6 +240,8 @@ module Broken_vbr = struct
   let discipline =
     Memory.Discipline.(make ~track_limbo:false Epoch Grace_session)
 
+  let robustness = Vbr.robustness
+
   module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     module Pool = P
 
@@ -326,6 +332,8 @@ module Broken_hyaline = struct
 
   let discipline =
     Memory.Discipline.(make ~track_limbo:false Epoch Grace_session)
+
+  let robustness = Hyaline.robustness
 
   module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
     module Pool = P

@@ -17,13 +17,23 @@ let or_wedged f =
     Alcotest.failf "simulation wedged: %s (after %d steps)" i.Sim.s_reason
       i.Sim.s_steps
 
+(* A faulted trial's limbo, judged as the fault campaigns judge it: by
+   the scheme's own declared robustness. *)
+let within_declared_bound scheme ~n o =
+  match
+    Reclaim.Registry.(limbo_verdict (find scheme))
+      ~n params ~limbo:o.Workload.Trial.limbo
+  with
+  | None -> ()
+  | Some e -> Alcotest.failf "%s: %s" scheme e
+
 (* ------------------------------------------------------------------ *)
 (* Crash during neutralization: a DEBRA+ process dies mid-operation, so
    the epoch stops advancing until the survivors suspect it and try to
    neutralize — and every signal to the corpse comes back ESRCH.  The
    trial must complete (no wedge), the sanitizer must see no double
    frees, the final structure must pass its invariant walk, and limbo
-   must stay within the paper's bound. *)
+   must stay within the paper's bound, as DEBRA+ declares it. *)
 
 module BP = Workload.Trial.Run (Workload.Schemes.RM2_debra_plus)
 
@@ -44,10 +54,7 @@ let crash_mid_op ~policy ~seed () =
     o.Workload.Trial.violations;
   Alcotest.(check (option string)) "invariants hold" None
     o.Workload.Trial.invariant_failure;
-  let bound = 3 * n * n * params.Reclaim.Intf.Params.block_capacity in
-  if o.Workload.Trial.limbo > bound then
-    Alcotest.failf "limbo %d exceeds bound %d: neutralization failed"
-      o.Workload.Trial.limbo bound;
+  within_declared_bound "debra+" ~n o;
   if o.Workload.Trial.ops = 0 then Alcotest.fail "survivors performed no ops"
 
 let crash_cases =
@@ -89,7 +96,8 @@ let crash_in_handler () =
 (* The next-generation reclaimers under the same crash: VBR reclaims with
    no grace period at all, so a corpse cannot pin its limbo; Hyaline only
    keeps batches charged to sessions the corpse opened before dying (its
-   seal skips crashed processes), so limbo stays within the same bound. *)
+   seal skips crashed processes), so limbo stays within its declared
+   bound. *)
 
 module BV = Workload.Trial.Run (Workload.Schemes.RM2_vbr)
 module BH = Workload.Trial.Run (Workload.Schemes.RM2_hyaline)
@@ -111,10 +119,7 @@ let crash_mid_op_vbr ~policy ~seed () =
     o.Workload.Trial.violations;
   Alcotest.(check (option string)) "invariants hold" None
     o.Workload.Trial.invariant_failure;
-  let bound = 3 * n * n * params.Reclaim.Intf.Params.block_capacity in
-  if o.Workload.Trial.limbo > bound then
-    Alcotest.failf "limbo %d exceeds bound %d: VBR robustness failed"
-      o.Workload.Trial.limbo bound;
+  within_declared_bound "vbr" ~n o;
   if o.Workload.Trial.ops = 0 then Alcotest.fail "survivors performed no ops"
 
 let crash_mid_op_hyaline ~policy ~seed () =
@@ -134,10 +139,7 @@ let crash_mid_op_hyaline ~policy ~seed () =
     o.Workload.Trial.violations;
   Alcotest.(check (option string)) "invariants hold" None
     o.Workload.Trial.invariant_failure;
-  let bound = 3 * n * n * params.Reclaim.Intf.Params.block_capacity in
-  if o.Workload.Trial.limbo > bound then
-    Alcotest.failf "limbo %d exceeds bound %d: crashed-pid discounting failed"
-      o.Workload.Trial.limbo bound;
+  within_declared_bound "hyaline" ~n o;
   if o.Workload.Trial.ops = 0 then Alcotest.fail "survivors performed no ops"
 
 (* ------------------------------------------------------------------ *)
@@ -311,6 +313,76 @@ let determinism ~policy () =
       Alcotest.(check bool) "chaos summaries equal" true (sa = sb)
   | _ -> Alcotest.fail "missing chaos summary"
 
+(* ------------------------------------------------------------------ *)
+(* Teeth of the declarations: the campaigns judge limbo with
+   [Registry.limbo_verdict], so a false declaration must fail it.  One
+   process stops mid-operation: parked for the rest of the trial (the
+   E-stall fault) or crashed (the E-chaos one). *)
+
+module BD = Workload.Trial.Run (Workload.Schemes.RM2_debra)
+
+let n_stop = 6
+
+let stopped trial ?(params = params) fault =
+  let stall, chaos =
+    match fault with
+    | `Stall -> (Some (100_000, 700_000), None)
+    | `Crash ->
+        ( None,
+          Some
+            Chaos.
+              {
+                seed = 5;
+                faults = [ Crash { pid = 2; at = 4_000; kind = In_operation } ];
+              } )
+  in
+  or_wedged (fun () -> trial ~params ~stall ~chaos)
+
+let debra_bst ~params ~stall ~chaos =
+  BD.trial BD.Face.bst ~params ~duration:800_000 ?stall ?chaos
+    ~max_steps:20_000_000 ~n:n_stop ~range:512 ~ins:50 ~del:50 ~seed:5 ()
+
+let debra_plus_bst ~params ~stall ~chaos =
+  BP.trial BP.Face.bst ~params ~duration:800_000 ?stall ?chaos
+    ~max_steps:20_000_000 ~n:n_stop ~range:512 ~ins:50 ~del:50 ~seed:5 ()
+
+let verdict ?(params = params) e o =
+  Reclaim.Registry.limbo_verdict e ~n:n_stop params ~limbo:o.Workload.Trial.limbo
+
+(* DEBRA re-registered with DEBRA+'s bound: its pinned limbo must fail
+   the bounded verdict under both faults, while its real (unbounded)
+   declaration passes. *)
+let debra_declared_bounded () =
+  let debra = Reclaim.Registry.find "debra" in
+  let scratch =
+    { debra with robustness = (Reclaim.Registry.find "debra+").robustness }
+  in
+  List.iter
+    (fun (name, fault) ->
+      let o = stopped debra_bst fault in
+      Alcotest.(check (option string))
+        (name ^ ": debra agrees with its declaration") None (verdict debra o);
+      if verdict scratch o = None then
+        Alcotest.failf "%s: debra declared bounded passed (limbo %d)" name
+          o.Workload.Trial.limbo)
+    [ ("stall", `Stall); ("crash", `Crash) ]
+
+(* DEBRA+ whose suspicion threshold is never reached neutralizes nobody:
+   a parked process then pins its epoch, and limbo must exceed DEBRA+'s own
+   declared bound, which the real scheme keeps. *)
+let debra_plus_never_neutralizing () =
+  let dplus = Reclaim.Registry.find "debra+" in
+  let o = stopped debra_plus_bst `Stall in
+  Alcotest.(check (option string)) "debra+ within its bound" None
+    (verdict dplus o);
+  let mutant =
+    { params with Reclaim.Intf.Params.suspect_blocks = max_int }
+  in
+  let o = stopped debra_plus_bst ~params:mutant `Stall in
+  if verdict ~params:mutant dplus o = None then
+    Alcotest.failf "a never-neutralizing debra+ kept its bound (limbo %d)"
+      o.Workload.Trial.limbo
+
 let () =
   Alcotest.run "chaos"
     [
@@ -343,6 +415,13 @@ let () =
         [
           Alcotest.test_case "crash 2 of 4 procs" `Quick
             (queue_crash_fifo ~seed:13);
+        ] );
+      ( "declared robustness",
+        [
+          Alcotest.test_case "debra declared bounded fails" `Quick
+            debra_declared_bounded;
+          Alcotest.test_case "never-neutralizing debra+ exceeds its bound"
+            `Quick debra_plus_never_neutralizing;
         ] );
       ( "bounded memory",
         [

@@ -85,6 +85,101 @@ module H_debra = H (RM_debra)
 module H_hp = H (RM_hp)
 module H_dplus = H (RM_dplus)
 
+(* On domains a signal is a flag its target reads at its next
+   instrumented access, and a target past that poll may be preempted
+   before its memory operation for as long as the OS likes.  So DEBRA+
+   may count a signalled peer as neutralized only once the peer's
+   announcement acknowledges it.  Here the peer leaves its quiescent
+   state and then makes no instrumented access until it is released:
+   however many operations the other process completes meanwhile, the
+   epoch may move at most one step past the peer.  Once released, the
+   peer takes the pending signal and the epoch moves on. *)
+let test_dplus_pinned_until_ack () =
+  let module L = Ds.Hm_list.Make (RM_dplus) in
+  let group = Runtime.Group.create ~seed:6 2 in
+  let rm = RM_dplus.create (Reclaim.Intf.Env.create group (Memory.Heap.create ())) in
+  let ops = 4000 in
+  let t = L.create rm ~capacity:((2 * ops) + 16) in
+  let held = Atomic.make false and released = Atomic.make false in
+  let done_ = Atomic.make false in
+  let max_lag = ref 0 and limbo_held = ref 0 and limbo_after = ref 0 in
+  let neutralized = ref false in
+  let churn ctx =
+    for i = 1 to ops do
+      ignore (L.insert t ctx ~key:(i mod 8) ~value:i);
+      ignore (L.delete t ctx (i mod 8));
+      max_lag := max !max_lag (RM_dplus.epoch_lag rm).(1)
+    done
+  in
+  let sender () =
+    let ctx = Runtime.Group.ctx group 0 in
+    while not (Atomic.get held) do Domain.cpu_relax () done;
+    churn ctx;
+    limbo_held := RM_dplus.limbo_size rm;
+    Atomic.set released true;
+    while not (Atomic.get done_) do Domain.cpu_relax () done;
+    churn ctx;
+    limbo_after := RM_dplus.limbo_size rm
+  in
+  let peer () =
+    let ctx = Runtime.Group.ctx group 1 in
+    RM_dplus.leave_qstate rm ctx;
+    Atomic.set held true;
+    while not (Atomic.get released) do Domain.cpu_relax () done;
+    (match Runtime.Ctx.work ctx 1 with
+    | () -> RM_dplus.enter_qstate rm ctx
+    | exception Runtime.Ctx.Neutralized -> neutralized := true);
+    Atomic.set done_ true
+  in
+  ignore (Runtime.Domain_runner.run group [| sender; peer |]);
+  Alcotest.(check bool)
+    (Printf.sprintf "epoch at most one step past the held peer (saw %d)"
+       !max_lag)
+    true (!max_lag <= 1);
+  Alcotest.(check bool) "the held peer was signalled" true !neutralized;
+  Alcotest.(check bool)
+    (Printf.sprintf "limbo drains once the peer acknowledges (%d -> %d)"
+       !limbo_held !limbo_after)
+    true
+    (!limbo_after < !limbo_held)
+
+(* A stalled domain wakes to take a pending signal, as a POSIX signal
+   interrupts [nanosleep]: with acknowledgement-based neutralization a
+   sleeper that slept its stall out would pin the epoch for all of it. *)
+let test_dplus_stall_wakes () =
+  let module L = Ds.Hm_list.Make (RM_dplus) in
+  let group = Runtime.Group.create ~seed:7 2 in
+  let rm = RM_dplus.create (Reclaim.Intf.Env.create group (Memory.Heap.create ())) in
+  let t = L.create rm ~capacity:200_016 in
+  let held = Atomic.make false and woke = Atomic.make false in
+  let neutralized = ref false and slept = ref 0. in
+  let sender () =
+    let ctx = Runtime.Group.ctx group 0 in
+    while not (Atomic.get held) do Domain.cpu_relax () done;
+    let i = ref 0 in
+    while (not (Atomic.get woke)) && !i < 100_000 do
+      incr i;
+      ignore (L.insert t ctx ~key:(!i mod 8) ~value:!i);
+      ignore (L.delete t ctx (!i mod 8))
+    done
+  in
+  let peer () =
+    let ctx = Runtime.Group.ctx group 1 in
+    RM_dplus.leave_qstate rm ctx;
+    Atomic.set held true;
+    let t0 = Unix.gettimeofday () in
+    (match Runtime.Ctx.stall ctx 20_000_000_000 (* 20 s *) with
+    | () -> RM_dplus.enter_qstate rm ctx
+    | exception Runtime.Ctx.Neutralized -> neutralized := true);
+    slept := Unix.gettimeofday () -. t0;
+    Atomic.set woke true
+  in
+  ignore (Runtime.Domain_runner.run group [| sender; peer |]);
+  Alcotest.(check bool) "the stalled peer was neutralized" true !neutralized;
+  Alcotest.(check bool)
+    (Printf.sprintf "it woke early (slept %.2f s of 20)" !slept)
+    true (!slept < 10.)
+
 (* The arena's lock-free free list under real contention: domains hammer
    claim/release cycles; the live count and the no-double-free guarantee
    must survive. *)
@@ -250,6 +345,10 @@ let () =
         [
           par_case "list under real domains" `Quick
             (H_dplus.test_list ~n:(clamp 4) ~ops:1500 ~range:32 ~seed:4);
+          par_case "peer pinned until it acknowledges" `Quick
+            test_dplus_pinned_until_ack;
+          par_case "stalled peer wakes for its signal" `Quick
+            test_dplus_stall_wakes;
         ] );
       ( "arena",
         [

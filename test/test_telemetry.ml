@@ -377,7 +377,6 @@ let test_estall_bound () =
   let duration = 2_400_000 in
   let stall_at = duration / 5 in
   let block_capacity = 64 in
-  let bound = 3 * n * n * block_capacity in
   let params =
     {
       Reclaim.Intf.Params.default with
@@ -385,6 +384,7 @@ let test_estall_bound () =
       incr_thresh = n;
     }
   in
+  let bound = Reclaim.Registry.paper_bound ~n params in
   let run (r : Workload.Schemes.runner) =
     let rec_ =
       Telemetry.Recorder.create ~sample_every:(duration / 100)
