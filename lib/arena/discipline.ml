@@ -1,9 +1,9 @@
 (** The checking discipline of a reclamation scheme: which rules the
     shadow checkers hold its {!Smr_event} stream to.  Each reclaimer
     declares one value of this type; the sanitizer (lib/sanitizer), the one
-    shadow state machine, applies it both to dynamic runs and under the
-    symbolic protocol analyzer (lib/protocheck), so the scheme-to-rules
-    mapping is written once, next to the scheme. *)
+    shadow state machine, applies it both to random-schedule runs and to
+    every world of bounded exploration, so the scheme-to-rules mapping is
+    written once, next to the scheme. *)
 
 (** What an instrumented field access is checked against.
 

@@ -71,10 +71,12 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
   let leave_qstate t ctx =
     let pid = ctx.Runtime.Ctx.pid in
     let n = Intf.Env.nprocs t.env in
-    Intf.Env.emit t.env ctx Memory.Smr_event.Leave_q;
     let e = Runtime.Svar.get ctx t.epoch in
     t.my_ann.(pid) <- e;
     Runtime.Shared_array.set ctx t.announce pid e;
+    (* The session opens once the announcement is visible: until then a
+       scan sees this process quiescent and may free what it retires. *)
+    Intf.Env.emit t.env ctx Memory.Smr_event.Leave_q;
     (* Scan every announcement, every operation. *)
     let all_ok = ref true in
     for other = 0 to n - 1 do

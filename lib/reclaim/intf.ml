@@ -116,11 +116,6 @@ module Robustness = struct
         else None
 end
 
-(** The witness events of the typed surface ({!RECORD_MANAGER.Typed}) and
-    its decision points: part of the one {!Memory.Smr_event} type, on the
-    same stream as the reclaimers' and arenas' events. *)
-module Protocol = Memory.Smr_event
-
 module Env = struct
   (** Shared environment handed to every component: the process group, the
       heap of arenas, and the per-process block pools that all local
@@ -145,14 +140,9 @@ module Env = struct
 
   let nprocs t = Runtime.Group.nprocs t.group
 
-  (** Publish an SMR event, lifecycle or witness, under the heap's scope
-      (see {!Memory.Smr_event}). *)
+  (** Publish an SMR event under the heap's scope (see
+      {!Memory.Smr_event}). *)
   let emit t ctx ev = Memory.Heap.emit t.heap ctx ev
-
-  (** Ask the steering subscriber at a decision point; [Grant] when none
-      is attached (see {!Runtime.Ctx.decide}). *)
-  let decide t ctx point p =
-    Runtime.Ctx.decide ctx ~scope:(Memory.Heap.scope t.heap) point p
 end
 
 module type ALLOCATOR = sig
@@ -200,7 +190,7 @@ module type RECLAIMER = sig
 
   val name : string
 
-  (** The rules the sanitizer and protocheck hold this scheme to (see
+  (** The rules the sanitizer holds this scheme to (see
       {!Memory.Discipline}). *)
   val discipline : Memory.Discipline.t
 
@@ -431,8 +421,7 @@ module type RECORD_MANAGER = sig
 
       Every wrapper delegates to exactly the untyped call it names, so a
       converted structure performs the identical instrumented access
-      sequence; the additional {!Protocol} events are built only when the
-      context's probe has an event subscriber.  The untyped surface above
+      sequence and emits the identical events.  The untyped surface above
       remains for harnesses, drains and scheme tests. *)
   module Typed : sig
     type session
@@ -519,11 +508,9 @@ module type RECORD_MANAGER = sig
       t -> Runtime.Ctx.t -> Memory.Arena.t -> guard -> int -> expect:int ->
       int -> bool
     (** Plain guarded CAS with no lifecycle effect (e.g. the logical-delete
-        mark bit).  An oracle decision point. *)
+        mark bit). *)
 
-    (** Lifecycle CASes.  Every one is an oracle decision point: under an
-        [Adversary] decision the CAS reports failure {e without} touching
-        memory, steering the structure down its retry/helping path. *)
+    (** Lifecycle CASes. *)
 
     val cas_at :
       t ->

@@ -123,18 +123,13 @@ module Make
 
   (* The typestate facade.  Every wrapper performs exactly the instrumented
      calls of the untyped spelling it replaces — witness bookkeeping is
-     plain OCaml state, and witness events are built only when the
-     context's probe has an event subscriber — so converting a data structure to this surface changes no schedule
-     and no golden trace. *)
+     plain OCaml state — so converting a data structure to this surface
+     changes no schedule and no golden trace. *)
   module Typed = struct
     type session = S
     type guard = { gp : Memory.Ptr.t } [@@unboxed]
     type fresh = { fp : Memory.Ptr.t; mutable spent : bool }
     type unlinked = { up : Memory.Ptr.t; mutable consumed : bool }
-
-    let observe t ctx ev = Intf.Env.emit t.env ctx ev
-    let observed = Runtime.Ctx.observed
-    let decide t ctx point p = Intf.Env.decide t.env ctx point p
 
     let run_op t ctx ~recover body =
       untyped_run_op t ctx ~recover (fun () -> body S)
@@ -142,10 +137,7 @@ module Make
     let leave t ctx (_ : session) = Reclaimer.leave_qstate t.reclaimer ctx
     let enter t ctx (_ : session) = Reclaimer.enter_qstate t.reclaimer ctx
 
-    let alloc t ctx arena =
-      let p = untyped_alloc t ctx arena in
-      if observed ctx then observe t ctx (Intf.Protocol.Fresh p);
-      { fp = p; spent = false }
+    let alloc t ctx arena = { fp = untyped_alloc t ctx arena; spent = false }
 
     let fresh_ptr f = f.fp
 
@@ -162,44 +154,21 @@ module Make
       ignore t;
       Memory.Arena.set_const ctx arena f.fp field v
 
-    let sentinel t ctx f =
+    let sentinel _t _ctx f =
       spend f ~by:"sentinel";
-      if observed ctx then observe t ctx (Intf.Protocol.Root f.fp);
       f.fp
 
-    let expose t ctx f =
+    let expose _t _ctx f =
       spend f ~by:"expose";
-      if observed ctx then observe t ctx (Intf.Protocol.Publish f.fp);
       f.fp
 
     let abandon t ctx f =
       spend f ~by:"abandon";
-      if observed ctx then observe t ctx (Intf.Protocol.Abandon f.fp);
       Pool.release t.pool ctx f.fp
 
     let acquire t ctx (_ : session) p ~verify =
-      match decide t ctx Intf.Protocol.Acquire_point p with
-      | Intf.Protocol.Grant ->
-          let granted = Reclaimer.protect t.reclaimer ctx p ~verify in
-          if observed ctx then
-            observe t ctx
-              (Intf.Protocol.Acquire { p; granted; adversary = false });
-          if granted then Some { gp = p } else None
-      | Intf.Protocol.Adversary ->
-          (* Simulate a concurrent removal between announce and validate:
-             the verification fails.  A scheme that needs no validation
-             (epoch-style) legitimately grants; a hazard-style scheme that
-             grants anyway skipped its validation step, which the protocol
-             analyzer will flag.  Either way the caller is steered down its
-             restart branch. *)
-          let granted =
-            Reclaimer.protect t.reclaimer ctx p ~verify:(fun () -> false)
-          in
-          if observed ctx then
-            observe t ctx
-              (Intf.Protocol.Acquire { p; granted; adversary = true });
-          if granted then Reclaimer.unprotect t.reclaimer ctx p;
-          None
+      if Reclaimer.protect t.reclaimer ctx p ~verify then Some { gp = p }
+      else None
 
     let root_guard _t (_ : session) p = { gp = p }
 
@@ -220,25 +189,14 @@ module Make
     let get_const _t ctx arena g field =
       Memory.Arena.get_const ctx arena g.gp field
 
-    let cas_at t ctx arena container field ~expect word ~publishes ~unlinks =
-      match decide t ctx Intf.Protocol.Cas_point container with
-      | Intf.Protocol.Adversary -> None
-      | Intf.Protocol.Grant ->
-          if Memory.Arena.cas ctx arena container field ~expect word then begin
-            List.iter
-              (fun f ->
-                spend f ~by:"cas_at";
-                if observed ctx then
-                  observe t ctx (Intf.Protocol.Publish f.fp))
-              publishes;
-            Some
-              (List.map
-                 (fun p ->
-                   if observed ctx then observe t ctx (Intf.Protocol.Unlink p);
-                   { up = p; consumed = false })
-                 unlinks)
-          end
-          else None
+    let unlinked p = { up = p; consumed = false }
+
+    let cas_at _t ctx arena container field ~expect word ~publishes ~unlinks =
+      if Memory.Arena.cas ctx arena container field ~expect word then begin
+        List.iter (fun f -> spend f ~by:"cas_at") publishes;
+        Some (List.map unlinked unlinks)
+      end
+      else None
 
     let cas t ctx arena g field ~expect word =
       match
@@ -259,27 +217,16 @@ module Make
     let cas_unlink t ctx arena g field ~expect word ~unlinks =
       cas_at t ctx arena g.gp field ~expect word ~publishes:[] ~unlinks
 
-    let svar_cas_unlink t ctx sv ~expect word ~unlinks =
-      match decide t ctx Intf.Protocol.Cas_point expect with
-      | Intf.Protocol.Adversary -> None
-      | Intf.Protocol.Grant ->
-          if Runtime.Svar.cas ctx sv ~expect word then
-            Some
-              (List.map
-                 (fun p ->
-                   if observed ctx then observe t ctx (Intf.Protocol.Unlink p);
-                   { up = p; consumed = false })
-                 unlinks)
-          else None
+    let svar_cas_unlink _t ctx sv ~expect word ~unlinks =
+      if Runtime.Svar.cas ctx sv ~expect word then
+        Some (List.map unlinked unlinks)
+      else None
 
-    let publish_locked t ctx (_ : session) f =
+    let publish_locked _t _ctx (_ : session) f =
       spend f ~by:"publish_locked";
-      if observed ctx then observe t ctx (Intf.Protocol.Publish f.fp);
       f.fp
 
-    let unlink_locked t ctx (_ : session) p =
-      if observed ctx then observe t ctx (Intf.Protocol.Unlink p);
-      { up = p; consumed = false }
+    let unlink_locked _t _ctx (_ : session) p = unlinked p
 
     let unlinked_ptr w = w.up
 

@@ -88,7 +88,7 @@ let limbo_verdict e ~n params ~limbo =
       work without reuse, for every scheme.
     - [Exp2] (Experiment 2): bump allocator behind the shared pool.
     - [Exp3] (Experiment 3): malloc-style allocator behind the shared pool.
-    - [Check] (protocheck matrix, sanitizer fuzz): as [Exp2], except that
+    - [Check] (sanitizer fuzz): as [Exp2], except that
       schemes whose frees wait on a hazard scan skip the pool too, so the
       arena's generation check is a faithful freed-record oracle for
       them.

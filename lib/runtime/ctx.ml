@@ -41,17 +41,15 @@ and probe = {
   mutable accesses : (t -> line:int -> access_kind -> unit) array;
   mutable events : (int * (t -> Event.t -> unit)) array;  (* (scope, f) *)
   mutable entries : (t -> unit) array;
-  mutable steer : (int * (t -> Event.point -> int -> Event.decision)) option;
   mutable step : t -> line:int -> access_kind -> unit;
   mutable slow : bool;
 }
 
 and subscriber = {
-  scope : int;  (* heap scope of [event]/[decide]; [-1] = every scope *)
+  scope : int;  (* heap scope of [event]; [-1] = every scope *)
   access : (t -> line:int -> access_kind -> unit) option;
   event : (t -> Event.t -> unit) option;
   handler_entry : (t -> unit) option;
-  decide : (t -> Event.point -> int -> Event.decision) option;
 }
 
 let fresh_stats () =
@@ -85,7 +83,6 @@ let make ~pid ~nprocs ~seed =
         accesses = [||];
         events = [||];
         entries = [||];
-        steer = None;
         step = no_step;
         slow = false;
       };
@@ -134,8 +131,8 @@ let access ctx ~line kind =
   | Work c -> s.local_work <- s.local_work + c);
   if ctx.probe.slow then observe ctx ~line kind
 
-let subscriber ?(scope = -1) ?access ?event ?handler_entry ?decide () =
-  { scope; access; event; handler_entry; decide }
+let subscriber ?(scope = -1) ?access ?event ?handler_entry () =
+  { scope; access; event; handler_entry }
 
 let update_slow p = p.slow <- Array.length p.accesses > 0 || p.step != no_step
 
@@ -145,14 +142,11 @@ let recompose p =
   p.accesses <- chan (fun s -> s.access);
   p.events <- chan (fun s -> scoped s s.event);
   p.entries <- chan (fun s -> s.handler_entry);
-  p.steer <- List.find_map (fun s -> scoped s s.decide) p.subs;
   update_slow p
 
 let subscribe ctx s =
   let p = ctx.probe in
   if List.memq s p.subs then invalid_arg "Ctx.subscribe: already subscribed";
-  if Option.is_some s.decide && Option.is_some p.steer then
-    invalid_arg "Ctx.subscribe: the decide slot is taken";
   p.subs <- p.subs @ [ s ];
   recompose p
 
@@ -180,11 +174,6 @@ let emit ctx ~scope ev =
     let s, f = es.(i) in
     if in_scope s scope then f ctx ev
   done
-
-let decide ctx ~scope point p =
-  match ctx.probe.steer with
-  | Some (s, f) when in_scope s scope -> f ctx point p
-  | _ -> Event.Grant
 
 let scopes = Atomic.make 0
 let new_scope () = Atomic.fetch_and_add scopes 1

@@ -111,17 +111,15 @@ val fast_path : t -> bool
 (** {1 The probe}
 
     Every observer of a process' steps — sanitizer, telemetry, fault
-    injector, protocol analyzer — subscribes to the context's probe.  A
-    {!subscriber} bundles up to four callbacks:
+    injector — subscribes to the context's probe.  A {!subscriber} bundles
+    up to three callbacks:
 
     - [access]: each instrumented access, after the signal poll and before
       the backend's access step (the simulator's cache charge and yield);
     - [event]: each {!Event.t} emitted on this context under a heap scope
       the subscriber's [scope] matches (omitted: every scope);
     - [handler_entry]: on entry to each handler run, before the handler
-      (raising {!Crashed} here kills the process inside its handler);
-    - [decide]: the steering slot for the typed surface's decision points;
-      at most one subscriber per context holds it.
+      (raising {!Crashed} here kills the process inside its handler).
 
     Channels run subscribers in subscription order; [unsubscribe] removes
     exactly one, in any order.  Dispatch is rebuilt only on (un)subscribe;
@@ -135,12 +133,10 @@ val subscriber :
   ?access:(t -> line:int -> access_kind -> unit) ->
   ?event:(t -> Event.t -> unit) ->
   ?handler_entry:(t -> unit) ->
-  ?decide:(t -> Event.point -> int -> Event.decision) ->
   unit ->
   subscriber
 
-(** @raise Invalid_argument if [s] is already subscribed to [ctx], or
-    would take a held decide slot. *)
+(** @raise Invalid_argument if [s] is already subscribed to [ctx]. *)
 val subscribe : t -> subscriber -> unit
 
 val unsubscribe : t -> subscriber -> unit
@@ -151,10 +147,6 @@ val unsubscribe : t -> subscriber -> unit
 val observed : t -> bool
 
 val emit : t -> scope:int -> Event.t -> unit
-
-(** [decide ctx ~scope point p] is the steering subscriber's answer at
-    [point] about record [p]; [Grant] without one in scope. *)
-val decide : t -> scope:int -> Event.point -> int -> Event.decision
 
 (** A fresh event scope; every heap takes one. *)
 val new_scope : unit -> int

@@ -1,9 +1,8 @@
 (** The one closed event type a context's probe delivers (see {!Ctx}),
     re-exported as [Memory.Smr_event]; pointer payloads are [Memory.Ptr.t],
     an [int].  It covers the record lifecycle, the protection and
-    quiescence protocols, the reclamation control plane (observability
-    only), and the witness events of the typed Record Manager surface
-    (consumed by lib/protocheck).  A shadow checker sees every transition
+    quiescence protocols, and the reclamation control plane (observability
+    only).  A shadow checker sees every transition
     before the arena's own generation check can raise: [Free] and [Access]
     fire before validation, and protection events fire while the
     announcement is visible to concurrent scanners. *)
@@ -32,27 +31,3 @@ type t =
   | Sweep of int
       (** a reclamation sweep (rotation, scan, batch drain) handed the
           payload's worth of records to the pool *)
-  | Fresh of int
-      (** witness: record allocated through the typed surface, private to
-          its owner until published *)
-  | Publish of int  (** witness: fresh record became reachable *)
-  | Abandon of int  (** witness: fresh record deallocated unpublished *)
-  | Root of int  (** witness: permanent sentinel, never retired *)
-  | Acquire of { p : int; granted : bool; adversary : bool }
-      (** witness: a [Typed.acquire] attempt; [adversary] marks a
-          verification the steering subscriber forced to fail — a scheme
-          that still [granted] it skipped its validation step *)
-  | Unlink of int
-      (** witness: an unlink was issued; the record provably left the
-          structure *)
-
-(** Decision points a steering subscriber may answer, each asked about one
-    record: every guard acquisition and every lifecycle CAS (on the
-    container) of the typed surface.  [Grant] lets
-    the operation proceed as the memory says; [Adversary] simulates a
-    concurrent defeat (a failed validation, a lost CAS) without touching
-    memory, so a single-process analyzer can drive the structure down both
-    branches of every decision. *)
-type point = Acquire_point | Cas_point
-
-type decision = Grant | Adversary

@@ -26,7 +26,13 @@
       step exists for, and the racing protector's verify is what fails.
     - rprotect announcements block a free regardless of when they were made:
       DEBRA+'s signal handshake (signal, handler rprotects, ack, then scan)
-      guarantees the scan sees every recovery announcement. *)
+      guarantees the scan sees every recovery announcement.
+
+    The access rule adds the Fig. 5 operation boundary: under a scheme
+    whose quiescence is an interval, a process touches a shared record only
+    between its [Leave_q] and [Enter_q], or while it holds a recovery
+    announcement on that record (DEBRA+'s recovery reads run quiescent,
+    behind [rprotect]). *)
 
 open Memory.Discipline
 
@@ -42,8 +48,6 @@ type kind =
   | Double_free
   | Leak
   | Unquiesced_access
-  | Retire_without_unlink
-  | Skipped_validation
 
 let kind_name = function
   | Use_after_free -> "use-after-free"
@@ -52,8 +56,6 @@ let kind_name = function
   | Double_free -> "double-free"
   | Leak -> "leak"
   | Unquiesced_access -> "unquiesced-access"
-  | Retire_without_unlink -> "retire-without-unlink"
-  | Skipped_validation -> "skipped-validation"
 
 type violation = {
   kind : kind;
@@ -272,34 +274,50 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
         (fresh_rinfo ~owner:pid ~seq:t.seq ~state:Fresh)
   | Free p -> on_free t ctx (Memory.Ptr.unmark p) ~via:"arena free"
   | Pool_put p -> on_free t ctx (Memory.Ptr.unmark p) ~via:"pool put"
-  | Access (p, _) -> (
+  | Access (p, _) ->
       let key = Memory.Ptr.unmark p in
-      match Hashtbl.find_opt t.records key with
-      | None ->
-          (* Born before attach: assume live and published. *)
-          Hashtbl.replace t.records key
-            (fresh_rinfo ~owner:(-1) ~seq:t.seq ~state:Published)
-      | Some r -> (
-          match r.state with
-          | Fresh -> if pid <> r.owner then r.state <- Published
-          | Published -> ()
-          | Retired ->
-              if
-                t.discipline.access = Hazard
-                && not (holds_before ps.hazards key ~retire:r.retire_seq)
-              then
-                flag t ctx Unprotected_access ~ptr:key
-                  ~detail:
-                    (Printf.sprintf
-                       "access to retired record without a protection \
-                        registered before retire (%s)"
-                       (provenance r))
-          | Freed ->
-              if t.discipline.access <> Lenient then
-                flag t ctx Use_after_free ~ptr:key
-                  ~detail:
-                    (Printf.sprintf "access to freed record (%s)"
-                       (provenance r))))
+      let shared =
+        match Hashtbl.find_opt t.records key with
+        | None ->
+            (* Born before attach: assume live and published. *)
+            Hashtbl.replace t.records key
+              (fresh_rinfo ~owner:(-1) ~seq:t.seq ~state:Published);
+            true
+        | Some r -> (
+            match r.state with
+            | Fresh when pid <> r.owner ->
+                r.state <- Published;
+                true
+            | Fresh -> false
+            | Published -> true
+            | Retired ->
+                if
+                  t.discipline.access = Hazard
+                  && not (holds_before ps.hazards key ~retire:r.retire_seq)
+                then
+                  flag t ctx Unprotected_access ~ptr:key
+                    ~detail:
+                      (Printf.sprintf
+                         "access to retired record without a protection \
+                          registered before retire (%s)"
+                         (provenance r));
+                true
+            | Freed ->
+                if t.discipline.access <> Lenient then
+                  flag t ctx Use_after_free ~ptr:key
+                    ~detail:
+                      (Printf.sprintf "access to freed record (%s)"
+                         (provenance r));
+                false)
+      in
+      if
+        shared && t.discipline.access <> Lenient
+        && t.discipline.quiescence = Interval
+        && (not ps.in_session)
+        && not (holds_any ps.rprotects key)
+      then
+        flag t ctx Unquiesced_access ~ptr:key
+          ~detail:"access to a shared record outside a session"
   | Retire p -> (
       let key = Memory.Ptr.unmark p in
       let r =
@@ -344,11 +362,10 @@ let on_event t ctx (ev : Memory.Smr_event.t) =
   | Enter_q ->
       ps.in_session <- false;
       ps.qcount <- ps.qcount + 1
-  | Epoch_advance _ | Signal_sent _ | Sweep _ | Fresh _ | Publish _
-  | Abandon _ | Root _ | Acquire _ | Unlink _ ->
-      (* Reclamation control-plane and witness events: no shadow state
-         transition.  Soundness is judged from the lifecycle and protection
-         events alone; the witness rules are protocheck's. *)
+  | Epoch_advance _ | Signal_sent _ | Sweep _ ->
+      (* Reclamation control plane: no shadow state transition.  Soundness
+         is judged from the lifecycle, protection and session events
+         alone. *)
       ()
 
 let with_checks t f =
@@ -382,19 +399,6 @@ let leak_check t ~limbo_size =
            "shadow ledger says %d records in limbo, reclaimer reports %d"
            t.ledger limbo_size)
   end
-
-let state t p =
-  match Hashtbl.find_opt t.records (Memory.Ptr.unmark p) with
-  | Some r -> r.state
-  | None -> Published
-
-let in_session t ~pid = t.procs.(pid).in_session
-let protected t ~pid p = holds_any t.procs.(pid).hazards (Memory.Ptr.unmark p)
-
-let publish t p =
-  match Hashtbl.find_opt t.records (Memory.Ptr.unmark p) with
-  | Some ({ state = Fresh; _ } as r) -> r.state <- Published
-  | _ -> ()
 
 let violations t = List.rev t.viols
 let violation_count t = t.nviols

@@ -13,18 +13,17 @@
     final [flush] to reconcile the shadow limbo ledger with the reclaimer's
     own [limbo_size].
 
-    The symbolic protocol analyzer (lib/protocheck) runs on the same
-    machine: its engine forwards every event to {!on_event} and adds only
-    the witness rules, through the queries at the end of this interface.
+    Bounded exploration ([Workload.Lin_harness]) runs every explored
+    world under one sanitizer, so every schedule it tries is held to these
+    rules as well as to the structure's sequential specification.
 
     See DESIGN.md §"Sanitizer" for the state machine and the per-scheme
     invariant table. *)
 
-(** Violation kinds.  Double-retire and free-without-retire are no longer
+(** Violation kinds.  Double-retire and free-without-retire are not
     checked here: the typestate API ({!Reclaim.Intf.RECORD_MANAGER.Typed})
     makes both unrepresentable — see the "static guarantees" table in the
-    README.  The last three kinds are raised only by protocheck's witness
-    rules, never by this module. *)
+    README. *)
 type kind =
   | Use_after_free  (** access to a freed record *)
   | Unprotected_access
@@ -33,10 +32,10 @@ type kind =
       (** free while a grace period was open or a protection held *)
   | Double_free
   | Leak  (** shadow ledger and reclaimer limbo disagree at the end *)
-  | Unquiesced_access  (** access to a shared record outside a session *)
-  | Retire_without_unlink  (** retire with no pending unlink witness *)
-  | Skipped_validation
-      (** a hazard-class protect granted although its validation failed *)
+  | Unquiesced_access
+      (** access to a shared record outside a session, under a scheme with
+          interval quiescence, by a process holding no recovery
+          announcement on it *)
 
 type violation = {
   kind : kind;
@@ -66,8 +65,8 @@ val create :
 val with_checks : t -> (unit -> 'a) -> 'a
 
 (** [on_event t ctx ev] replays one event against the shadow state; what
-    {!with_checks} subscribes.  Witness and control-plane events only
-    advance the event sequence. *)
+    {!with_checks} subscribes.  Control-plane events only advance the
+    event sequence. *)
 val on_event : t -> Runtime.Ctx.t -> Memory.Smr_event.t -> unit
 
 (** [leak_check t ~limbo_size] reconciles the shadow ledger (records retired
@@ -96,26 +95,3 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val report : t -> string
 (** human-readable summary of all violations (empty string when clean) *)
-
-(** {2 The shadow state, for protocheck's witness rules} *)
-
-type rstate = Fresh | Published | Retired | Freed
-
-val state : t -> Memory.Ptr.t -> rstate
-(** a record's shadow lifecycle state; [Published] for a record never seen
-    (born before attach) *)
-
-val in_session : t -> pid:int -> bool
-(** [pid] is between [Leave_q] and [Enter_q] *)
-
-val protected : t -> pid:int -> Memory.Ptr.t -> bool
-(** [pid] holds a live protection on the record *)
-
-val publish : t -> Memory.Ptr.t -> unit
-(** a [Fresh] record became reachable (a witness or a promotion the
-    access stream cannot show); no-op in any other state *)
-
-val flag :
-  t -> Runtime.Ctx.t -> kind -> ptr:Memory.Ptr.t -> detail:string -> unit
-(** record a violation at the current event, de-duplicated per (kind,
-    record) with every other violation *)

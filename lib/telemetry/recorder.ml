@@ -212,8 +212,7 @@ let on_event t =
               ~args:[ ("released", Json.Int released) ]
               ())
     | Access _ | Protect _ | Unprotect _ | Unprotect_all | Enter_q | Leave_q
-    | Rprotect _ | Runprotect_all | Fresh _ | Publish _ | Abandon _ | Root _
-    | Acquire _ | Unlink _ ->
+    | Rprotect _ | Runprotect_all ->
         ()
 
 let histogram t kind = List.assoc_opt kind t.hists

@@ -9,6 +9,10 @@
     exploration meaningful and every recorded preemption schedule
     replayable.
 
+    Every world {!harness} builds runs under one sanitizer
+    ({!Sanitized}), so each explored schedule is held to the scheme's SMR
+    discipline as well as to the structure's sequential specification.
+
     Exploration configs are deliberately tiny (a few processes, a handful
     of operations, a small key range) with one hardware context per process
     so the [`Systematic] chooser fully controls the interleaving: with more
@@ -183,9 +187,43 @@ module Mk (RM : Intf.RECORD_MANAGER) = struct
         set_ops ~ds cfg ~prefill ~scripts policy
 end
 
+exception Violation of string
+
+let () =
+  Printexc.register_printer (function
+    | Violation v -> Some ("SMR violation: " ^ v)
+    | _ -> None)
+
+(* [RM] with one sanitizer per world: every world [create] builds is held
+   to the scheme's discipline, and its first violation raises {!Violation}
+   from the offending step, which fails the run.  The sanitizer lives in
+   the world's own probe, so worlds explored on several domains share
+   nothing. *)
+module Sanitized (RM : Intf.RECORD_MANAGER) = struct
+  include RM
+
+  let create env =
+    let { Intf.Env.group; heap; _ } = env in
+    let san =
+      Sanitizer.create ~scheme:RM.Reclaimer.name
+        ~discipline:RM.Reclaimer.discipline ~heap ~group
+    in
+    let event ctx ev =
+      Sanitizer.on_event san ctx ev;
+      if Sanitizer.violation_count san > 0 then
+        raise
+          (Violation
+             (Format.asprintf "%a" Sanitizer.pp_violation
+                (List.hd (Sanitizer.violations san))))
+    in
+    Runtime.Group.subscribe group
+      (Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap) ~event ());
+    RM.create env
+end
+
 (* A scheme's harness, over the registry's Experiment 2 Record Manager
    (shared pool behind the reusing schemes, so premature frees really
-   recycle memory and use-after-free has teeth). *)
+   recycle memory and use-after-free has teeth), sanitized. *)
 type harness = {
   run : ds:string -> config -> Sim.policy -> H.t;
   set_ops :
@@ -202,7 +240,7 @@ let harness : Registry.entry -> harness =
   let memo =
     Registry.memo (fun variant e ->
         let module RM = (val Registry.rm variant e) in
-        let module M = Mk (RM) in
+        let module M = Mk (Sanitized (RM)) in
         { run = M.run; set_ops = M.set_ops })
   in
   memo Registry.Exp2
@@ -215,8 +253,9 @@ let run_once ~ds ~scheme cfg policy = (harness_of scheme).run ~ds cfg policy
 
 (** Bounded exploration of one matrix cell; every schedule's history is
     checked against the structure's sequential spec, and any exception the
-    run raises (an arena's use-after-free / double-free trap, a wedge)
-    rejects the cell with the schedule that triggered it. *)
+    run raises (a sanitizer {!Violation}, an arena's use-after-free /
+    double-free trap, a wedge) rejects the cell with the schedule that
+    triggered it. *)
 let explore ?(budget = 2) ?(max_runs = 2000) ?(wide = false) ?log
     ?(workers = 1) ~ds ~scheme cfg =
   let p = harness_of scheme in

@@ -1,12 +1,13 @@
 (* Deliberately broken reclamation schemes, registered as test-only
    registry entries (see the end of this file) and shared by the sanitizer
-   fuzz (test_sanitizer.ml), the protocol analyzer (test_protocheck.ml) and
-   the linearizability / exploration suite (test_lincheck.ml).  Every suite
-   must reject these mutants — the checkers by classifying the violation
-   against the discipline each mutant declares (that of the scheme it
-   breaks, without the leak ledger, which is meaningless for a run that
-   crashes; each also claims the robustness of the scheme it breaks), the explorer by finding a schedule whose run trips the arena's
-   use-after-free / double-free traps and printing it for replay. *)
+   fuzz (test_sanitizer.ml) and the linearizability / exploration suite
+   (test_lincheck.ml).  Every suite must reject these mutants — the
+   sanitizer by classifying the violation against the discipline each
+   mutant declares (that of the scheme it breaks, without the leak ledger,
+   which is meaningless for a run that crashes; each also claims the
+   robustness of the scheme it breaks), the explorer by finding a schedule
+   whose run breaks that discipline or trips the arena's use-after-free /
+   double-free traps, and printing it for replay. *)
 
 open Reclaim
 

@@ -1,18 +1,13 @@
-(* A deliberately protocol-violating external BST, used to prove the
-   protocheck analyzer sharp (test_protocheck.ml).
+(* A deliberately protocol-violating external BST, used to prove sanitized
+   exploration sharp (test_lincheck.ml).
 
-   The structure bypasses the typestate surface entirely:
-   - it allocates and links nodes through the raw Record Manager API, so
-     no [Fresh]/[Publish]/[Root] protocol events are ever emitted;
-   - traversals dereference shared nodes without ever acquiring a guard
-     (no protect, no validation) — the classic unprotected-deref bug that
-     hazard-class schemes exist to prevent;
-   - delete retires the unlinked leaf with the raw [RM.retire], so no
-     unlink witness precedes the retire.
-
-   Under a hazard-class configuration with the strict access rule the
-   analyzer must reject it with [Unprotected_access] (traversal) and
-   [Retire_without_unlink] (raw retire). *)
+   The structure bypasses the typestate surface entirely: it allocates,
+   links and retires nodes through the raw Record Manager API, and its
+   traversals dereference shared nodes without ever acquiring a guard (no
+   protect, no validation) — the classic unprotected-deref bug that
+   hazard-class schemes exist to prevent.  Under HP, a reader that crosses
+   a node another process retired must be rejected with
+   [Unprotected_access]. *)
 
 module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
   let f_left = 0
@@ -28,8 +23,6 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       Memory.Heap.new_arena env.Reclaim.Intf.Env.heap ~name:"mutant_bst.node"
         ~mut_fields:2 ~const_fields:1 ~capacity
     in
-    (* Raw allocation: no [Root] event, the analyzer sees an ordinary
-       shared record. *)
     let root = RM.alloc rm ctx arena in
     Memory.Arena.set_const ctx arena root c_key min_int;
     Memory.Arena.write ctx arena root f_left Memory.Ptr.null;
@@ -78,8 +71,7 @@ module Make (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     RM.enter_qstate t.rm ctx;
     result
 
-  (* Leaf-only delete: unlink with a raw CAS, then the protocol hole — a
-     raw retire with no unlink witness. *)
+  (* Leaf-only delete: unlink with a raw CAS, then a raw retire. *)
   let delete t ctx key =
     RM.leave_qstate t.rm ctx;
     let result =

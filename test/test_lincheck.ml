@@ -9,9 +9,11 @@
    - bounded-preemption exploration of correct scheme x structure cells
      passes while actually exploring (several schedules, real branch
      points), and recorded schedules replay deterministically;
-   - the apparatus has teeth: the broken-EBR and broken-HP reclaimers from
-     broken_schemes.ml and the seeded mutant_queue.ml (dequeue missing its
-     head re-validation CAS) are each rejected with a replayable schedule.
+   - the apparatus has teeth: the broken reclaimers from broken_schemes.ml
+     (by the sanitizer in every explored world, and without it by the
+     arena's trap), the raw-API mutant_bst.ml (by the sanitizer alone) and
+     the seeded mutant_queue.ml (dequeue missing its head re-validation
+     CAS) are each rejected with a replayable schedule.
 
    The heavyweight 9-schemes x 4-structures matrix lives in
    lincheck_matrix.ml behind the @lincheck-matrix alias, not in tier-1. *)
@@ -246,6 +248,17 @@ let test_replay_deterministic () =
   let h2 = Lh.run_once ~ds:"list" ~scheme:"ebr" smoke_cfg (policy ()) in
   Alcotest.check history "same schedule, same history" h1 h2
 
+(* EBR opens its shadow session only once its announcement is visible.
+   Under schedule 39:1 of the queue cell, pid 0 is preempted between
+   starting an operation and announcing its epoch; pid 1 sees it
+   quiescent, advances the epoch three times and frees a record pid 0
+   never touches.  A [Leave_q] emitted before the announcement made the
+   sanitizer call that free premature. *)
+let test_ebr_session_window () =
+  ignore
+    (Lh.run_once ~ds:"queue" ~scheme:"ebr" smoke_cfg
+       (Explore.policy_of_schedule [ (39, 1) ]))
+
 (* ------------------------------------------------------------------ *)
 (* Teeth: the mutants are rejected with replayable schedules. *)
 
@@ -367,10 +380,20 @@ let test_parallel_explore_equivalent () =
    deleter (pid 0) removes keys 1..[keys] from a prefilled list while a
    reader (pid 1) searches for the last key [reads] times, traversing
    across the nodes being freed.  Each mutant frees a node the suspended
-   reader still holds, and the arena traps the reader's resumed access on
-   some explored schedule. *)
-let run_broken ?(cfg = { smoke_cfg with nprocs = 2 }) ~keys ~reads e policy =
-  (Lh.harness e).Lh.set_ops ~ds:"list" cfg
+   reader still holds.  Explored in the harness's sanitized worlds, the
+   sanitizer rejects the first schedule that breaks the mutant's declared
+   discipline; explored without it, the arena traps the reader's resumed
+   access on some later schedule. *)
+let set_ops ~sanitized e =
+  if sanitized then (Lh.harness e).Lh.set_ops
+  else
+    let module RM = (val Reclaim.Registry.rm Exp2 e) in
+    let module M = Lh.Mk (RM) in
+    M.set_ops
+
+let run_broken ?(cfg = { smoke_cfg with nprocs = 2 }) ~keys ~reads set_ops
+    policy =
+  set_ops ~ds:"list" cfg
     ~prefill:(List.init keys (fun i -> H.Add (i + 1)))
     ~scripts:
       [|
@@ -384,43 +407,54 @@ let contains_sub ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-(* Explore [run] to a rejection, which must be the arena's use-after-free
-   trap; with [replays], re-running the printed schedule alone must trap
-   again. *)
-let check_broken_rejected ~label ~max_runs ?(replays = true) run =
-  match
-    Explore.explore ~budget:2 ~max_runs ~run_one:run
-      ~check:(fun h ->
-        match Checker.check Spec.set h with
-        | Checker.Linearizable -> None
-        | v -> Some (Checker.verdict_to_string v))
-      ()
-  with
-  | Explore.Pass _ -> Alcotest.failf "broken %s slipped past exploration" label
+let check_set h =
+  match Checker.check Spec.set h with
+  | Checker.Linearizable -> None
+  | v -> Some (Checker.verdict_to_string v)
+
+(* Explore [run] to a rejection whose reason names [expect]; with
+   [replays], re-running the printed schedule alone must fail the same
+   way.  Returns the number of schedules explored. *)
+let check_rejected ~label ~expect ~max_runs ?(replays = true) run =
+  match Explore.explore ~budget:2 ~max_runs ~run_one:run ~check:check_set () with
+  | Explore.Pass _ -> Alcotest.failf "%s slipped past exploration" label
   | Explore.Fail { schedule; reason; stats; _ } ->
-      Printf.printf
-        "broken %s rejected after %d schedules\n  schedule: %s\n  reason: %s\n"
+      Printf.printf "%s rejected after %d schedules\n  schedule: %s\n  reason: %s\n"
         label stats.Explore.runs
         (Explore.schedule_to_string schedule)
         reason;
-      Alcotest.(check bool)
-        "trapped as use-after-free" true
-        (contains_sub ~sub:"Use_after_free" reason);
+      Alcotest.(check bool) (label ^ ": " ^ expect) true (contains_sub ~sub:expect reason);
       if replays then begin
-        let replay_trapped =
+        let replayed =
           match run (Explore.policy_of_schedule schedule) with
-          | (_ : H.t) -> false
-          | exception Memory.Arena.Use_after_free _ -> true
+          | (_ : H.t) -> "no failure"
+          | exception e -> Printexc.to_string e
         in
-        Alcotest.(check bool) "schedule replays to the same trap" true
-          replay_trapped
-      end
+        Alcotest.(check string) "schedule replays to the same failure" reason
+          replayed
+      end;
+      stats.Explore.runs
+
+(* Both ways: the sanitizer classifies the break as [kind] no later than
+   the unsanitized explorer reaches an arena trap. *)
+let check_broken ~label ~kind ~max_runs ?replays run =
+  let trapped =
+    check_rejected ~label:("broken " ^ label) ~expect:"Use_after_free"
+      ~max_runs ?replays (run (set_ops ~sanitized:false))
+  in
+  let caught =
+    check_rejected ~label:("sanitized broken " ^ label)
+      ~expect:(Sanitizer.kind_name kind) ~max_runs
+      (run (set_ops ~sanitized:true))
+  in
+  Alcotest.(check bool) "sanitizer rejects no later than the trap" true
+    (caught <= trapped)
 
 (* Broken EBR (no grace period): the deleter frees every node immediately
    on retire. *)
 let test_broken_ebr_rejected () =
-  check_broken_rejected ~label:"EBR" ~max_runs:800
-    (run_broken ~keys:4 ~reads:2 Broken_schemes.broken_ebr)
+  check_broken ~label:"EBR" ~kind:Premature_free ~max_runs:800 (fun ops ->
+      run_broken ~keys:4 ~reads:2 (ops Broken_schemes.broken_ebr))
 
 (* Broken HP (no post-announce validation): the deleter's 8th retire
    crosses the scan threshold and frees everything not (validly)
@@ -440,23 +474,81 @@ let broken_hp_cfg =
   }
 
 let test_broken_hp_rejected () =
-  check_broken_rejected ~label:"HP" ~max_runs:1500 ~replays:false
-    (run_broken ~cfg:broken_hp_cfg ~keys:9 ~reads:1 Broken_schemes.broken_hp)
+  check_broken ~label:"HP" ~kind:Unprotected_access ~max_runs:1500
+    ~replays:false (fun ops ->
+      run_broken ~cfg:broken_hp_cfg ~keys:9 ~reads:1
+        (ops Broken_schemes.broken_hp))
 
 (* Broken VBR (no version re-validation, no sandbox): retire reclaims full
    blocks immediately — correct VBR behaviour — but the reader resumes
    into a reclaimed record without re-checking the version, and the
    recycling arena's generation trap fires. *)
 let test_broken_vbr_rejected () =
-  check_broken_rejected ~label:"VBR" ~max_runs:1500
-    (run_broken ~keys:8 ~reads:2 Broken_schemes.broken_vbr)
+  check_broken ~label:"VBR" ~kind:Premature_free ~max_runs:1500 (fun ops ->
+      run_broken ~keys:8 ~reads:2 (ops Broken_schemes.broken_vbr))
 
 (* Broken Hyaline (lost batch reference): the seal initializes the batch
    refcount one short, so the batch frees while the last charged session —
    the suspended reader's — is still open. *)
 let test_broken_hyaline_rejected () =
-  check_broken_rejected ~label:"Hyaline" ~max_runs:1500
-    (run_broken ~keys:8 ~reads:2 Broken_schemes.broken_hyaline)
+  check_broken ~label:"Hyaline" ~kind:Premature_free ~max_runs:1500
+    (fun ops -> run_broken ~keys:8 ~reads:2 (ops Broken_schemes.broken_hyaline))
+
+(* The raw-API BST (mutant_bst.ml) on the matrix program under HP: its
+   traversals never protect, so a reader crosses a node another process
+   has retired.  Its records recycle through the shared pool, which keeps
+   their generation, so no arena trap fires: exploration alone passes it,
+   and only the sanitizer sees the unprotected access. *)
+module Mutant_bst_run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
+  module B = Mutant_bst.Make (RM)
+
+  let run policy =
+    let cfg = smoke_cfg in
+    let group = Runtime.Group.create ~seed:cfg.seed cfg.nprocs in
+    let rm =
+      RM.create
+        (Reclaim.Intf.Env.create ~params:cfg.params group (Memory.Heap.create ()))
+    in
+    let t = B.create rm ~capacity:cfg.capacity in
+    let rec_ = H.recorder ~nprocs:cfg.nprocs in
+    let apply ctx op =
+      Lh.record rec_ ctx op
+        (fun () ->
+          match op with
+          | H.Add key -> B.insert t ctx ~key
+          | H.Remove key -> B.delete t ctx key
+          | H.Mem key -> B.contains t ctx key
+          | _ -> invalid_arg "not a set operation")
+        (fun b -> H.RBool b)
+    in
+    let prefill, scripts = Lh.set_scripts cfg in
+    List.iter (apply (Runtime.Group.ctx group 0)) prefill;
+    ignore
+      (Sim.run ~machine:(Lh.machine_for cfg) ~max_steps:200_000 ~policy group
+         (Array.init cfg.nprocs (fun pid () ->
+              List.iter (apply (Runtime.Group.ctx group pid)) scripts.(pid))));
+    H.snapshot rec_
+end
+
+module RM_hp = (val Reclaim.Registry.rm Exp2 (Reclaim.Registry.find "hp"))
+module Plain_bst = Mutant_bst_run (RM_hp)
+module Sanitized_bst = Mutant_bst_run (Lh.Sanitized (RM_hp))
+
+let test_mutant_bst_rejected () =
+  (match
+     Explore.explore ~budget:2 ~max_runs:100_000 ~run_one:Plain_bst.run
+       ~check:check_set ()
+   with
+  | Explore.Pass st ->
+      Alcotest.(check bool) "unsanitized: exhaustive" false st.Explore.truncated;
+      Alcotest.(check int) "unsanitized: schedules" 226 st.Explore.runs
+  | v -> Alcotest.fail ("unsanitized: " ^ Lh.verdict_summary v));
+  let runs =
+    check_rejected ~label:"sanitized mutant bst"
+      ~expect:(Sanitizer.kind_name Unprotected_access) ~max_runs:100_000
+      Sanitized_bst.run
+  in
+  Alcotest.(check int) "sanitized: schedules" 2 runs
 
 (* ------------------------------------------------------------------ *)
 
@@ -486,6 +578,8 @@ let () =
             test_parallel_explore_equivalent;
           Alcotest.test_case "replay deterministic" `Quick
             test_replay_deterministic;
+          Alcotest.test_case "ebr session window" `Quick
+            test_ebr_session_window;
         ] );
       ( "mutants",
         [
@@ -499,5 +593,7 @@ let () =
             test_broken_vbr_rejected;
           Alcotest.test_case "broken hyaline rejected" `Quick
             test_broken_hyaline_rejected;
+          Alcotest.test_case "mutant bst rejected" `Quick
+            test_mutant_bst_rejected;
         ] );
     ]

@@ -686,6 +686,33 @@ module Drain (RM : Intf.RECORD_MANAGER) = struct
         (Sanitizer.retired_unfreed san)
 end
 
+(* The typed surface's answer to double retire: [retire] spends its
+   [unlinked] witness, and a second spend of the same witness is an
+   [Invalid_argument] at the API boundary, before any reclaimer state is
+   touched.  This is why the sanitizer carries no double-retire check. *)
+let test_typed_double_retire () =
+  let module T = RM_ebr.Typed in
+  let group, _heap, _env, rm, arena = S_ebr.make ~n:1 () in
+  let ctx = Runtime.Group.ctx group 0 in
+  let raised =
+    T.run_op rm ctx
+      ~recover:(fun () -> None)
+      (fun s ->
+        T.leave rm ctx s;
+        let f = T.alloc rm ctx arena in
+        T.init rm ctx arena f 0 0;
+        let w = T.unlink_locked rm ctx s (T.publish_locked rm ctx s f) in
+        T.retire rm ctx w;
+        let raised =
+          match T.retire rm ctx w with
+          | () -> false
+          | exception Invalid_argument _ -> true
+        in
+        T.enter rm ctx s;
+        raised)
+  in
+  Alcotest.(check bool) "second retire rejected" true raised
+
 (* Every registered scheme, under its [Check] pairing. *)
 let drain (e : Registry.entry) =
   let module RM = (val Registry.rm Check e) in
@@ -734,7 +761,12 @@ let () =
           Alcotest.test_case "scan respects announcements" `Quick
             test_hp_scan_respects_announcements;
         ] );
-      ("ebr", [ Alcotest.test_case "reclaims" `Quick test_ebr_reclaims ]);
+      ( "ebr",
+        [
+          Alcotest.test_case "reclaims" `Quick test_ebr_reclaims;
+          Alcotest.test_case "typed double retire rejected" `Quick
+            test_typed_double_retire;
+        ] );
       ( "block-pool",
         [
           Alcotest.test_case "recycle ratio (paper: >99.9%)" `Quick

@@ -2,13 +2,11 @@
    hand-written pairing tables and discipline rules it replaced.  Every
    value below was captured from those tables before they were deleted:
    each (variant, scheme) cell's assembled [scheme_name] ([None] where no
-   campaign used the cell), what the sanitizer derived from each scheme's
-   capability flags, and the protocheck config of each scheme on each
-   structure.  A drift in any of them used to show up only as a changed
-   protocheck path count or sanitizer verdict. *)
+   campaign used the cell) and what the sanitizer derived from each
+   scheme's capability flags.  A drift in any of them used to show up only
+   as a changed sanitizer verdict. *)
 
 module Registry = Reclaim.Registry
-module Report = Protocheck.Report
 module D = Memory.Discipline
 
 type pin = {
@@ -19,8 +17,7 @@ type pin = {
   access : D.access;
   free : D.free;
   track_limbo : bool;
-  quiescence : D.quiescence;  (** protocheck, on every structure *)
-  strict_on : Report.structure list;  (** protocheck's strict cells *)
+  quiescence : D.quiescence;
 }
 
 (* In registry order. *)
@@ -36,7 +33,6 @@ let pins =
         free = Skip;
         track_limbo = false;
         quiescence = Interval;
-        strict_on = [];
       } );
     ( "ebr",
       {
@@ -48,7 +44,6 @@ let pins =
         free = Grace_session;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [];
       } );
     ( "qsbr",
       {
@@ -60,7 +55,6 @@ let pins =
         free = Grace_qpoint;
         track_limbo = true;
         quiescence = Point;
-        strict_on = [];
       } );
     ( "debra",
       {
@@ -72,7 +66,6 @@ let pins =
         free = Grace_session;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [];
       } );
     ( "debra+",
       {
@@ -84,7 +77,6 @@ let pins =
         free = Grace_session;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [];
       } );
     ( "hp",
       {
@@ -96,7 +88,6 @@ let pins =
         free = Hazard_scan;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [ Report.List; Report.Queue ];
       } );
     ( "rc",
       {
@@ -108,7 +99,6 @@ let pins =
         free = Hazard_scan;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [ Report.List; Report.Queue ];
       } );
     ( "threadscan",
       {
@@ -120,7 +110,6 @@ let pins =
         free = Hazard_scan;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [];
       } );
     ( "stacktrack",
       {
@@ -132,7 +121,6 @@ let pins =
         free = Skip;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [];
       } );
     ( "vbr",
       {
@@ -144,7 +132,6 @@ let pins =
         free = Skip;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [];
       } );
     ( "hyaline",
       {
@@ -156,7 +143,6 @@ let pins =
         free = Grace_session;
         track_limbo = true;
         quiescence = Interval;
-        strict_on = [];
       } );
   ]
 
@@ -194,24 +180,16 @@ let test_disciplines () =
         d.D.track_limbo)
     pins
 
-let test_protocheck_configs () =
+(* The discipline the sanitizer holds each scheme's assembled Record
+   Manager to, read where the checkers read it. *)
+let test_quiescence () =
   List.iter
     (fun (s, p) ->
       let module RM = (val Registry.rm Check (Registry.find s)) in
-      let module C = Protocheck.Cell.Make (RM) in
-      List.iter
-        (fun structure ->
-          let c = C.config_for structure in
-          let cell = s ^ "/" ^ Report.structure_name structure in
-          Alcotest.(check bool)
-            (cell ^ " quiescence")
-            true
-            (c.Protocheck.Engine.discipline.D.quiescence = p.quiescence);
-          Alcotest.(check bool)
-            (cell ^ " strict")
-            (List.mem structure p.strict_on)
-            c.Protocheck.Engine.strict)
-        Protocheck.Matrix.structures)
+      Alcotest.(check bool)
+        (s ^ " quiescence")
+        true
+        (RM.Reclaimer.discipline.D.quiescence = p.quiescence))
     pins
 
 let () =
@@ -222,7 +200,6 @@ let () =
           Alcotest.test_case "registered schemes" `Quick test_registered;
           Alcotest.test_case "pairings" `Quick test_pairings;
           Alcotest.test_case "disciplines" `Quick test_disciplines;
-          Alcotest.test_case "protocheck configs" `Quick
-            test_protocheck_configs;
+          Alcotest.test_case "quiescence" `Quick test_quiescence;
         ] );
     ]

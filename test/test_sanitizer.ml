@@ -306,12 +306,8 @@ let test_broken_hyaline_classification () =
     (Sanitizer.violations san)
 
 (* ------------------------------------------------------------------ *)
-(* The one rule set, hand-fed (no simulator).  Each script runs once under
-   [Sanitizer.with_checks] and once under a protocheck engine subscriber,
-   which drives its own sanitizer and adds the witness rules; both must
-   return the pinned lifecycle verdicts.  The witness kinds are the
-   engine's alone (a hand-fed retire has no unlink witness), so they are
-   left out of the comparison. *)
+(* The one rule set, hand-fed (no simulator): each script runs under
+   [Sanitizer.with_checks] and must return its pinned verdicts. *)
 
 type world = {
   group : Runtime.Group.t;
@@ -347,9 +343,9 @@ let scripts =
       fun w ->
         let p = alloc w in
         Memory.Arena.write (ctx w 0) w.arena p 0 1;
+        emit w 1 Leave_q;
         (* publication: a non-owner access *)
         read w 1 p;
-        emit w 1 Leave_q;
         emit w 0 (Retire p);
         (* a second retire of the incarnation is untypeable: ignored, not
            double-counted in the limbo ledger *)
@@ -402,71 +398,56 @@ let scripts =
         emit w 0 (Retire p);
         emit w 0 (Pool_put p);
         emit w 0 (Pool_take p);
+        emit w 1 Leave_q;
         read w 1 p;
         emit w 0 (Pool_put p) );
+    ( "access to a shared record outside a session",
+      session,
+      [ Unquiesced_access ],
+      fun w -> read w 1 (alloc w) );
+    ( "the same access under a recovery announcement",
+      session,
+      [],
+      fun w ->
+        let p = alloc w in
+        emit w 1 (Rprotect p);
+        read w 1 p );
+    ( "the same access under point quiescence",
+      make ~quiescence:Point Epoch Grace_qpoint,
+      [],
+      fun w -> read w 1 (alloc w) );
   ]
 
-let lifecycle_verdicts (vs : Sanitizer.violation list) =
-  List.filter_map
-    (fun (v : Sanitizer.violation) ->
-      match v.kind with
-      | Unquiesced_access | Retire_without_unlink | Skipped_validation -> None
-      | k -> Some k)
-    vs
-  |> List.sort_uniq compare
-  |> List.map Sanitizer.kind_name
-
-(* A fresh two-process world; [check] runs [script] under one checker
-   and returns its violations after a leak check against an empty
-   limbo. *)
-let verdicts discipline script check =
+(* A fresh two-process world: [script] runs under a sanitizer, whose
+   distinct violation kinds are returned after a leak check against an
+   empty limbo. *)
+let verdicts discipline script =
   let group = Runtime.Group.create ~seed:1 2 in
   let heap = Memory.Heap.create () in
   let arena =
     Memory.Heap.new_arena heap ~name:"toy" ~mut_fields:1 ~const_fields:0
       ~capacity:64
   in
-  let san =
-    check ~discipline ~heap ~group (fun () -> script { group; heap; arena })
-  in
-  Sanitizer.leak_check san ~limbo_size:0;
-  lifecycle_verdicts (Sanitizer.violations san)
-
-let under_sanitizer ~discipline ~heap ~group run =
   let san = Sanitizer.create ~scheme:"toy" ~discipline ~heap ~group in
-  Sanitizer.with_checks san run;
-  san
+  Sanitizer.with_checks san (fun () -> script { group; heap; arena });
+  Sanitizer.leak_check san ~limbo_size:0;
+  List.map (fun (v : Sanitizer.violation) -> v.kind) (Sanitizer.violations san)
+  |> List.sort_uniq compare
+  |> List.map Sanitizer.kind_name
 
-let under_engine ~discipline ~heap ~group run =
-  let module E = Protocheck.Engine in
-  let config = E.config ~strict:false discipline in
-  let eng = E.create ~config ~heap ~group () in
-  let s =
-    Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap)
-      ~event:(E.on_event eng) ()
-  in
-  Runtime.Group.subscribe group s;
-  Fun.protect ~finally:(fun () -> Runtime.Group.unsubscribe group s) run;
-  E.shadow eng
-
-let parity_tests =
+let state_machine_tests =
   List.map
     (fun (name, discipline, expect, script) ->
       Alcotest.test_case name `Quick (fun () ->
-          let expect =
-            List.map Sanitizer.kind_name (List.sort_uniq compare expect)
-          in
           Alcotest.(check (list string))
-            "sanitizer" expect
-            (verdicts discipline script under_sanitizer);
-          Alcotest.(check (list string))
-            "protocheck engine" expect
-            (verdicts discipline script under_engine)))
+            "sanitizer"
+            (List.map Sanitizer.kind_name (List.sort_uniq compare expect))
+            (verdicts discipline script)))
     scripts
 
 let () =
   Alcotest.run "sanitizer"
-    ((("state-machine", parity_tests)
+    ((("state-machine", state_machine_tests)
      :: List.map (fun (e : Registry.entry) -> (e.name, (fuzz e).tests))
           Registry.all)
     @ [
