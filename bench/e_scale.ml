@@ -33,13 +33,9 @@
     - scheduler steps/sec: a 256-process contended-counter trial driven
       straight through {!Sim.run} on the indexed ready-set scheduler;
     - explore runs/sec: two list cells of the systematic-exploration
-      matrix (one truncated, one exhausted) through the replay-job engine. *)
+      matrix (one truncated, one exhausted) through the explorer. *)
 
 open Common
-
-(* Set by bench/main.ml's --explore-domains flag: worker domains for the
-   explore-throughput baseline (1 = serial reference engine). *)
-let explore_domains = ref 1
 
 (* Cells whose HP-vs-DEBRA divergence regresses fail the run (checked in
    CI's scale smoke); counted here, reported by main. *)
@@ -86,7 +82,7 @@ let cell_cfg ~scale ~n =
 let table =
   let m = Row.metric in
   {
-    Row.key = [ "kind"; "structure"; "scheme"; "contexts"; "cell"; "domains" ];
+    Row.key = [ "kind"; "structure"; "scheme"; "contexts"; "cell" ];
     metrics =
       [
         ("ops", m "ops");
@@ -214,16 +210,14 @@ let sched_baseline () =
     ]
 
 (* Explore-throughput baseline: one exhausted and one truncated list cell
-   of the lincheck matrix through the replay-job engine. *)
+   of the lincheck matrix. *)
 let explore_baseline () =
-  let workers = !explore_domains in
   List.iter
     (fun scheme ->
       let t0 = Unix.gettimeofday () in
       let v =
-        Workload.Lin_harness.explore ~budget:2 ~max_runs:300 ~workers
-          ~ds:"list" ~scheme
-          Workload.Lin_harness.matrix_config
+        Workload.Lin_harness.explore ~budget:2 ~max_runs:300 ~ds:"list"
+          ~scheme Workload.Lin_harness.matrix_config
       in
       let wall = Unix.gettimeofday () -. t0 in
       let runs =
@@ -233,15 +227,13 @@ let explore_baseline () =
       in
       let rps = float_of_int runs /. wall in
       Printf.printf
-        "  explore: list x %-5s %d runs, %.2fs wall, %.0f runs/sec%s\n"
-        scheme runs wall rps
-        (if workers > 1 then Printf.sprintf " (%d domains)" workers else "");
+        "  explore: list x %-5s %d runs, %.2fs wall, %.0f runs/sec\n"
+        scheme runs wall rps;
       let open Telemetry.Json in
       Row.add table
         [
           ("kind", String "explore");
           ("cell", String ("list x " ^ scheme));
-          ("domains", Int workers);
           ("runs", Int runs);
           ("wall_seconds", Float wall);
           ("runs_per_sec", Float rps);

@@ -90,7 +90,7 @@ let trial_table () =
 (* Post-trial history handling: dump and/or WGL-check the recorded
    history.  The check is exponential in overlap; bench-scale histories
    usually exceed the node budget, in which case we say so rather than
-   pretend a verdict (use quick --full=off scales, or the --explore
+   pretend a verdict (use quick --full=off scales, or the exploration
    matrix, for real checking). *)
 let check_history (o : Workload.Trial.outcome) =
   match !current_history with
@@ -117,7 +117,7 @@ let check_history (o : Workload.Trial.outcome) =
               (Lincheck.Checker.verdict_to_string v)
         | exception Lincheck.Checker.Gave_up n ->
             Printf.printf
-              "  [linearizability: gave up after %d search nodes (%d events) — history too large for WGL; shrink the workload or use --explore]\n%!"
+              "  [linearizability: gave up after %d search nodes (%d events) — history too large for WGL; shrink the workload or use the exploration matrix]\n%!"
               n (Lincheck.History.ops h))
 
 let record_outcome ~panel (o : Workload.Trial.outcome) =

@@ -31,12 +31,11 @@
     [--chaos-seed N] replays one e-chaos seed instead of the sweep.
 
     Linearizability plumbing (lib/lincheck):
-    [--explore BUDGET] runs the systematic-exploration matrix (every
-    scheme x structure, bounded preemptions, every history checked)
-    instead of the experiments; [--check-linearizability] records and
-    WGL-checks each trial's history (bench-scale histories usually
-    exceed the checker budget — it says so honestly); [--history-out
-    FILE] dumps the last trial's history as JSON. *)
+    [--check-linearizability] records and WGL-checks each trial's
+    history (bench-scale histories usually exceed the checker budget —
+    it says so honestly); [--history-out FILE] dumps the last trial's
+    history as JSON.  The systematic-exploration matrix is
+    test/lincheck_matrix.exe ([dune build @lincheck-matrix]). *)
 
 (* (name, part of "all", run), in the order "all" runs them. *)
 let runs =
@@ -59,9 +58,8 @@ let runs =
   ]
 
 let run_one ~scale name =
-  match List.find_opt (fun (n, _, _) -> n = name) runs with
-  | Some (_, _, run) -> run ~scale
-  | None -> Printf.eprintf "unknown experiment %S\n" name
+  let _, _, run = List.find (fun (n, _, _) -> n = name) runs in
+  run ~scale
 
 (* With --json, each experiment's rows (Row.add) are drained into
    BENCH_<experiment>.json. *)
@@ -83,25 +81,8 @@ let run_one_json ~scale name =
     Printf.printf "json results written to %s\n%!" file
   end
 
-(* --explore: the scheme x structure exploration matrix (the same cells
-   as `dune build @lincheck-matrix`), scaled by --full; --explore-domains
-   fans the replay jobs across worker domains with identical verdicts. *)
-let run_explore ~budget ~workers ~full =
-  let max_runs = if full then 2_000 else 300 in
-  let cfg = Workload.Lin_harness.matrix_config in
-  Printf.printf
-    "systematic exploration matrix: %d procs x %d ops, preemption budget %d, <=%d schedules/cell%s\n%!"
-    cfg.Workload.Lin_harness.nprocs cfg.Workload.Lin_harness.ops_per_proc
-    budget max_runs
-    (if workers > 1 then Printf.sprintf ", %d domains" workers else "");
-  let failures = Workload.Lin_harness.matrix ~budget ~max_runs ~workers in
-  if failures > 0 then begin
-    Printf.eprintf "exploration: %d cell(s) rejected\n" failures;
-    exit 1
-  end
-
 let main experiments backend full sanitize json trace metrics_out chaos_seed
-    explore explore_domains check_lin history_out
+    check_lin history_out
     (shards, arrival, rate, requests, nkeys, slo, procs, explore_free)
     overload_requests schemes =
   Kv_bench.shards := shards;
@@ -114,10 +95,6 @@ let main experiments backend full sanitize json trace metrics_out chaos_seed
   Kv_bench.explore_free := explore_free;
   E_overload.requests := overload_requests;
   Kv_cell.filter := schemes;
-  E_scale.explore_domains := explore_domains;
-  match explore with
-  | Some budget -> run_explore ~budget ~workers:explore_domains ~full
-  | None ->
   Experiments.backend := backend;
   Experiments.sanitize := sanitize;
   Row.enabled := json;
@@ -173,11 +150,14 @@ let main experiments backend full sanitize json trace metrics_out chaos_seed
 open Cmdliner
 
 let experiments_arg =
+  let names = List.map (fun (n, _, _) -> n) runs @ [ "all" ] in
   let doc =
-    Printf.sprintf "Experiments to run: %s, all."
-      (String.concat ", " (List.map (fun (n, _, _) -> n) runs))
+    Printf.sprintf "Experiments to run: %s." (String.concat ", " names)
   in
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+  Arg.(
+    value
+    & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+    & info [] ~docv:"EXPERIMENT" ~doc)
 
 let backend_arg =
   let parse s =
@@ -238,32 +218,20 @@ let metrics_arg =
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let explore_arg =
-  let doc =
-    "Run the systematic schedule-exploration matrix (every reclamation      scheme x every structure, at most $(docv) preemptions per schedule,      each explored history checked for linearizability) instead of the      experiments.  --full raises the per-cell schedule cap from 300 to      2000.  Exits 1 with a replayable preemption schedule on a violation."
-  in
-  Arg.(
-    value & opt (some int) None & info [ "explore" ] ~docv:"BUDGET" ~doc)
-
-let explore_domains_arg =
-  let doc =
-    "Worker domains for schedule exploration ($(b,--explore) and the \
-     e-scale explore-throughput baseline).  Replay jobs fan out across \
-     $(docv) domains with run counts, branch points and verdicts identical \
-     to the serial explorer (1, the default)."
-  in
-  Arg.(
-    value & opt int 1 & info [ "explore-domains" ] ~docv:"N" ~doc)
-
 let check_lin_arg =
   let doc =
-    "Record every trial's operation history and check it against the      sequential set specification (WGL checker).  Exponential in      concurrency: bench-scale histories typically exceed the checker's      node budget, which is reported per trial; intended for shrunken      runs.  Exits 1 if any checked trial is non-linearizable."
+    "Record every trial's operation history and check it against the \
+     sequential set specification (WGL checker).  Exponential in \
+     concurrency: bench-scale histories typically exceed the checker's \
+     node budget, which is reported per trial; intended for shrunken \
+     runs.  Exits 1 if any checked trial is non-linearizable."
   in
   Arg.(value & flag & info [ "check-linearizability" ] ~doc)
 
 let history_out_arg =
   let doc =
-    "Record operation histories and write the last trial's history as      JSON to $(docv) (the format of test/histories/)."
+    "Record operation histories and write the last trial's history as \
+     JSON to $(docv) (the format of test/histories/)."
   in
   Arg.(
     value & opt (some string) None & info [ "history-out" ] ~docv:"FILE" ~doc)
@@ -355,8 +323,8 @@ let cmd =
     (Cmd.info "debra-bench" ~doc)
     Term.(
       const main $ experiments_arg $ backend_arg $ full_arg $ sanitize_arg
-      $ json_arg $ trace_arg $ metrics_arg $ chaos_seed_arg $ explore_arg
-      $ explore_domains_arg $ check_lin_arg $ history_out_arg $ kv_args
+      $ json_arg $ trace_arg $ metrics_arg $ chaos_seed_arg $ check_lin_arg
+      $ history_out_arg $ kv_args
       $ overload_requests_arg $ schemes_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -233,7 +233,9 @@ let run ds scheme variant backend procs range ins del duration machine seed
                 | Lincheck.Checker.Linearizable -> ())
             | exception Lincheck.Checker.Gave_up n ->
                 Printf.printf
-                  "linearizability: gave up after %d search nodes — the                    history (%d events) is too large for the WGL check;                    shrink --duration/--procs/--range\n"
+                  "linearizability: gave up after %d search nodes — the \
+                   history (%d events) is too large for the WGL check; \
+                   shrink --duration/--procs/--range\n"
                   n (Lincheck.History.ops h)));
       (match telemetry with
       | None -> ()
@@ -330,14 +332,21 @@ let term =
       value & opt int (-1)
       & info [ "explore" ] ~docv:"BUDGET"
           ~doc:
-            "instead of a timed trial, systematically explore schedules of              a small fixed workload for this --ds/--scheme cell with at              most $(docv) preemptions per schedule, checking every              explored history for linearizability (also accepts --ds              queue); exits 1 with a replayable preemption schedule on a              violation")
+            "instead of a timed trial, systematically explore schedules of \
+             a small fixed workload for this --ds/--scheme cell with at \
+             most $(docv) preemptions per schedule, checking every \
+             explored history for linearizability (also accepts --ds \
+             queue); exits 1 with a replayable preemption schedule on a \
+             violation")
   in
   let check_lin =
     Arg.(
       value & flag
       & info [ "check-linearizability" ]
           ~doc:
-            "record the trial's operation history and check it against              the sequential set specification (WGL); feasible for small              trials only — shrink --duration/--procs/--range")
+            "record the trial's operation history and check it against \
+             the sequential set specification (WGL); feasible for small \
+             trials only — shrink --duration/--procs/--range")
   in
   let history_out =
     Arg.(
@@ -345,7 +354,8 @@ let term =
       & opt (some string) None
       & info [ "history-out" ] ~docv:"FILE"
           ~doc:
-            "record the trial's operation history and write it as JSON              to $(docv) (the format of test/histories/)")
+            "record the trial's operation history and write it as JSON \
+             to $(docv) (the format of test/histories/)")
   in
   Term.(
     const run $ ds $ scheme $ variant $ backend $ procs $ range $ ins $ del

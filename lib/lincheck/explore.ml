@@ -156,9 +156,7 @@ type 'a run_res = {
 
 (* Execute one schedule: replay the [forced] choices (shallowest first),
    then extend with default choices, recording alternatives at every fresh
-   choice point while the preemption budget is not spent.  Pure per call —
-   safe to run concurrently as long as [run_one]/[check] build fresh
-   program instances. *)
+   choice point while the preemption budget is not spent. *)
 let run_job ~budget ~wide ~(run_one : Sim.policy -> 'a)
     ~(check : 'a -> string option) (forced : frame list) : 'a run_res =
   let forced_arr = Array.of_list forced in
@@ -231,51 +229,13 @@ let run_job ~budget ~wide ~(run_one : Sim.policy -> 'a)
   { r_outcome = outcome; r_stack = forced @ List.rev !fresh;
     r_branches = !branches }
 
-(* Sibling jobs of a completed run, in exactly the order serial depth-first
-   backtracking would reach them: deepest fresh frame first, alternatives
-   in recorded order.  Each child replays the shallower prefix (its own
-   alternatives cleared — the parent expands all of them eagerly, so a
-   child re-expanding would duplicate subtrees) plus the branched frame,
-   whose sleep set accumulates the previously-explored siblings:
-   the j-th alternative sleeps the chosen branch and alternatives 1..j-1,
-   exactly as the serial explorer's backtrack/attempt pair builds it. *)
-let siblings (stack : frame list) : frame list list =
-  let rec per_frame rev_stack =
-    match rev_stack with
-    | [] -> []
-    | { f_alts = []; _ } :: shallower -> per_frame shallower
-    | f :: shallower ->
-        (* Copied only where a sibling needs it: a copy per frame would
-           cost the square of the run's depth. *)
-        let prefix = List.rev_map (fun g -> { g with f_alts = [] }) shallower in
-        let rec alts sleep = function
-          | [] -> []
-          | (a : Sim.candidate) :: more ->
-              let f' =
-                {
-                  f_step = f.f_step;
-                  f_choice = a.Sim.cand_core;
-                  f_pid = a.Sim.cand_pid;
-                  f_line = a.Sim.cand_line;
-                  f_preempt = true;
-                  f_alts = [];
-                  f_sleep = sleep;
-                }
-              in
-              (prefix @ [ f' ])
-              :: alts ((a.Sim.cand_pid, a.Sim.cand_line) :: sleep) more
-        in
-        alts ((f.f_pid, f.f_line) :: f.f_sleep) f.f_alts @ per_frame shallower
-  in
-  per_frame (List.rev stack)
-
 let truncation_msg runs =
   Printf.sprintf
     "exploration truncated at %d runs (unexplored branches remain; raise \
      max_runs for full coverage)"
     runs
 
-(* Serial depth-first exploration, the reference semantics. *)
+(* Depth-first exploration. *)
 let explore_serial ~budget ~max_runs ~wide ~log ~run_one ~check : 'a verdict =
   let runs = ref 0 in
   let branch_points = ref 0 in
@@ -322,65 +282,7 @@ let explore_serial ~budget ~max_runs ~wide ~log ~run_one ~check : 'a verdict =
   in
   attempt []
 
-(* Parallel exploration: each schedule is an independent deterministic
-   replay job fanned out across domains by {!Exec.Pool}, whose commit
-   discipline (depth-first pre-order, children spliced behind the parent)
-   makes the statistics, the truncation point and the choice of failing
-   schedule bit-identical to {!explore_serial} — including on truncated
-   searches, where only the first [max_runs] runs in serial order count.
-
-   The correctness argument for identical *coverage* is that the
-   exploration tree itself is schedule-order independent: a job is fully
-   determined by its forced prefix (choices plus sleep sets), every cache
-   line id is globally unique across runs (Runtime.Addr allocates from one
-   shared counter), so a child derived eagerly from a completed run is
-   exactly the job serial backtracking would eventually construct. *)
-let explore_parallel ~budget ~max_runs ~wide ~log ~domains ~run_one ~check :
-    'a verdict =
-  let runs = ref 0 in
-  let branch_points = ref 0 in
-  let verdict = ref None in
-  let commit _job r =
-    if !runs >= max_runs then begin
-      log (truncation_msg !runs);
-      verdict :=
-        Some
-          (Pass { runs = !runs; truncated = true;
-                  branch_points = !branch_points });
-      None
-    end
-    else begin
-      incr runs;
-      branch_points := !branch_points + r.r_branches;
-      match r.r_outcome with
-      | Error (reason, witness) ->
-          verdict :=
-            Some
-              (Fail
-                 {
-                   stats =
-                     { runs = !runs; truncated = false;
-                       branch_points = !branch_points };
-                   schedule = schedule_of r.r_stack;
-                   reason;
-                   witness;
-                 });
-          None
-      | Ok _ -> Some (siblings r.r_stack)
-    end
-  in
-  Exec.Pool.run ~domains
-    ~exec:(fun forced -> run_job ~budget ~wide ~run_one ~check forced)
-    ~commit ~roots:[ [] ];
-  match !verdict with
-  | Some v -> v
-  | None ->
-      Pass { runs = !runs; truncated = false; branch_points = !branch_points }
-
 let explore ?(budget = 2) ?(max_runs = 2000) ?(wide = false)
-    ?(log = fun (_ : string) -> ()) ?(domains = 1)
-    ~(run_one : Sim.policy -> 'a) ~(check : 'a -> string option) () :
-    'a verdict =
-  if domains <= 1 then explore_serial ~budget ~max_runs ~wide ~log ~run_one ~check
-  else
-    explore_parallel ~budget ~max_runs ~wide ~log ~domains ~run_one ~check
+    ?(log = fun (_ : string) -> ()) ~(run_one : Sim.policy -> 'a)
+    ~(check : 'a -> string option) () : 'a verdict =
+  explore_serial ~budget ~max_runs ~wide ~log ~run_one ~check

@@ -42,7 +42,6 @@ val explore :
   ?max_runs:int ->
   ?wide:bool ->
   ?log:(string -> unit) ->
-  ?domains:int ->
   run_one:(Sim.policy -> 'a) ->
   check:('a -> string option) ->
   unit ->
@@ -51,9 +50,4 @@ val explore :
     a {e fresh} program instance per call (group, heap, structure) so every
     recorded schedule replays bit-for-bit; [check] returns a failure reason
     for a run's result, or [None] when it passed.  Defaults: [budget] 2
-    preemptions, [max_runs] 2000, narrow (conflict-driven) branching.
-
-    [domains > 1] fans replay jobs out across that many worker domains via
-    {!Exec.Pool}; results commit in depth-first pre-order, so run counts,
-    branch points, truncation and verdicts (including the choice of failing
-    schedule) are bit-identical to the serial explorer. *)
+    preemptions, [max_runs] 2000, narrow (conflict-driven) branching. *)

@@ -196,9 +196,7 @@ let () =
 
 (* [RM] with one sanitizer per world: every world [create] builds is held
    to the scheme's discipline, and its first violation raises {!Violation}
-   from the offending step, which fails the run.  The sanitizer lives in
-   the world's own probe, so worlds explored on several domains share
-   nothing. *)
+   from the offending step, which fails the run. *)
 module Sanitized (RM : Intf.RECORD_MANAGER) = struct
   include RM
 
@@ -256,11 +254,11 @@ let run_once ~ds ~scheme cfg policy = (harness_of scheme).run ~ds cfg policy
     run raises (a sanitizer {!Violation}, an arena's use-after-free /
     double-free trap, a wedge) rejects the cell with the schedule that
     triggered it. *)
-let explore ?(budget = 2) ?(max_runs = 2000) ?(wide = false) ?log
-    ?(workers = 1) ~ds ~scheme cfg =
+let explore ?(budget = 2) ?(max_runs = 2000) ?(wide = false) ?log ~ds
+    ~scheme cfg =
   let p = harness_of scheme in
   let spec = spec_of_ds ds in
-  Lincheck.Explore.explore ~budget ~max_runs ~wide ?log ~domains:workers
+  Lincheck.Explore.explore ~budget ~max_runs ~wide ?log
     ~run_one:(fun policy -> p.run ~ds cfg policy)
     ~check:(fun h ->
       match Lincheck.Checker.check spec h with
@@ -280,17 +278,15 @@ let verdict_summary = function
         reason
 
 (** The exploration matrix: every structure x scheme cell explored on
-    {!matrix_config}, one verdict line per cell (byte-identical for any
-    [workers]).  Returns the number of rejected cells. *)
-let matrix ~budget ~max_runs ~workers =
+    {!matrix_config}, one verdict line per cell.  Returns the number of
+    rejected cells. *)
+let matrix ~budget ~max_runs =
   let failures = ref 0 in
   List.iter
     (fun ds ->
       List.iter
         (fun scheme ->
-          let v =
-            explore ~budget ~max_runs ~workers ~ds ~scheme matrix_config
-          in
+          let v = explore ~budget ~max_runs ~ds ~scheme matrix_config in
           (match v with
           | Lincheck.Explore.Fail _ -> incr failures
           | Lincheck.Explore.Pass _ -> ());
