@@ -27,7 +27,7 @@
     Every trial's plan derives from one printed seed; a failing
     configuration prints the exact replay command. *)
 
-open Common
+open Workload.Schemes
 
 (* Set by bench/main.ml's --chaos-seed flag: replay one seed instead of the
    default sweep. *)
@@ -38,16 +38,6 @@ let failures = ref 0
 
 let nprocs = 8
 let default_seeds = [ 42 ]
-
-type verdict = {
-  v_structure : string;
-  v_scheme : string;
-  v_fault : string;
-  v_seed : int;
-  v_outcome : Workload.Trial.outcome option;  (* None = wedged (Sim.Stuck) *)
-  v_fired : int option;  (* times the cell's fault fired *)
-  v_errors : string list;  (* empty = pass *)
-}
 
 (* How many times a cell's fault fired: crashes for the crash kinds,
    dropped or delayed deliveries for the signal kinds, refused allocations
@@ -79,41 +69,36 @@ let check_verdict ~expect_oom ~expect_crash ~judge_limbo
   Option.iter (err "%s") (judge_limbo o.Workload.Trial.limbo);
   List.rev !errs
 
-let verdict_json v =
-  let open Telemetry.Json in
-  Obj
-    ([
-       ("structure", String v.v_structure);
-       ("scheme", String v.v_scheme);
-       ("fault", String v.v_fault);
-       ("seed", Int v.v_seed);
-       ("pass", Bool (v.v_errors = []));
-       ("errors", List (List.map (fun e -> String e) v.v_errors));
-     ]
-    @
-    match v.v_outcome with
-    | None -> [ ("wedged", Bool true) ]
-    | Some o ->
-        [
-          ("ops", Int o.Workload.Trial.ops);
-          ("crashed", Int o.Workload.Trial.crashed);
-          ("limbo", Int o.Workload.Trial.limbo);
-          ("oom", Bool o.Workload.Trial.oom);
-          ( "chaos",
-            match o.Workload.Trial.chaos with
-            | None -> Null
-            | Some s ->
-                Obj
-                  [
-                    ("crashes", Int s.Chaos.crashes);
-                    ("handler_crashes", Int s.Chaos.handler_crashes);
-                    ("signals_dropped", Int s.Chaos.signals_dropped);
-                    ("signals_delayed", Int s.Chaos.signals_delayed);
-                    ( "signals_delivered_late",
-                      Int s.Chaos.signals_delivered_late );
-                  ] );
-          ("fired", match v.v_fired with None -> Null | Some f -> Int f);
-        ])
+(* One row per cell: the trial's measurements (no wall time, so the row
+   is byte-stable on the simulator), the fault and what it did, the
+   verdict, and the campaign's constants. *)
+let table () =
+  let m unit = Row.metric ~exact:(!Experiments.backend = `Sim) unit in
+  {
+    Row.key = [ "structure"; "scheme"; "fault"; "seed"; "backend" ];
+    metrics =
+      [
+        ("nprocs", m "processes");
+        ("limbo_bound", m "records");
+        ("pass", m "bool");
+        ("wedged", m "bool");
+        ("fired", m "count");
+        ("crashed", m "processes");
+      ]
+      @ Experiments.trial_metrics ();
+  }
+
+(* The chaos engine's tallies, nested in a cell's row. *)
+let chaos_json (s : Chaos.summary) =
+  Telemetry.Json.(
+    Obj
+      [
+        ("crashes", Int s.Chaos.crashes);
+        ("handler_crashes", Int s.Chaos.handler_crashes);
+        ("signals_dropped", Int s.Chaos.signals_dropped);
+        ("signals_delayed", Int s.Chaos.signals_delayed);
+        ("signals_delivered_late", Int s.Chaos.signals_delivered_late);
+      ])
 
 let fault_name = function
   | `Crash -> "crash"
@@ -147,7 +132,8 @@ let run ~scale =
      Limbo bound (m*n^2*B): %d records.  Seeds: %s.\n"
     n range duration bound
     (String.concat ", " (List.map string_of_int seeds));
-  let verdicts = ref [] in
+  (* The printed verdict table, newest first. *)
+  let rows = ref [] and passed = ref 0 in
   (* One faulted trial of [scheme].  Its expectations come from the
      scheme's declarations: with [judged], its limbo is held to its
      declared robustness; under the memory cap, only a scheme that never
@@ -181,39 +167,64 @@ let run ~scale =
       }
     in
     let fname = fault_name fault in
-    let verdict ~outcome ~fired errors =
-      {
-        v_structure = structure;
-        v_scheme = scheme;
-        v_fault = fname;
-        v_seed = seed;
-        v_outcome = outcome;
-        v_fired = fired;
-        v_errors = errors;
-      }
-    in
-    let v =
+    let outcome, errors =
       match (runner ~ds:structure scheme).run cfg with
       | o ->
-          Experiments.record_outcome
-            ~panel:(Printf.sprintf "%s %s seed %d" structure fname seed)
-            o;
-          verdict ~outcome:(Some o)
-            ~fired:(Option.map (fired fault) o.Workload.Trial.chaos)
-            (check_verdict ~expect_oom ~expect_crash ~judge_limbo o)
+          Experiments.check_history o;
+          (Some o, check_verdict ~expect_oom ~expect_crash ~judge_limbo o)
       | exception Sim.Stuck info ->
-          verdict ~outcome:None ~fired:None
+          ( None,
             [
               Printf.sprintf "wedged: %s (after %d steps)" info.Sim.s_reason
                 info.Sim.s_steps;
-            ]
+            ] )
     in
-    verdicts := v :: !verdicts;
-    if v.v_errors <> [] then begin
+    let open Telemetry.Json in
+    Row.add (table ())
+      ([
+         ("structure", String structure);
+         ("scheme", String scheme);
+         ("fault", String fname);
+         ("seed", Int seed);
+         ("backend", String (Exec.Backend.to_string !Experiments.backend));
+         ("nprocs", Int n);
+         ("limbo_bound", Int bound);
+         ("pass", Bool (errors = []));
+         ("errors", List (List.map (fun e -> String e) errors));
+         ("wedged", Bool (outcome = None));
+       ]
+      @
+      match outcome with
+      | None -> []
+      | Some o ->
+          Experiments.trial_fields o
+          @ ("crashed", Int o.Workload.Trial.crashed)
+            :: Option.fold ~none:[]
+                 ~some:(fun s ->
+                   [ ("fired", Int (fired fault s)); ("chaos", chaos_json s) ])
+                 o.Workload.Trial.chaos);
+    let show f = Option.fold ~none:"-" ~some:f outcome in
+    rows :=
+      [
+        structure;
+        scheme;
+        fname;
+        string_of_int seed;
+        (match outcome with
+        | None -> "WEDGED"
+        | Some o when o.Workload.Trial.oom -> "oom"
+        | Some o -> Printf.sprintf "%d ops" o.Workload.Trial.ops);
+        show (fun o -> string_of_int o.Workload.Trial.crashed);
+        show (fun o -> string_of_int o.Workload.Trial.limbo);
+        (if errors = [] then "pass" else String.concat "; " errors);
+      ]
+      :: !rows;
+    if errors = [] then incr passed
+    else begin
       incr failures;
       Printf.printf "FAIL %-8s %-10s %-16s seed %d\n" structure scheme fname
         seed;
-      List.iter (fun e -> Printf.printf "       %s\n" e) v.v_errors;
+      List.iter (fun e -> Printf.printf "       %s\n" e) errors;
       Printf.printf "       plan: %s\n" (Chaos.plan_to_string plan);
       Printf.printf "       replay: debra-bench e-chaos --chaos-seed %d\n" seed
     end
@@ -274,52 +285,11 @@ let run ~scale =
             ~fault:(`Oom oom_headroom) ~seed ~judged:false ())
         [ "none"; "debra"; "debra+"; "hp"; "vbr"; "hyaline" ])
     seeds;
-  let verdicts = List.rev !verdicts in
-  (* Summary table. *)
-  let rows =
-    List.map
-      (fun v ->
-        [
-          v.v_structure;
-          v.v_scheme;
-          v.v_fault;
-          string_of_int v.v_seed;
-          (match v.v_outcome with
-          | None -> "WEDGED"
-          | Some o ->
-              if o.Workload.Trial.oom then "oom"
-              else Printf.sprintf "%d ops" o.Workload.Trial.ops);
-          (match v.v_outcome with
-          | None -> "-"
-          | Some o -> string_of_int o.Workload.Trial.crashed);
-          (match v.v_outcome with
-          | None -> "-"
-          | Some o -> string_of_int o.Workload.Trial.limbo);
-          (if v.v_errors = [] then "pass"
-           else String.concat "; " v.v_errors);
-        ])
-      verdicts
-  in
+  let rows = List.rev !rows in
   Workload.Report.table ~title:"E-crash / E-oom: fault campaign verdicts"
     ~header:
       [ "structure"; "scheme"; "fault"; "seed"; "result"; "crashed";
         "limbo"; "verdict" ]
     ~rows;
-  let npass = List.length (List.filter (fun v -> v.v_errors = []) verdicts) in
-  Printf.printf "%d/%d chaos configurations passed.\n" npass
-    (List.length verdicts);
-  (* JSON report (the CI artifact). *)
-  let doc =
-    Telemetry.Json.Obj
-      [
-        ("experiment", Telemetry.Json.String "e-chaos");
-        ("nprocs", Telemetry.Json.Int n);
-        ("limbo_bound", Telemetry.Json.Int bound);
-        ( "seeds",
-          Telemetry.Json.List (List.map (fun s -> Telemetry.Json.Int s) seeds)
-        );
-        ("verdicts", Telemetry.Json.List (List.map verdict_json verdicts));
-      ]
-  in
-  Telemetry.Json.to_file "CHAOS_REPORT.json" doc;
-  Printf.printf "chaos report written to CHAOS_REPORT.json\n%!"
+  Printf.printf "%d/%d chaos configurations passed.\n%!" !passed
+    (List.length rows)

@@ -65,21 +65,39 @@ let expectation_name = function
   | Must_degrade -> "must-degrade"
   | Observe -> "observe"
 
-type cell = {
-  c_scheme : string;
-  c_structure : string;
-  c_seed : int;
-  c_expect : expectation;
-  c_report : (Resilience.Degradation.verdict * string) option;
-      (* verdict + the degradation section rendered to JSON text; None =
-         the cell wedged (Sim.Stuck) *)
-  c_json : Telemetry.Json.t;
-  c_errors : string list;
-}
+(* One row per cell, a wedged cell under the same key as one that ran:
+   the degradation verdict's scalars, its per-phase tallies and per-shard
+   counters nested, and the campaign's gate on the cell. *)
+let table () =
+  let m unit = Row.metric ~exact:(!Experiments.backend = `Sim) unit in
+  {
+    Row.key = [ "structure"; "scheme"; "backend"; "seed" ];
+    metrics =
+      [
+        ("requests", m "requests");
+        ("crashed", m "processes");
+        ("max_limbo", m "records");
+        ("limbo_bound", m "records");
+        ("limbo_ok", m "bool");
+        ("goodput_floor_pct", m "%");
+        ("goodput_ok", m "bool");
+        ("recovery_cycles", m "cycles");
+        ("recovery_budget", m "cycles");
+        ("recovery_ok", m "bool");
+        ("passed", m "bool");
+        ("alloc_retries", m "count");
+        ("emergency_reclaims", m "count");
+        ("elapsed_cycles", m "cycles");
+        ("wall_seconds", Row.metric ~exact:false "s");
+        ("wedged", m "bool");
+        ("reason", Row.metric "text");
+        ("expect", Row.metric "text");
+      ];
+  }
 
-let run_cell (module RM : Reclaim.Intf.RECORD_MANAGER) ~sname ~structure
-    ~backend ~requests ~seed :
-    Telemetry.Json.t * (Resilience.Degradation.verdict * string) option =
+let run_cell (module RM : Reclaim.Intf.RECORD_MANAGER) ~structure ~backend
+    ~requests ~seed :
+    (string * Telemetry.Json.t) list * Resilience.Degradation.verdict =
   let module Store = Kv_cell.Make (RM) in
   let module E = (val Exec.Backend.runner backend) in
   let clock = E.clock in
@@ -206,54 +224,34 @@ let run_cell (module RM : Reclaim.Intf.RECORD_MANAGER) ~sname ~structure
     Resilience.Degradation.judge deg ~limbo_bound:paper_bound ~floor_pct
       ~recovery_budget
   in
+  let open Telemetry.Json in
   let shard_json k =
-    Telemetry.Json.Obj
+    Obj
       [
-        ( "escalations",
-          Telemetry.Json.Int (Resilience.Watermark.escalate_calls wms.(k)) );
-        ( "escalate_freed",
-          Telemetry.Json.Int (Resilience.Watermark.escalate_freed wms.(k)) );
-        ("limbo_after", Telemetry.Json.Int (Store.shard_limbo store k));
-        ("pool_after", Telemetry.Json.Int (Store.shard_pool store k));
+        ("escalations", Int (Resilience.Watermark.escalate_calls wms.(k)));
+        ("escalate_freed", Int (Resilience.Watermark.escalate_freed wms.(k)));
+        ("limbo_after", Int (Store.shard_limbo store k));
+        ("pool_after", Int (Store.shard_pool store k));
       ]
   in
   let pressure = Store.pressure store in
-  let json =
-    Telemetry.Json.Obj
-      ([
-         ("experiment", Telemetry.Json.String "e-overload");
-         ("scheme", Telemetry.Json.String sname);
-         ("structure", Telemetry.Json.String structure);
-         ("backend", Telemetry.Json.String E.name);
-         ("seed", Telemetry.Json.Int seed);
-         ("requests", Telemetry.Json.Int requests);
-         ("crashed", Telemetry.Json.Int chaos_summary.Chaos.crashes);
-         ( "degradation",
-           Resilience.Degradation.to_json deg verdict );
-         ( "shards",
-           Telemetry.Json.List (List.init shards shard_json) );
-         ( "alloc_retries",
-           Telemetry.Json.Int pressure.Reclaim.Intf.Pressure.alloc_retries );
-         ( "emergency_reclaims",
-           Telemetry.Json.Int
-             pressure.Reclaim.Intf.Pressure.emergency_reclaims );
-         ( "elapsed_cycles",
-           Telemetry.Json.Int result.Exec.Intf.elapsed_cycles );
-       ]
-      @
-      (* Wall time is non-deterministic; keeping it out of sim rows
-         keeps the replay self-check a byte-identity test. *)
-      if E.deterministic then []
-      else
-        [
-          ( "wall_seconds",
-            Telemetry.Json.Float result.Exec.Intf.wall_seconds );
-        ])
+  let fields =
+    [ ("wedged", Bool false); ("crashed", Int chaos_summary.Chaos.crashes) ]
+    @ Resilience.Degradation.fields deg verdict
+    @ [
+        ("shards", List (List.init shards shard_json));
+        ("alloc_retries", Int pressure.Reclaim.Intf.Pressure.alloc_retries);
+        ( "emergency_reclaims",
+          Int pressure.Reclaim.Intf.Pressure.emergency_reclaims );
+        ("elapsed_cycles", Int result.Exec.Intf.elapsed_cycles);
+      ]
+    @
+    (* Wall time is non-deterministic; keeping it out of sim rows keeps
+       the replay self-check a byte-identity test. *)
+    if E.deterministic then []
+    else [ ("wall_seconds", Float result.Exec.Intf.wall_seconds) ]
   in
-  let deg_text =
-    Telemetry.Json.to_string (Resilience.Degradation.to_json deg verdict)
-  in
-  (json, Some (verdict, deg_text))
+  (fields, verdict)
 
 (* The crashed worker pins a grace period.  A scheme whose frees wait on
    one must either get past the corpse (declared bounded: the cell
@@ -286,11 +284,11 @@ let schemes =
 let structures = [ "skiplist"; "bst" ]
 
 let check_expectation expect
-    (report : (Resilience.Degradation.verdict * string) option) =
+    (report : Resilience.Degradation.verdict option) =
   match (expect, report) with
   | Observe, _ -> []
   | Must_pass, None -> [ "expected a passing cell, but the run wedged" ]
-  | Must_pass, Some (v, _) ->
+  | Must_pass, Some v ->
       if v.Resilience.Degradation.passed then []
       else
         List.filter_map
@@ -304,7 +302,7 @@ let check_expectation expect
       (* Wedging under faults is a (graceless) form of degradation for
          the verdict, but the run must still be accounted. *)
       []
-  | Must_degrade, Some (v, _) ->
+  | Must_degrade, Some v ->
       if v.Resilience.Degradation.passed then
         [
           "expected degradation (corpse-pinned shard), but every verdict \
@@ -335,24 +333,22 @@ let run ~scale =
     shards n_workers requests nkeys base_rate (spike_mult *. base_rate)
     (spike_start_s *. 1e3) (spike_len_s *. 1e3) 1000 paper_bound floor_pct
     seed;
-  let cells = ref [] in
+  (* The printed verdict table, newest first. *)
+  let rows = ref [] and passed = ref 0 in
   List.iter
     (fun structure ->
       List.iter
         (fun (sname, rm, expect) ->
-          let json, report =
-            match run_cell rm ~sname ~structure ~backend ~requests ~seed with
-            | r -> r
+          let fields, report =
+            match run_cell rm ~structure ~backend ~requests ~seed with
+            | fields, verdict -> (fields, Some verdict)
             | exception Sim.Stuck info ->
-                ( Telemetry.Json.Obj
+                ( Telemetry.Json.
                     [
-                      ("experiment", Telemetry.Json.String "e-overload");
-                      ("scheme", Telemetry.Json.String sname);
-                      ("structure", Telemetry.Json.String structure);
-                      ("seed", Telemetry.Json.Int seed);
-                      ("wedged", Telemetry.Json.Bool true);
+                      ("limbo_bound", Int paper_bound);
+                      ("wedged", Bool true);
                       ( "reason",
-                        Telemetry.Json.String
+                        String
                           (Printf.sprintf "%s (after %d steps)"
                              info.Sim.s_reason info.Sim.s_steps) );
                     ],
@@ -376,56 +372,28 @@ let run ~scale =
             Printf.printf "       replay: debra-bench e-overload --chaos-seed %d\n"
               seed
           end;
-          cells :=
-            {
-              c_scheme = sname;
-              c_structure = structure;
-              c_seed = seed;
-              c_expect = expect;
-              c_report = report;
-              c_json = json;
-              c_errors = errors;
-            }
-            :: !cells)
-        selected)
-    structures;
-  let cells = List.rev !cells in
-  (* Deterministic-replay self-check: the DEBRA+/skiplist cell, run twice
-     on the simulator, must produce byte-identical JSON. *)
-  (match (backend, List.find_opt (fun (s, _, _) -> s = "debra+") selected) with
-  | `Domains, _ | `Sim, None -> ()
-  | `Sim, Some (_, rm, _) ->
-      let run () =
-        fst
-          (run_cell rm ~sname:"debra+" ~structure:"skiplist" ~backend
-             ~requests ~seed)
-      in
-      let a = run () in
-      let b = run () in
-      let sa = Telemetry.Json.to_string a and sb = Telemetry.Json.to_string b in
-      if not (String.equal sa sb) then begin
-        incr failures;
-        Printf.printf
-          "FAIL determinism: debra+/skiplist replay diverged\n%s\n%s\n" sa sb
-      end
-      else Printf.printf "determinism self-check: replay byte-identical\n");
-  (* Summary table. *)
-  let pct_cell report pick =
-    match report with
-    | None -> "-"
-    | Some (_, _) -> pick ()
-  in
-  let rows =
-    List.map
-      (fun c ->
-        let v = Option.map fst c.c_report in
-        [
-          c.c_structure;
-          c.c_scheme;
-          expectation_name c.c_expect;
-          (match c.c_report with None -> "WEDGED" | Some _ -> "ran");
-          pct_cell c.c_report (fun () ->
-              match v with
+          let open Telemetry.Json in
+          Row.add (table ())
+            ([
+               ("scheme", String sname);
+               ("structure", String structure);
+               ("backend", String (Exec.Backend.to_string backend));
+               ("seed", Int seed);
+               ("requests", Int requests);
+             ]
+            @ fields
+            @ [
+                ("expect", String (expectation_name expect));
+                ("errors", List (List.map (fun e -> String e) errors));
+              ]);
+          if errors = [] then incr passed;
+          rows :=
+            [
+              structure;
+              sname;
+              expectation_name expect;
+              (match report with None -> "WEDGED" | Some _ -> "ran");
+              (match report with
               | Some v ->
                   Printf.sprintf "%s/%s/%s"
                     (if v.Resilience.Degradation.limbo_ok then "limbo-ok"
@@ -435,34 +403,37 @@ let run ~scale =
                     (if v.Resilience.Degradation.recovery_ok then "rec-ok"
                      else "RECOVERY")
               | None -> "-");
-          (match v with
-          | Some v when v.Resilience.Degradation.passed -> "pass"
-          | Some _ -> "degraded"
-          | None -> "wedged");
-          (if c.c_errors = [] then "ok" else String.concat "; " c.c_errors);
-        ])
-      cells
-  in
+              (match report with
+              | Some v when v.Resilience.Degradation.passed -> "pass"
+              | Some _ -> "degraded"
+              | None -> "wedged");
+              (if errors = [] then "ok" else String.concat "; " errors);
+            ]
+            :: !rows)
+        selected)
+    structures;
+  (* Deterministic-replay self-check: the DEBRA+/skiplist cell, run twice
+     on the simulator, must produce byte-identical JSON. *)
+  (match (backend, List.find_opt (fun (s, _, _) -> s = "debra+") selected) with
+  | `Domains, _ | `Sim, None -> ()
+  | `Sim, Some (_, rm, _) ->
+      let run () =
+        fst (run_cell rm ~structure:"skiplist" ~backend ~requests ~seed)
+      in
+      let a = run () in
+      let b = run () in
+      let text fields = Telemetry.Json.(to_string (Obj fields)) in
+      let sa = text a and sb = text b in
+      if not (String.equal sa sb) then begin
+        incr failures;
+        Printf.printf
+          "FAIL determinism: debra+/skiplist replay diverged\n%s\n%s\n" sa sb
+      end
+      else Printf.printf "determinism self-check: replay byte-identical\n");
+  let rows = List.rev !rows in
   Workload.Report.table ~title:"E-overload: degradation verdicts"
     ~header:
       [ "structure"; "scheme"; "expect"; "run"; "verdicts"; "result"; "gate" ]
     ~rows;
-  let npass =
-    List.length (List.filter (fun c -> c.c_errors = []) cells)
-  in
-  Printf.printf "%d/%d overload cells met their expectation.\n" npass
-    (List.length cells);
-  (* JSON degradation report (the CI artifact). *)
-  let doc =
-    Telemetry.Json.Obj
-      [
-        ("experiment", Telemetry.Json.String "e-overload");
-        ("backend", Telemetry.Json.String (Exec.Backend.to_string backend));
-        ("seed", Telemetry.Json.Int seed);
-        ("requests", Telemetry.Json.Int requests);
-        ("limbo_bound", Telemetry.Json.Int paper_bound);
-        ("cells", Telemetry.Json.List (List.map (fun c -> c.c_json) cells));
-      ]
-  in
-  Telemetry.Json.to_file "DEGRADATION_REPORT.json" doc;
-  Printf.printf "degradation report written to DEGRADATION_REPORT.json\n%!"
+  Printf.printf "%d/%d overload cells met their expectation.\n%!" !passed
+    (List.length rows)

@@ -35,7 +35,7 @@
     - explore runs/sec: two list cells of the systematic-exploration
       matrix (one truncated, one exhausted) through the explorer. *)
 
-open Common
+open Workload.Schemes
 
 (* Cells whose HP-vs-DEBRA divergence regresses fail the run (checked in
    CI's scale smoke); counted here, reported by main. *)

@@ -2,7 +2,7 @@
     DESIGN.md's per-experiment index and EXPERIMENTS.md for paper-vs-measured
     results. *)
 
-open Common
+open Workload.Schemes
 
 type scale = {
   threads : int list;
@@ -51,13 +51,6 @@ let backend : Exec.Backend.t ref = ref `Sim
 let effective_duration duration =
   match !backend with `Sim -> duration | `Domains -> max duration 20_000_000
 
-let percentile_key p =
-  if Float.is_integer p then Printf.sprintf "p%.0f" p
-  else
-    "p"
-    ^ String.concat ""
-        (String.split_on_char '.' (Printf.sprintf "%.1f" p))
-
 (* Per-op cost in cycles: the busy cycles of all processes over the ops
    they completed. *)
 let cycles_per_op (o : Workload.Trial.outcome) =
@@ -67,24 +60,48 @@ let cycles_per_op (o : Workload.Trial.outcome) =
     *. float_of_int o.Workload.Trial.virtual_time
     /. float_of_int o.Workload.Trial.ops
 
+(* The measurements of one trial, declared once for every table that
+   embeds a trial row (the figure panels, e-chaos, e-stall); each table
+   names the trial's scheme, backend and process count itself. *)
+let trial_metrics () =
+  let m ?better unit = Row.metric ?better ~exact:(!backend = `Sim) unit in
+  [
+    ("ops", m "ops");
+    ("mops", m ~better:`Higher "Mops/s");
+    ("bytes_peak", m "bytes");
+    ("bytes_claimed", m "bytes");
+    ("bytes_claimed_trial", m "bytes");
+    ("limbo", m "records");
+    ("neutralized", m "processes");
+    ("oom", m "bool");
+  ]
+
+let trial_fields (o : Workload.Trial.outcome) =
+  let open Telemetry.Json in
+  [
+    ("ops", Int o.Workload.Trial.ops);
+    ("mops", Float o.Workload.Trial.mops);
+    ("bytes_peak", Int o.Workload.Trial.bytes_peak);
+    ("bytes_claimed", Int o.Workload.Trial.bytes_claimed);
+    ("bytes_claimed_trial", Int o.Workload.Trial.bytes_claimed_trial);
+    ("limbo", Int o.Workload.Trial.limbo);
+    ("neutralized", Int o.Workload.Trial.neutralized);
+    ("oom", Bool o.Workload.Trial.oom);
+    ( "latency_ns",
+      Obj
+        (List.map
+           (fun (kind, ps) ->
+             let pct (p, v) = (Telemetry.Histogram.percentile_key p, Int v) in
+             (kind, Obj (List.map pct ps)))
+           o.Workload.Trial.latency) );
+  ]
+
 (* With --json, one row per trial, keyed by its panel (every trial's
    telemetry recorder adds per-kind latency percentiles). *)
 let trial_table () =
-  let exact = !backend = `Sim in
-  let m ?better unit = Row.metric ?better ~exact unit in
   {
     Row.key = [ "panel"; "scheme"; "backend"; "nprocs" ];
-    metrics =
-      [
-        ("wall_seconds", Row.metric ~exact:false "s");
-        ("ops", m "ops");
-        ("mops", m ~better:`Higher "Mops/s");
-        ("bytes_peak", m "bytes");
-        ("bytes_claimed", m "bytes");
-        ("limbo", m "records");
-        ("neutralized", m "processes");
-        ("oom", m "bool");
-      ];
+    metrics = ("wall_seconds", Row.metric ~exact:false "s") :: trial_metrics ();
   }
 
 (* Post-trial history handling: dump and/or WGL-check the recorded
@@ -120,37 +137,41 @@ let check_history (o : Workload.Trial.outcome) =
               "  [linearizability: gave up after %d search nodes (%d events) — history too large for WGL; shrink the workload or use the exploration matrix]\n%!"
               n (Lincheck.History.ops h))
 
+(* What a figure trial measured, beyond its scheme and process count: the
+   key by which summary reads the outcomes exp1, exp2 and memfig recorded
+   in this process. *)
+type cell = { experiment : string; ds : string; range : int; ins : int; del : int }
+
+let recorded = ref []
+
+(* [scheme] is the panel's column name (e.g. "debra"), not the outcome's
+   record-manager name. *)
+let remember cell ~scheme (o : Workload.Trial.outcome) =
+  recorded := ((cell, scheme, o.Workload.Trial.nprocs), o) :: !recorded
+
+let find_outcome cell ~scheme ~nprocs = List.assoc (cell, scheme, nprocs) !recorded
+
 let record_outcome ~panel (o : Workload.Trial.outcome) =
   check_history o;
-  let open Telemetry.Json in
   Row.add (trial_table ())
-    [
-      ("panel", String panel);
-      ("scheme", String o.Workload.Trial.scheme);
-      ("backend", String o.Workload.Trial.backend);
-      ("wall_seconds", Float o.Workload.Trial.wall_seconds);
-      ("nprocs", Int o.Workload.Trial.nprocs);
-      ("ops", Int o.Workload.Trial.ops);
-      ("mops", Float o.Workload.Trial.mops);
-      ("bytes_peak", Int o.Workload.Trial.bytes_peak);
-      ("bytes_claimed", Int o.Workload.Trial.bytes_claimed);
-      ("limbo", Int o.Workload.Trial.limbo);
-      ("neutralized", Int o.Workload.Trial.neutralized);
-      ("oom", Bool o.Workload.Trial.oom);
-      ( "latency_ns",
-        Obj
-          (List.map
-             (fun (kind, ps) ->
-               ( kind,
-                 Obj (List.map (fun (p, v) -> (percentile_key p, Int v)) ps) ))
-             o.Workload.Trial.latency) );
-    ]
+    (Telemetry.Json.
+       [
+         ("panel", String panel);
+         ("scheme", String o.Workload.Trial.scheme);
+         ("backend", String o.Workload.Trial.backend);
+         ("nprocs", Int o.Workload.Trial.nprocs);
+         ("wall_seconds", Float o.Workload.Trial.wall_seconds);
+       ]
+    @ trial_fields o)
 
-(* Shadow Common's run_panel so every panel in this file feeds the JSON
-   rows. *)
-let run_panel ~title ~runners ~threads ~cfg_of =
-  run_panel ~on_outcome:(record_outcome ~panel:title) ~title ~runners ~threads
-    ~cfg_of ()
+(* Shadow Workload.Schemes' run_panel so every panel in this file feeds the
+   JSON rows, and a figure panel's trials are remembered under [cell]. *)
+let run_panel ?cell ~title ~runners ~threads ~cfg_of () =
+  run_panel
+    ~on_outcome:(fun r o ->
+      Option.iter (fun c -> remember c ~scheme:r.rname o) cell;
+      record_outcome ~panel:title o)
+    ~title ~runners ~threads ~cfg_of ()
 
 let base_cfg ?(machine = Machine.Config.intel_i7_4770)
     ?(params = Reclaim.Intf.Params.default) ~scale ~range ~ins ~del n =
@@ -190,29 +211,24 @@ let mixes = [ (50, 50); (25, 25) ]
 
 (* Experiments 1-3 share the same six panels (Figs. 8 and 10). *)
 let throughput_experiment ~name ~note ~scale variant =
-  let bst_runners = panel ~ds:"bst" variant
-  and sl_runners = panel ~ds:"skiplist" variant in
   Printf.printf "\n===== %s =====\n%s\n" name note;
   List.iter
     (fun (ins, del) ->
-      run_panel
-        ~title:
-          (Printf.sprintf "%s / BST, key range [0,%d), %s (Mops/s)" name
-             scale.big_range (mix_name ins del))
-        ~runners:bst_runners ~threads:scale.threads
-        ~cfg_of:(base_cfg ~scale ~range:scale.big_range ~ins ~del);
-      run_panel
-        ~title:
-          (Printf.sprintf "%s / BST, key range [0,%d), %s (Mops/s)" name
-             scale.small_range (mix_name ins del))
-        ~runners:bst_runners ~threads:scale.threads
-        ~cfg_of:(base_cfg ~scale ~range:scale.small_range ~ins ~del);
-      run_panel
-        ~title:
-          (Printf.sprintf "%s / skip list, key range [0,%d), %s (Mops/s)" name
-             scale.sl_range (mix_name ins del))
-        ~runners:sl_runners ~threads:scale.threads
-        ~cfg_of:(base_cfg ~scale ~range:scale.sl_range ~ins ~del))
+      List.iter
+        (fun (ds, label, range) ->
+          run_panel
+            ~cell:{ experiment = variant; ds; range; ins; del }
+            ~title:
+              (Printf.sprintf "%s / %s, key range [0,%d), %s (Mops/s)" name
+                 label range (mix_name ins del))
+            ~runners:(panel ~ds variant) ~threads:scale.threads
+            ~cfg_of:(base_cfg ~scale ~range ~ins ~del)
+            ())
+        [
+          ("bst", "BST", scale.big_range);
+          ("bst", "BST", scale.small_range);
+          ("skiplist", "skip list", scale.sl_range);
+        ])
     mixes
 
 let exp1 ~scale =
@@ -247,7 +263,8 @@ let exp2_t4 ~scale =
              "T4-1 / BST, key range [0,%d), %s (Mops/s, 8 sockets x 8)"
              scale.big_range (mix_name ins del))
         ~runners:(panel ~ds:"bst" "exp2") ~threads
-        ~cfg_of:(base_cfg ~machine ~scale ~range:scale.big_range ~ins ~del))
+        ~cfg_of:(base_cfg ~machine ~scale ~range:scale.big_range ~ins ~del)
+        ())
     mixes
 
 (* Fig. 9 (right): memory allocated for records; BST 10^4, 50i-50d.  Past 8
@@ -269,9 +286,6 @@ let memfig ~scale =
     { Machine.Config.intel_i7_4770 with Machine.Config.quantum = 2_500_000 }
   in
   let scale = { scale with duration = max scale.duration 10_000_000 } in
-  let base_cfg ~scale ~range ~ins ~del n =
-    base_cfg ~machine ~scale ~range ~ins ~del n
-  in
   let header =
     "procs"
     :: List.concat_map
@@ -282,14 +296,17 @@ let memfig ~scale =
            | _ -> [ r.rname; "limbo" ])
          runners
   in
+  let range = scale.small_range in
+  let cell = { experiment = "memfig"; ds = "bst"; range; ins = 50; del = 50 } in
+  let cfg n = base_cfg ~machine ~scale ~range ~ins:50 ~del:50 n in
   let rows =
     List.map
       (fun n ->
-        let cfg = base_cfg ~scale ~range:scale.small_range ~ins:50 ~del:50 n in
         string_of_int n
         :: List.concat_map
              (fun r ->
-               let o = r.run cfg in
+               let o = r.run (cfg n) in
+               remember cell ~scheme:r.rname o;
                record_outcome ~panel:"memfig" o;
                let mem =
                  Workload.Report.fmt_bytes o.Workload.Trial.bytes_claimed_trial
@@ -408,7 +425,8 @@ let ablate ~scale =
     ~title:
       "Scheme zoo: every implemented reclaimer, BST 10^4 50i-50d (Mops/s)"
     ~runners:(panel ~ds:"bst" "zoo") ~threads:scale.threads
-    ~cfg_of:(base_cfg ~scale ~range:scale.small_range ~ins:50 ~del:50);
+    ~cfg_of:(base_cfg ~scale ~range:scale.small_range ~ins:50 ~del:50)
+    ();
   (* Classical EBR vs DEBRA: what "distributing" EBR buys. *)
   let runners =
     List.map (runner ~ds:"bst") [ "none"; "ebr"; "debra"; "debra+" ]
@@ -417,3 +435,4 @@ let ablate ~scale =
     ~title:"Classical EBR vs DEBRA (shared bags + full scans vs distributed), BST 10^4 50i-50d (Mops/s)"
     ~runners ~threads:scale.threads
     ~cfg_of:(base_cfg ~scale ~range:scale.small_range ~ins:50 ~del:50)
+    ()

@@ -131,33 +131,24 @@ let run (module RM : Reclaim.Intf.RECORD_MANAGER) ~sname (c : cfg) : row =
   in
   (* Each served request lands in two histograms: its operation kind and
      its shard; unserved outcomes are tallied and charged against demand
-     at judgement time (they sort as infinite latency).  The
-     deterministic simulator records straight into the recorder; domains
-     record into per-pid buffers merged after the run (same machinery as
+     at judgement time (they sort as infinite latency).  Every process
+     records into its own buffer, merged after the run (same machinery as
      the trial pipeline). *)
-  let locals =
-    if E.deterministic then None else Some (Telemetry.Recorder.locals rec_)
-  in
-  let latency =
-    match locals with
-    | None ->
-        fun pid kind start finish ->
-          Telemetry.Recorder.op rec_ ~pid ~kind ~start ~finish
-    | Some ls ->
-        fun pid kind start finish ->
-          Telemetry.Recorder.local_op ls.(pid) ~kind ~start ~finish
-  in
+  let locals = Telemetry.Recorder.locals rec_ in
   let record ~pid ~op ~shard ~outcome ~start ~finish =
     ocounts.(pid).(oidx outcome) <- ocounts.(pid).(oidx outcome) + 1;
     if outcome = Loadgen.Served then begin
       served.(pid) <- served.(pid) + 1;
-      latency pid (Loadgen.op_kind op) start finish;
-      latency pid (Printf.sprintf "shard%d" shard) start finish
+      let l = locals.(pid) in
+      Telemetry.Recorder.local_op l ~kind:(Loadgen.op_kind op) ~start ~finish;
+      Telemetry.Recorder.local_op l
+        ~kind:(Printf.sprintf "shard%d" shard)
+        ~start ~finish
     end
   in
   let bodies = Loadgen.bodies plan ~group ~record ~exec_op in
   let result = E.run group bodies in
-  Option.iter (Telemetry.Recorder.merge_locals rec_) locals;
+  Telemetry.Recorder.merge_locals rec_ locals;
   let served = Array.fold_left ( + ) 0 served in
   C.check_invariants store;
   C.flush store cell.C.ctx0;

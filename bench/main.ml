@@ -7,7 +7,8 @@
     - exp3     Fig. 10: malloc-style allocator
     - memfig   Fig. 9 (right): memory allocated + neutralization counts
     - schemes  Fig. 2: summary table of reclamation schemes
-    - summary  §7/§8 scalar claims, paper vs measured
+    - summary  §7/§8 scalar claims, paper vs measured, read from the
+               exp1 / exp2 / memfig trials (run first when not asked for)
     - ablate   DEBRA design-choice ablations (§4)
     - micro    Bechamel microbenchmarks of the Record Manager primitives
     - e-stall  stalled-process campaign: limbo time series, DEBRA vs DEBRA+
@@ -15,7 +16,6 @@
     - all      every experiment above
     - kv       open-loop sharded KV store with SLO verdicts (BENCH_KV.json)
     - e-overload  chaos under load behind a limbo watermark
-               (DEGRADATION_REPORT.json)
     - e-scale  context-count scaling campaign (64 -> 256 -> 1024): per-op
                cost divergence HP vs DEBRA/DEBRA+, plus scheduler and
                explorer throughput baselines (BENCH_SIM.json)
@@ -25,9 +25,9 @@
     [--full] uses the paper-scale key ranges and thread counts (slow); the
     default "quick" scale shrinks the big key range and the grid.
     [--json] also writes one BENCH_<experiment>.json per experiment, in
-    the row shape of bench/row.ml;
+    the row shape of bench/row.ml, the harness's only report format;
     [--schemes LIST] runs a subset of kv's or e-overload's schemes;
-    [--trace FILE] / [--metrics-out FILE] apply to e-stall;
+    [--trace FILE] writes e-stall's DEBRA+ Chrome trace;
     [--chaos-seed N] replays one e-chaos seed instead of the sweep.
 
     Linearizability plumbing (lib/lincheck):
@@ -57,31 +57,43 @@ let runs =
     ("sweep", false, Sweep.run);
   ]
 
+(* Schedule summary's inputs ahead of it, and every experiment once. *)
+let with_summary_inputs experiments =
+  let add acc e = if List.mem e acc then acc else acc @ [ e ] in
+  List.fold_left
+    (fun acc e ->
+      if e = "summary" then add (List.fold_left add acc Summary.inputs) e
+      else add acc e)
+    [] experiments
+
 let run_one ~scale name =
   let _, _, run = List.find (fun (n, _, _) -> n = name) runs in
   run ~scale
 
 (* With --json, each experiment's rows (Row.add) are drained into
-   BENCH_<experiment>.json. *)
-let run_one_json ~scale name =
+   BENCH_<experiment>.json; an experiment that only runs as summary's
+   input ([write] false) writes no file. *)
+let run_one_json ~scale ~write name =
   run_one ~scale name;
-  if !Row.enabled then begin
-    (* The kv campaign's baseline is checked in as BENCH_KV.json, the
-       e-scale campaign's as BENCH_SIM.json, and the VBR/Hyaline sweep's
-       as BENCH_SWEEP.json. *)
-    let file =
-      Printf.sprintf "BENCH_%s.json"
-        (match name with
-        | "kv" -> "KV"
-        | "e-scale" -> "SIM"
-        | "sweep" -> "SWEEP"
-        | n -> n)
-    in
-    Row.write ~experiment:name file;
-    Printf.printf "json results written to %s\n%!" file
-  end
+  if !Row.enabled then
+    if not write then Row.clear ()
+    else begin
+      (* The kv campaign's baseline is checked in as BENCH_KV.json, the
+         e-scale campaign's as BENCH_SIM.json, and the VBR/Hyaline
+         sweep's as BENCH_SWEEP.json. *)
+      let file =
+        Printf.sprintf "BENCH_%s.json"
+          (match name with
+          | "kv" -> "KV"
+          | "e-scale" -> "SIM"
+          | "sweep" -> "SWEEP"
+          | n -> n)
+      in
+      Row.write ~experiment:name file;
+      Printf.printf "json results written to %s\n%!" file
+    end
 
-let main experiments backend full sanitize json trace metrics_out chaos_seed
+let main experiments backend full sanitize json trace chaos_seed
     check_lin history_out
     (shards, arrival, rate, requests, nkeys, slo, procs, explore_free)
     overload_requests schemes =
@@ -101,7 +113,6 @@ let main experiments backend full sanitize json trace metrics_out chaos_seed
   Experiments.check_lin := check_lin;
   Experiments.history_out := history_out;
   Stall.trace_file := trace;
-  Stall.metrics_file := metrics_out;
   E_chaos.replay_seed := chaos_seed;
   E_overload.replay_seed := chaos_seed;
   let scale =
@@ -121,7 +132,9 @@ let main experiments backend full sanitize json trace metrics_out chaos_seed
     (Exec.Backend.to_string backend)
     Machine.Config.intel_i7_4770.Machine.Config.name
     Machine.Config.oracle_t4_1.Machine.Config.name;
-  List.iter (run_one_json ~scale) experiments;
+  List.iter
+    (fun e -> run_one_json ~scale ~write:(List.mem e experiments) e)
+    (with_summary_inputs experiments);
   if !Experiments.lin_failures > 0 then begin
     Printf.eprintf "linearizability: %d trial(s) rejected\n"
       !Experiments.lin_failures;
@@ -209,14 +222,6 @@ let chaos_seed_arg =
      failing run) instead of the default seed sweep."
   in
   Arg.(value & opt (some int) None & info [ "chaos-seed" ] ~docv:"SEED" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Write the e-stall experiment's full sampled time series (limbo, epoch \
-     lag, pool occupancy per scheme) as JSON to $(docv)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
 let check_lin_arg =
   let doc =
@@ -323,7 +328,7 @@ let cmd =
     (Cmd.info "debra-bench" ~doc)
     Term.(
       const main $ experiments_arg $ backend_arg $ full_arg $ sanitize_arg
-      $ json_arg $ trace_arg $ metrics_arg $ chaos_seed_arg $ check_lin_arg
+      $ json_arg $ trace_arg $ chaos_seed_arg $ check_lin_arg
       $ history_out_arg $ kv_args
       $ overload_requests_arg $ schemes_arg)
 

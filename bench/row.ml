@@ -55,6 +55,11 @@ let add t fields =
     rows := J.Obj (key @ rest) :: !rows
   end
 
+(* Drop the rows added since the last [write] or [clear]. *)
+let clear () =
+  current := None;
+  rows := []
+
 let write ~experiment file =
   let t = Option.value ~default:{ key = []; metrics = [] } !current in
   let better = function
@@ -81,5 +86,4 @@ let write ~experiment file =
                 t.metrics) );
          ("results", J.List (List.rev !rows));
        ]);
-  current := None;
-  rows := []
+  clear ()

@@ -12,16 +12,16 @@
 
     The telemetry recorder supplies the evidence: per-process limbo gauges
     sampled on virtual-time ticks, rendered as a time-series table and an
-    ASCII figure, plus latency percentiles per scheme.  With [--metrics-out]
-    the full sampled series goes to a JSON file; with [--trace] the DEBRA+
-    run's Chrome trace (op spans, epoch advances, neutralization signals,
-    sweeps) is written for chrome://tracing. *)
+    ASCII figure, plus latency percentiles per scheme.  Each scheme's row
+    carries its peak, final and bound limbo, its verdict and the full
+    sampled series (the recorder's metrics document); with [--trace] the
+    DEBRA+ run's Chrome trace (op spans, epoch advances, neutralization
+    signals, sweeps) is written for chrome://tracing. *)
 
-open Common
+open Workload.Schemes
 
-(* Set by bench/main.ml's --trace / --metrics-out flags. *)
+(* Set by bench/main.ml's --trace flag. *)
 let trace_file : string option ref = ref None
-let metrics_file : string option ref = ref None
 
 (* CI gate: schemes whose limbo disagreed with their declaration; main.ml
    exits non-zero if any. *)
@@ -31,6 +31,23 @@ let nprocs = 8
 
 let scheme_runners () =
   List.map (runner ~ds:"bst") [ "ebr"; "debra"; "debra+" ]
+
+(* One row per scheme: the trial, the stall, the limbo verdict, and the
+   recorder's sampled series nested under "telemetry". *)
+let table () =
+  let m unit = Row.metric ~exact:(!Experiments.backend = `Sim) unit in
+  {
+    Row.key = [ "scheme"; "backend"; "nprocs" ];
+    metrics =
+      Experiments.trial_metrics ()
+      @ [
+          ("stall_at", m "cycles");
+          ("peak_limbo", m "records");
+          ("final_limbo", m "records");
+          ("limbo_bound", m "records");
+          ("pass", m "bool");
+        ];
+  }
 
 let run ~scale =
   let duration = max (2 * scale.Experiments.duration) 2_400_000 in
@@ -88,7 +105,7 @@ let run ~scale =
           }
         in
         let o = r.run cfg in
-        Experiments.record_outcome ~panel:"e-stall" o;
+        Experiments.check_history o;
         (r.rname, rec_, o))
       (scheme_runners ())
   in
@@ -131,20 +148,37 @@ let run ~scale =
   (* Peak-vs-bound verdict per scheme. *)
   let peak s = List.fold_left (fun acc (_, v) -> max acc v) 0 s in
   let final s = match List.rev s with (_, v) :: _ -> v | [] -> 0 in
-  List.iter
-    (fun (name, s) ->
+  List.iter2
+    (fun (name, s) (_, rec_, o) ->
       Printf.printf "%-8s peak limbo %7d, final %7d  %s (bound %d)\n" name
         (peak s) (final s)
         (if peak s <= bound then "<= bound" else "EXCEEDS bound")
         bound;
-      match
-        Reclaim.Registry.(limbo_verdict (find name)) ~n params ~limbo:(peak s)
-      with
-      | None -> ()
-      | Some e ->
-          incr failures;
-          Printf.printf "FAIL e-stall %s: %s\n" name e)
-    series;
+      let errors =
+        Option.to_list
+          (Reclaim.Registry.(limbo_verdict (find name)) ~n params
+             ~limbo:(peak s))
+      in
+      failures := !failures + List.length errors;
+      List.iter (Printf.printf "FAIL e-stall %s: %s\n" name) errors;
+      let open Telemetry.Json in
+      Row.add (table ())
+        ([
+           ("scheme", String name);
+           ("backend", String o.Workload.Trial.backend);
+           ("nprocs", Int n);
+         ]
+        @ Experiments.trial_fields o
+        @ [
+            ("stall_at", Int stall_at);
+            ("peak_limbo", Int (peak s));
+            ("final_limbo", Int (final s));
+            ("limbo_bound", Int bound);
+            ("pass", Bool (errors = []));
+            ("errors", List (List.map (fun e -> String e) errors));
+            ("telemetry", Telemetry.Recorder.metrics_json rec_);
+          ]))
+    series results;
   (* Latency percentiles: the stall barely moves the epoch schemes' op
      latency — the damage is memory, not speed. *)
   let header =
@@ -174,27 +208,6 @@ let run ~scale =
   Workload.Report.table
     ~title:"E-stall: operation latency percentiles (simulated ns)" ~header
     ~rows;
-  (* File outputs. *)
-  (match !metrics_file with
-  | None -> ()
-  | Some file ->
-      let doc =
-        Telemetry.Json.Obj
-          [
-            ("experiment", Telemetry.Json.String "e-stall");
-            ("nprocs", Telemetry.Json.Int n);
-            ("stall_at", Telemetry.Json.Int stall_at);
-            ("limbo_bound", Telemetry.Json.Int bound);
-            ( "schemes",
-              Telemetry.Json.Obj
-                (List.map
-                   (fun (name, rec_, _) ->
-                     (name, Telemetry.Recorder.metrics_json rec_))
-                   results) );
-          ]
-      in
-      Telemetry.Json.to_file file doc;
-      Printf.printf "metrics written to %s\n" file);
   match !trace_file with
   | None -> ()
   | Some file ->

@@ -1,5 +1,7 @@
+(* Spare blocks a pool keeps; more are dropped. *)
+let bound = 16
+
 type t = {
-  bound : int;
   block_capacity : int;
   mutable spare : Block.t;  (* chain of spare blocks *)
   mutable nspare : int;
@@ -7,8 +9,8 @@ type t = {
   mutable recycled : int;
 }
 
-let create ?(bound = 16) ~block_capacity () =
-  { bound; block_capacity; spare = Block.nil; nspare = 0; allocated = 0; recycled = 0 }
+let create ~block_capacity () =
+  { block_capacity; spare = Block.nil; nspare = 0; allocated = 0; recycled = 0 }
 
 let get t =
   if Block.is_nil t.spare then begin
@@ -25,7 +27,7 @@ let get t =
   end
 
 let put t b =
-  if t.nspare < t.bound then begin
+  if t.nspare < bound then begin
     b.Block.count <- 0;
     b.Block.next <- t.spare;
     t.spare <- b;

@@ -17,9 +17,9 @@ let of_string = function
 
 let clock = function `Sim -> Clock.sim | `Domains -> Clock.wall
 
-(** [runner ?machine ?max_steps ?policy t] packs the backend.  The three
-    options parameterize the simulator and are ignored (with no effect, not
-    an error) by the domains backend, which has no machine model. *)
-let runner ?machine ?max_steps ?policy : t -> (module Intf.RUNNER) = function
-  | `Sim -> Sim_exec.make ?machine ?max_steps ?policy ()
+(** [runner ?machine ?max_steps t] packs the backend.  The two options
+    parameterize the simulator and are ignored (with no effect, not an
+    error) by the domains backend, which has no machine model. *)
+let runner ?machine ?max_steps : t -> (module Intf.RUNNER) = function
+  | `Sim -> Sim_exec.make ?machine ?max_steps ()
   | `Domains -> Domain_exec.make ()

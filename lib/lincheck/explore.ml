@@ -18,10 +18,7 @@
       commuting adjacent accesses to different lines cannot change what any
       process observes, so a preemption there is equivalent to one deferred
       to the next conflict.  A fiber that has not run yet has no recorded
-      pending access and is always branchable.  [~wide:true] disables this
-      reduction (useful
-      when hunting bugs in the signal plumbing itself, where the heuristic's
-      commutation argument is weaker).
+      pending access and is always branchable.
     - {b sleep sets}: after the subtree that ran process [p] first at a
       choice point is fully explored, [p] is put to sleep along the sibling
       branches and not branched to again until an access conflicting with
@@ -157,7 +154,7 @@ type 'a run_res = {
 (* Execute one schedule: replay the [forced] choices (shallowest first),
    then extend with default choices, recording alternatives at every fresh
    choice point while the preemption budget is not spent. *)
-let run_job ~budget ~wide ~(run_one : Sim.policy -> 'a)
+let run_job ~budget ~(run_one : Sim.policy -> 'a)
     ~(check : 'a -> string option) (forced : frame list) : 'a run_res =
   let forced_arr = Array.of_list forced in
   let nforced = Array.length forced_arr in
@@ -196,11 +193,9 @@ let run_job ~budget ~wide ~(run_one : Sim.policy -> 'a)
         Array.to_list cands
         |> List.filter (fun c ->
                c.Sim.cand_core <> x.Sim.cand_core
-               && (wide
-                  (* a fiber that has not run yet has no recorded
-                     pending access (line -1): always branchable *)
-                  || c.Sim.cand_line < 0
-                  || c.Sim.cand_line = x.Sim.cand_line)
+               (* a fiber that has not run yet has no recorded pending
+                  access (line -1): always branchable *)
+               && (c.Sim.cand_line < 0 || c.Sim.cand_line = x.Sim.cand_line)
                && not
                     (List.mem (c.Sim.cand_pid, c.Sim.cand_line) !live_sleep))
       in
@@ -236,7 +231,9 @@ let truncation_msg runs =
     runs
 
 (* Depth-first exploration. *)
-let explore_serial ~budget ~max_runs ~wide ~log ~run_one ~check : 'a verdict =
+let explore ?(budget = 2) ?(max_runs = 2000) ?(log = fun (_ : string) -> ())
+    ~(run_one : Sim.policy -> 'a) ~(check : 'a -> string option) () :
+    'a verdict =
   let runs = ref 0 in
   let branch_points = ref 0 in
   let stats truncated =
@@ -249,7 +246,7 @@ let explore_serial ~budget ~max_runs ~wide ~log ~run_one ~check : 'a verdict =
     end
     else begin
       incr runs;
-      let r = run_job ~budget ~wide ~run_one ~check forced in
+      let r = run_job ~budget ~run_one ~check forced in
       branch_points := !branch_points + r.r_branches;
       match r.r_outcome with
       | Error (reason, witness) ->
@@ -281,8 +278,3 @@ let explore_serial ~budget ~max_runs ~wide ~log ~run_one ~check : 'a verdict =
             attempt (List.rev (f' :: rest)))
   in
   attempt []
-
-let explore ?(budget = 2) ?(max_runs = 2000) ?(wide = false)
-    ?(log = fun (_ : string) -> ()) ~(run_one : Sim.policy -> 'a)
-    ~(check : 'a -> string option) () : 'a verdict =
-  explore_serial ~budget ~max_runs ~wide ~log ~run_one ~check

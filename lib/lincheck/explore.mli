@@ -10,9 +10,8 @@
 
     Two prunings keep the search inside the interesting subspace:
     conflict-driven branching (a preemption is only scheduled at accesses
-    to the same cache line, DPOR-flavoured; disable with [~wide:true]) and
-    classic sleep sets.  See the implementation header for the full
-    argument. *)
+    to the same cache line, DPOR-flavoured) and classic sleep sets.  See
+    the implementation header for the full argument. *)
 
 type stats = {
   runs : int;  (** schedules executed *)
@@ -40,7 +39,6 @@ val policy_of_schedule : (int * int) list -> Sim.policy
 val explore :
   ?budget:int ->
   ?max_runs:int ->
-  ?wide:bool ->
   ?log:(string -> unit) ->
   run_one:(Sim.policy -> 'a) ->
   check:('a -> string option) ->
@@ -50,4 +48,4 @@ val explore :
     a {e fresh} program instance per call (group, heap, structure) so every
     recorded schedule replays bit-for-bit; [check] returns a failure reason
     for a run's result, or [None] when it passed.  Defaults: [budget] 2
-    preemptions, [max_runs] 2000, narrow (conflict-driven) branching. *)
+    preemptions, [max_runs] 2000. *)

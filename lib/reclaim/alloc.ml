@@ -42,19 +42,22 @@ module Recycle : Intf.ALLOCATOR = struct
     Memory.Heap.release env.Intf.Env.heap ctx p ~recycle:true
 end
 
+(* Extra cycles charged per malloc-style allocation or deallocation. *)
+let malloc_cost = 120
+
 module Malloc : Intf.ALLOCATOR = struct
   type t = Intf.Env.t
 
   let name = "malloc"
   let create env = env
 
-  let allocate env ctx arena =
-    Runtime.Ctx.work ctx env.Intf.Env.params.Intf.Params.malloc_cost;
+  let allocate _ ctx arena =
+    Runtime.Ctx.work ctx malloc_cost;
     match Memory.Arena.claim_recycled ctx arena with
     | Some p -> p
     | None -> Memory.Arena.claim_fresh ctx arena
 
   let deallocate env ctx p =
-    Runtime.Ctx.work ctx env.Intf.Env.params.Intf.Params.malloc_cost;
+    Runtime.Ctx.work ctx malloc_cost;
     Memory.Heap.release env.Intf.Env.heap ctx p ~recycle:true
 end

@@ -42,6 +42,9 @@ let robustness =
   Intf.Robustness.Bounded
     (fun ~n params -> 3 * n * n * params.Intf.Params.block_capacity)
 
+(* Blocks beyond the n·k records a scan can keep before one pays off. *)
+let scan_blocks_slack = 1
+
 (* The §5 state the core carries for DEBRA+. *)
 type ext = {
   rp_rows : Runtime.Shared_array.t array;  (* RProtected[pid] *)
@@ -187,8 +190,7 @@ module Make (P : Intf.POOL) : Intf.RECLAIMER with module Pool = P = struct
         rp_rows = Runtime.Shared_array.rows n k;
         rp_count = Runtime.Shared_array.create ~padded:true n;
         scanning = Array.init n (fun _ -> Bag.Hash_set.create ~expected:(n * k));
-        scan_threshold =
-          ((n * k) + b - 1) / b + params.Intf.Params.scan_blocks_slack;
+        scan_threshold = ((n * k) + b - 1) / b + scan_blocks_slack;
         sig_attempts = Array.make_matrix n n 0;
         sig_last = Array.make_matrix n n 0;
       }

@@ -31,13 +31,10 @@ module Params = struct
             frees at least nk records per scan *)
     suspect_blocks : int;
         (** DEBRA+: limbo blocks before a lagging process is neutralized *)
-    scan_blocks_slack : int;
-        (** DEBRA+: extra blocks beyond nk records before a scan pays off *)
     ts_buffer_blocks : int;  (** ThreadScan: delete-buffer blocks before a scan *)
     st_segment_accesses : int;
         (** StackTrack: records reached per transactional segment *)
     padded_announcements : bool;  (** pad per-process announcements (NUMA opt) *)
-    malloc_cost : int;  (** extra cycles charged per malloc-style (de)alloc *)
   }
 
   let default =
@@ -49,11 +46,9 @@ module Params = struct
       hp_slots = 8;
       hp_retire_factor = 2;
       suspect_blocks = 4;
-      scan_blocks_slack = 1;
       ts_buffer_blocks = 4;
       st_segment_accesses = 8;
       padded_announcements = true;
-      malloc_cost = 120;
     }
 
   (** Reclamation knobs for verification runs of a few operations

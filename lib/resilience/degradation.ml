@@ -200,28 +200,27 @@ let tally_fields tl : (string * Telemetry.Json.t) list =
     ("goodput_pct", Float (goodput_pct tl));
   ]
 
-let to_json t verdict =
-  Telemetry.Json.Obj
-    [
-      ( "phases",
-        Obj
-          (List.map
-             (fun p ->
-               ( phase_name p,
-                 Telemetry.Json.Obj
-                   (tally_fields (tally t p)
-                   @ [
-                       ( "served_per_mcycle",
-                         Telemetry.Json.Float (1e6 *. served_rate t p) );
-                     ]) ))
-             phases) );
-      ("max_limbo", Int t.max_limbo);
-      ("limbo_bound", Int verdict.limbo_bound);
-      ("limbo_ok", Bool verdict.limbo_ok);
-      ("goodput_floor_pct", Float verdict.goodput_floor_pct);
-      ("goodput_ok", Bool verdict.goodput_ok);
-      ("recovery_cycles", Int (recovery_cycles t));
-      ("recovery_budget", Int verdict.recovery_budget);
-      ("recovery_ok", Bool verdict.recovery_ok);
-      ("passed", Bool verdict.passed);
-    ]
+let fields t verdict : (string * Telemetry.Json.t) list =
+  [
+    ( "phases",
+      Obj
+        (List.map
+           (fun p ->
+             ( phase_name p,
+               Telemetry.Json.Obj
+                 (tally_fields (tally t p)
+                 @ [
+                     ( "served_per_mcycle",
+                       Telemetry.Json.Float (1e6 *. served_rate t p) );
+                   ]) ))
+           phases) );
+    ("max_limbo", Int t.max_limbo);
+    ("limbo_bound", Int verdict.limbo_bound);
+    ("limbo_ok", Bool verdict.limbo_ok);
+    ("goodput_floor_pct", Float verdict.goodput_floor_pct);
+    ("goodput_ok", Bool verdict.goodput_ok);
+    ("recovery_cycles", Int (recovery_cycles t));
+    ("recovery_budget", Int verdict.recovery_budget);
+    ("recovery_ok", Bool verdict.recovery_ok);
+    ("passed", Bool verdict.passed);
+  ]

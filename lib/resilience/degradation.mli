@@ -71,4 +71,6 @@ type verdict = {
 val judge :
   t -> limbo_bound:int -> floor_pct:float -> recovery_budget:int -> verdict
 
-val to_json : t -> verdict -> Telemetry.Json.t
+val fields : t -> verdict -> (string * Telemetry.Json.t) list
+(** Row fields: per-phase tallies nested under ["phases"], then the
+    verdict's scalars. *)

@@ -105,6 +105,10 @@ let quantile t q =
 let percentiles t =
   List.map (fun p -> (p, quantile t (p /. 100.0))) [ 50.0; 90.0; 99.0; 99.9 ]
 
+let percentile_key p =
+  if Float.is_integer p then Printf.sprintf "p%.0f" p
+  else "p" ^ String.concat "" (String.split_on_char '.' (Printf.sprintf "%.1f" p))
+
 let merge_into src ~into =
   if src.sub_bits <> into.sub_bits then
     invalid_arg "Histogram.merge_into: sub_bits mismatch";

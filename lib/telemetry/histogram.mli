@@ -37,6 +37,9 @@ val percentiles : t -> (float * int) list
 (** The standard report row: p50, p90, p99, p99.9 as
     [(50.0, v); (90.0, v); ...]. *)
 
+val percentile_key : float -> string
+(** A percentile's report key: [50.0] is ["p50"], [99.9] is ["p999"]. *)
+
 val merge_into : t -> into:t -> unit
 (** Add every recorded value of the first histogram into [into].  The two
     must share [sub_bits]; raises [Invalid_argument] otherwise. *)

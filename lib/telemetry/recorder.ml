@@ -19,7 +19,6 @@ type counts = {
 }
 
 type t = {
-  sub_bits : int;
   sample_every : int;
   max_samples : int;
   cycles_per_ns : float;
@@ -29,15 +28,15 @@ type t = {
   mutable stride : int;  (* keep every [stride]-th tick; doubles on overflow *)
   mutable kept : int;  (* samples currently retained per (full) gauge *)
   mutable gauges : gauge list;  (* registration order *)
-  mutable hists : (string * Histogram.t) list;  (* per op kind *)
+  mutable hists : (string * Histogram.t) list;  (* per op kind, sorted *)
   counts : counts;
   mutable extra_counters : (string * (unit -> int)) list;
       (* externally registered counter getters (reclamation pressure,
          shed totals, ...), read at render time; registration order *)
 }
 
-let create ?(sub_bits = 5) ?(sample_every = 50_000) ?(max_samples = 512)
-    ?trace ~cycles_per_ns ~nprocs () =
+let create ?(sample_every = 50_000) ?(max_samples = 512) ?trace ~cycles_per_ns
+    ~nprocs () =
   if cycles_per_ns <= 0.0 then
     invalid_arg "Recorder.create: cycles_per_ns must be positive";
   if sample_every <= 0 then
@@ -51,7 +50,6 @@ let create ?(sub_bits = 5) ?(sample_every = 50_000) ?(max_samples = 512)
         Trace.thread_name tr ~pid (Printf.sprintf "process %d" pid)
       done);
   {
-    sub_bits;
     sample_every;
     max_samples;
     cycles_per_ns;
@@ -113,25 +111,23 @@ let tick t now =
 
 let ns_of t cycles = int_of_float (float_of_int cycles /. t.cycles_per_ns)
 
+(* Kinds stay sorted, so the report does not depend on which process
+   recorded a kind first. *)
 let hist_for t kind =
   match List.assoc_opt kind t.hists with
   | Some h -> h
   | None ->
-      let h = Histogram.create ~sub_bits:t.sub_bits () in
-      t.hists <- t.hists @ [ (kind, h) ];
+      let h = Histogram.create () in
+      t.hists <-
+        List.sort (fun (a, _) (b, _) -> compare a b) ((kind, h) :: t.hists);
       h
 
-let op t ~pid ~kind ~start ~finish =
-  Histogram.record (hist_for t kind) (ns_of t (finish - start));
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.complete tr ~pid ~name:kind ~cat:"op" ~start ~finish
-
-(* Per-process recording buffers for parallel backends: each domain records
-   into its own histogram table with no synchronization, and the tables are
-   folded into the shared per-kind histograms once, at flush.  Only trace
-   emission — a shared append-only buffer, active only when a trace is
-   attached — still serializes, on one mutex shared by all locals. *)
+(* Per-process recording buffers, the one recording path on every backend:
+   each process records into its own histogram table with no
+   synchronization, and the tables are folded into the shared per-kind
+   histograms once, after the run.  Only trace emission — a shared
+   append-only buffer, active only when a trace is attached — serializes,
+   on one mutex shared by all locals. *)
 
 type local = {
   l_pid : int;
@@ -149,7 +145,7 @@ let local_hist l kind =
   match List.assoc_opt kind l.l_hists with
   | Some h -> h
   | None ->
-      let h = Histogram.create ~sub_bits:l.l_owner.sub_bits () in
+      let h = Histogram.create () in
       l.l_hists <- l.l_hists @ [ (kind, h) ];
       h
 
@@ -254,12 +250,7 @@ let hist_json h =
        ("mean", Json.Float (Histogram.mean h));
      ]
     @ List.map
-        (fun (p, v) ->
-          let key =
-            if Float.is_integer p then Printf.sprintf "p%.0f" p
-            else "p" ^ String.concat "" (String.split_on_char '.' (Printf.sprintf "%.1f" p))
-          in
-          (key, Json.Int v))
+        (fun (p, v) -> (Histogram.percentile_key p, Json.Int v))
         (Histogram.percentiles h))
 
 let series_json g =

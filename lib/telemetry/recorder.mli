@@ -6,10 +6,12 @@
     Three collection channels, all host-side (recording never costs
     simulated cycles — see DESIGN.md §8):
 
-    - {b Latency histograms.}  {!op} records one completed data-structure
-      operation: virtual-cycle duration converted to simulated nanoseconds
-      into a per-kind log-bucketed histogram, plus (when tracing) an ["X"]
-      span on the process' track.
+    - {b Latency histograms.}  {!local_op} records one completed
+      data-structure operation into its process' buffer: virtual-cycle
+      duration converted to simulated nanoseconds into a per-kind
+      log-bucketed histogram, plus (when tracing) an ["X"] span on the
+      process' track; {!merge_locals} folds the buffers together after the
+      run.
     - {b Time series.}  {!tick}, driven by [Sim.run ~tick], reads every
       registered gauge and appends one sample per series.  Gauges are
       uninstrumented reads of simulation state (limbo populations, epoch
@@ -23,7 +25,6 @@
 type t
 
 val create :
-  ?sub_bits:int ->
   ?sample_every:int ->
   ?max_samples:int ->
   ?trace:Trace.t ->
@@ -66,18 +67,14 @@ val on_event : t -> Runtime.Ctx.t -> Memory.Smr_event.t -> unit
 (** The event callback to subscribe with
     [Runtime.Ctx.subscriber ~scope:(Memory.Heap.scope heap) ~event]. *)
 
-val op : t -> pid:int -> kind:string -> start:int -> finish:int -> unit
-(** Record one completed operation ([start]/[finish] in virtual cycles). *)
+(** {2 Per-process buffers}
 
-(** {2 Per-process buffers for parallel backends}
-
-    On the domains backend many workers record concurrently; routing them
-    all through {!op} would serialize the hot path on one lock.  Instead
-    each worker records into its own {!local} buffer with no
-    synchronization, and {!merge_locals} folds every buffer into the shared
+    Every process records into its own {!local} buffer with no
+    synchronization — on the domains backend many workers record
+    concurrently — and {!merge_locals} folds every buffer into the shared
     per-kind histograms once, after the run.  When a trace is attached,
-    trace emission (a shared buffer) still serializes on one mutex shared
-    by the locals; histogram recording never does. *)
+    trace emission (a shared buffer) serializes on one mutex shared by the
+    locals; histogram recording never does. *)
 
 type local
 
@@ -85,11 +82,12 @@ val locals : t -> local array
 (** One buffer per process, indexed by pid. *)
 
 val local_op : local -> kind:string -> start:int -> finish:int -> unit
-(** Record one completed operation into this process' buffer. *)
+(** Record one completed operation ([start]/[finish] in backend cycles)
+    into this process' buffer. *)
 
 val merge_locals : t -> local array -> unit
 (** Fold every buffer's histograms into the recorder's shared table (same
-    [sub_bits], so the merge is exact).  Call once, after all recording
+    bucketing, so the merge is exact).  Call once, after all recording
     processes have finished. *)
 
 val histogram : t -> string -> Histogram.t option

@@ -254,11 +254,10 @@ let run_once ~ds ~scheme cfg policy = (harness_of scheme).run ~ds cfg policy
     run raises (a sanitizer {!Violation}, an arena's use-after-free /
     double-free trap, a wedge) rejects the cell with the schedule that
     triggered it. *)
-let explore ?(budget = 2) ?(max_runs = 2000) ?(wide = false) ?log ~ds
-    ~scheme cfg =
+let explore ?(budget = 2) ?(max_runs = 2000) ?log ~ds ~scheme cfg =
   let p = harness_of scheme in
   let spec = spec_of_ds ds in
-  Lincheck.Explore.explore ~budget ~max_runs ~wide ?log
+  Lincheck.Explore.explore ~budget ~max_runs ?log
     ~run_one:(fun policy -> p.run ~ds cfg policy)
     ~check:(fun h ->
       match Lincheck.Checker.check spec h with

@@ -135,7 +135,8 @@ let panel ~ds variant =
 (* Panel driver: one table per (structure, range, mix); schemes as columns,
    process counts as rows; cells in Mops/s with % overhead vs the first
    (baseline) column. *)
-let run_panel ?(on_outcome = fun (_ : Trial.outcome) -> ()) ~title ~runners
+let run_panel ?(on_outcome = fun (_ : runner) (_ : Trial.outcome) -> ())
+    ~title ~runners
     ~threads ~cfg_of () =
   let header =
     "procs"
@@ -156,7 +157,7 @@ let run_panel ?(on_outcome = fun (_ : Trial.outcome) -> ()) ~title ~runners
               let o = r.run (cfg_of n) in
               backend := o.Trial.backend;
               wall := !wall +. o.Trial.wall_seconds;
-              on_outcome o;
+              on_outcome r o;
               (r, o))
             runners
         in

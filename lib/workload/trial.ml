@@ -144,10 +144,10 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       match san with None -> f () | Some sa -> Sanitizer.with_checks sa f
     in
     let chaos_engine = ref None in
-    (* Set by [recording_body] on a parallel backend: folds the per-domain
-       telemetry buffers into the recorder's shared histograms, once, after
-       the run. *)
-    let merge_telemetry = ref (fun () -> ()) in
+    (* One telemetry buffer per process, merged after the run. *)
+    let buffers =
+      Option.map (fun r -> (r, Telemetry.Recorder.locals r)) telemetry
+    in
     let run_result, base_claimed, limbo, invariant_failure =
       checked (fun () ->
           let s = S.create rm ~capacity in
@@ -253,58 +253,45 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
             done
           in
           (* Same loop with per-operation timestamping.  Kept separate so
-             the telemetry-off path contains no recording code at all.  On
-             a non-deterministic backend each domain records into its own
-             per-process buffer (no synchronization on the hot path) and
-             the buffers are merged into the shared histograms after the
-             run; the deterministic path records directly, exactly as
-             before. *)
-          let recording_body rec_ =
-            let record =
-              if E.deterministic then Telemetry.Recorder.op rec_
-              else begin
-                let locals = Telemetry.Recorder.locals rec_ in
-                merge_telemetry :=
-                  (fun () -> Telemetry.Recorder.merge_locals rec_ locals);
-                fun ~pid ~kind ~start ~finish ->
-                  Telemetry.Recorder.local_op locals.(pid) ~kind ~start
-                    ~finish
-              end
-            in
-            fun pid () ->
-              let ctx = Runtime.Group.ctx group pid in
-              let rng = Random.State.make [| seed; pid; 41 |] in
-              while Runtime.Ctx.now ctx < duration do
-                let key = 1 + Random.State.int rng range in
-                let r = Random.State.int rng 100 in
-                let start = Runtime.Ctx.now ctx in
-                let kind =
-                  if r < ins then begin
-                    ignore
-                      (record_op ctx (Lincheck.History.Add key) (fun () ->
-                           S.insert s ctx ~key ~value:key));
-                    "insert"
-                  end
-                  else if r < ins + del then begin
-                    ignore
-                      (record_op ctx (Lincheck.History.Remove key) (fun () ->
-                           S.delete s ctx key));
-                    "delete"
-                  end
-                  else begin
-                    ignore
-                      (record_op ctx (Lincheck.History.Mem key) (fun () ->
-                           S.contains s ctx key));
-                    "search"
-                  end
-                in
-                record ~pid ~kind ~start ~finish:(Runtime.Ctx.now ctx)
-              done
+             the telemetry-off path contains no recording code at all.
+             Each process records into its own buffer (no synchronization
+             on the hot path, on either backend), and the buffers are
+             merged into the shared histograms after the run. *)
+          let recording_body locals pid () =
+            let ctx = Runtime.Group.ctx group pid in
+            let rng = Random.State.make [| seed; pid; 41 |] in
+            while Runtime.Ctx.now ctx < duration do
+              let key = 1 + Random.State.int rng range in
+              let r = Random.State.int rng 100 in
+              let start = Runtime.Ctx.now ctx in
+              let kind =
+                if r < ins then begin
+                  ignore
+                    (record_op ctx (Lincheck.History.Add key) (fun () ->
+                         S.insert s ctx ~key ~value:key));
+                  "insert"
+                end
+                else if r < ins + del then begin
+                  ignore
+                    (record_op ctx (Lincheck.History.Remove key) (fun () ->
+                         S.delete s ctx key));
+                  "delete"
+                end
+                else begin
+                  ignore
+                    (record_op ctx (Lincheck.History.Mem key) (fun () ->
+                         S.contains s ctx key));
+                  "search"
+                end
+              in
+              Telemetry.Recorder.local_op locals.(pid) ~kind ~start
+                ~finish:(Runtime.Ctx.now ctx)
+            done
           in
           let body =
-            match telemetry with
+            match buffers with
             | None -> plain_body
-            | Some rec_ -> recording_body rec_
+            | Some (_, locals) -> recording_body locals
           in
           (* Bounded-memory mode and fault injection arm after the prefill:
              the record budget and the access-count fault triggers apply to
@@ -331,7 +318,9 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
           Option.iter Chaos.uninstall !chaos_engine;
           Option.iter (fun restore -> restore ()) restore_stall;
           Option.iter (Runtime.Group.unsubscribe group) tel_sub;
-          !merge_telemetry ();
+          Option.iter
+            (fun (r, locals) -> Telemetry.Recorder.merge_locals r locals)
+            buffers;
           let limbo = RM.limbo_size rm in
           (* Post-fault validation: whatever the faults did, the structure
              the survivors left behind must still satisfy its invariants. *)

@@ -71,6 +71,40 @@ let test_histogram_stats () =
   let m = Telemetry.Histogram.max_value h in
   Alcotest.(check bool) "merged max" true (m >= 1_000_000 * 31 / 32)
 
+(* Per-process buffers merged after a run read exactly like one buffer fed
+   every sample: the merge adds bucket counts, and min, max and the
+   (integer-valued) total are exact. *)
+let test_merge_locals () =
+  let rng = seeded 7 and nprocs = 4 in
+  let recorder () = Telemetry.Recorder.create ~cycles_per_ns:1.0 ~nprocs () in
+  let merged = recorder () and single = recorder () in
+  let locals = Telemetry.Recorder.locals merged in
+  let one = (Telemetry.Recorder.locals single).(0) in
+  for i = 0 to 4_999 do
+    let kind = if i mod 3 = 0 then "search" else "insert" in
+    let finish = int_of_float (exp (Random.State.float rng 12.0)) in
+    Telemetry.Recorder.local_op locals.(i mod nprocs) ~kind ~start:0 ~finish;
+    Telemetry.Recorder.local_op one ~kind ~start:0 ~finish
+  done;
+  Telemetry.Recorder.merge_locals merged locals;
+  Telemetry.Recorder.merge_locals single [| one |];
+  let stats r =
+    List.map
+      (fun (kind, pcts) ->
+        let h = Option.get (Telemetry.Recorder.histogram r kind) in
+        let open Telemetry.Histogram in
+        (kind, [ count h; min_value h; max_value h; int_of_float (mean h) ], pcts))
+      (Telemetry.Recorder.latency_percentiles r)
+  in
+  Alcotest.(check (list (triple string (list int) (list (pair (float 0.) int)))))
+    "count, min, max, mean and percentiles" (stats single)
+    (stats merged);
+  Alcotest.(check (float 0.)) "exact mean"
+    (Telemetry.Histogram.mean
+       (Option.get (Telemetry.Recorder.histogram single "insert")))
+    (Telemetry.Histogram.mean
+       (Option.get (Telemetry.Recorder.histogram merged "insert")))
+
 (* ------------------------------------------------------------------ *)
 (* Probe: fan-out, subscription order, out-of-order removal, scope      *)
 
@@ -223,7 +257,8 @@ let test_trace_well_formed () =
          t)
        (-1) limbo)
 
-(* The checked-in bench baselines are self-describing (bench/row.ml): every
+(* The checked-in bench baselines and pinned campaign reports are
+   self-describing (bench/row.ml): every
    row carries the declared key fields, every other scalar in a row is a
    declared metric, and every metric has a unit and an [exact] flag (so
    tools/bench_gate.py can gate it without knowing its name). *)
@@ -268,7 +303,13 @@ let test_bench_baselines () =
                 fields
           | _ -> Alcotest.failf "%s: a row is not an object" file)
         rows)
-    [ "BENCH_KV.json"; "BENCH_SIM.json"; "BENCH_SWEEP.json" ]
+    [
+      "BENCH_KV.json";
+      "BENCH_SIM.json";
+      "BENCH_SWEEP.json";
+      "test/CHAOS_REPORT.json";
+      "test/DEGRADATION_REPORT.json";
+    ]
 
 let test_metrics_json () =
   let rec_ =
@@ -437,6 +478,8 @@ let () =
           Alcotest.test_case "quantiles vs exact reference" `Quick
             test_histogram_quantiles;
           Alcotest.test_case "stats and merge" `Quick test_histogram_stats;
+          Alcotest.test_case "merged buffers equal one buffer" `Quick
+            test_merge_locals;
         ] );
       ( "probe",
         [
