@@ -158,20 +158,17 @@ let run ~scale =
            ~scale:{ scale with Experiments.duration }
            ~range ~ins:50 ~del:50 n)
         with
-        Workload.Schemes.sanitize = true;
+        Workload.Trial.sanitize = true;
         chaos = Some plan;
-        budget = -1;
         max_steps = Some 40_000_000;
-        history = None;
+        history = false;
         seed;
       }
     in
     let fname = fault_name fault in
     let outcome, errors =
       match (runner ~ds:structure scheme).run cfg with
-      | o ->
-          Experiments.check_history o;
-          (Some o, check_verdict ~expect_oom ~expect_crash ~judge_limbo o)
+      | o -> (Some o, check_verdict ~expect_oom ~expect_crash ~judge_limbo o)
       | exception Sim.Stuck info ->
           ( None,
             [

@@ -40,16 +40,9 @@ let sanitize = ref false
 let check_lin = ref false
 let history_out : string option ref = ref None
 let lin_failures = ref 0
-let current_history : Lincheck.History.recorder option ref = ref None
 
-(* Set by bench/main.ml's --backend flag.  Under [`Domains] the trial
-   duration is floored to ~20 ms of wall time (1 cycle = 1 ns): sim-scale
-   durations are virtual-time budgets and would elapse before every domain
-   even spawns. *)
+(* Set by bench/main.ml's --backend flag. *)
 let backend : Exec.Backend.t ref = ref `Sim
-
-let effective_duration duration =
-  match !backend with `Sim -> duration | `Domains -> max duration 20_000_000
 
 (* Per-op cost in cycles: the busy cycles of all processes over the ops
    they completed. *)
@@ -106,36 +99,15 @@ let trial_table () =
 
 (* Post-trial history handling: dump and/or WGL-check the recorded
    history.  The check is exponential in overlap; bench-scale histories
-   usually exceed the node budget, in which case we say so rather than
-   pretend a verdict (use quick --full=off scales, or the exploration
-   matrix, for real checking). *)
-let check_history (o : Workload.Trial.outcome) =
-  match !current_history with
-  | None -> ()
-  | Some r -> (
-      current_history := None;
-      let h = Lincheck.History.snapshot r in
-      (match !history_out with
-      | None -> ()
-      | Some file ->
-          Lincheck.History.save h file;
-          Printf.printf "  [history: %d events -> %s]\n%!"
-            (Lincheck.History.ops h) file);
-      if !check_lin then
-        match Lincheck.Checker.check Lincheck.Spec.set h with
-        | Lincheck.Checker.Linearizable ->
-            Printf.printf "  [linearizability: %s %dp ok (%d events)]\n%!"
-              o.Workload.Trial.scheme o.Workload.Trial.nprocs
-              (Lincheck.History.ops h)
-        | Lincheck.Checker.Non_linearizable _ as v ->
-            incr lin_failures;
-            Printf.printf "  [linearizability: %s %dp] %s\n%!"
-              o.Workload.Trial.scheme o.Workload.Trial.nprocs
-              (Lincheck.Checker.verdict_to_string v)
-        | exception Lincheck.Checker.Gave_up n ->
-            Printf.printf
-              "  [linearizability: gave up after %d search nodes (%d events) — history too large for WGL; shrink the workload or use the exploration matrix]\n%!"
-              n (Lincheck.History.ops h))
+   usually exceed the node budget, in which case it says so rather than
+   pretend a verdict (use small scales, or the exploration matrix, for
+   real checking). *)
+let check_history o =
+  if
+    not
+      (Workload.Trial.save_and_check_history ~out:!history_out
+         ~check:!check_lin o)
+  then incr lin_failures
 
 (* What a figure trial measured, beyond its scheme and process count: the
    key by which summary reads the outcomes exp1, exp2 and memfig recorded
@@ -144,10 +116,13 @@ type cell = { experiment : string; ds : string; range : int; ins : int; del : in
 
 let recorded = ref []
 
-(* [scheme] is the panel's column name (e.g. "debra"), not the outcome's
-   record-manager name. *)
-let remember cell ~scheme (o : Workload.Trial.outcome) =
-  recorded := ((cell, scheme, o.Workload.Trial.nprocs), o) :: !recorded
+(* Summary reads no history: dropping it keeps every figure trial's
+   recorded history from staying live for the whole run. *)
+let remember cell (o : Workload.Trial.outcome) =
+  recorded :=
+    ( (cell, o.Workload.Trial.scheme, o.Workload.Trial.nprocs),
+      { o with history = None } )
+    :: !recorded
 
 let find_outcome cell ~scheme ~nprocs = List.assoc (cell, scheme, nprocs) !recorded
 
@@ -164,28 +139,74 @@ let record_outcome ~panel (o : Workload.Trial.outcome) =
        ]
     @ trial_fields o)
 
-(* Shadow Workload.Schemes' run_panel so every panel in this file feeds the
-   JSON rows, and a figure panel's trials are remembered under [cell]. *)
+(* Panel driver: one table per (structure, range, mix); schemes as
+   columns, process counts as rows; cells in Mops/s with % overhead vs the
+   first (baseline) column.  Every trial feeds the JSON rows, and a figure
+   panel's trials are remembered under [cell]. *)
 let run_panel ?cell ~title ~runners ~threads ~cfg_of () =
-  run_panel
-    ~on_outcome:(fun r o ->
-      Option.iter (fun c -> remember c ~scheme:r.rname o) cell;
-      record_outcome ~panel:title o)
-    ~title ~runners ~threads ~cfg_of ()
+  let header =
+    "procs"
+    :: List.concat_map
+         (fun r ->
+           if r.rname = "none" then [ r.rname ] else [ r.rname; "vs none" ])
+         runners
+  in
+  let series = List.map (fun r -> (r.rname, ref [])) runners in
+  let backend = ref "sim" in
+  let wall = ref 0. in
+  let rows =
+    List.map
+      (fun n ->
+        let outcomes =
+          List.map
+            (fun r ->
+              let o = r.run (cfg_of n) in
+              backend := o.Workload.Trial.backend;
+              wall := !wall +. o.Workload.Trial.wall_seconds;
+              Option.iter (fun c -> remember c o) cell;
+              record_outcome ~panel:title o;
+              (r, o))
+            runners
+        in
+        let base =
+          match outcomes with (_, o) :: _ -> o.Workload.Trial.mops | [] -> 0.
+        in
+        string_of_int n
+        :: List.concat_map
+             (fun (r, (o : Workload.Trial.outcome)) ->
+               let pts = List.assoc r.rname series in
+               pts := (n, o.mops) :: !pts;
+               let shown =
+                 if o.oom then "OOM" else Workload.Report.fmt_mops o.mops
+               in
+               let shown =
+                 match o.violations with
+                 | Some v when v > 0 -> shown ^ "!SAN"
+                 | _ -> shown
+               in
+               if r.rname = "none" then [ shown ]
+               else [ shown; Workload.Report.(fmt_pct (rel ~base o.mops)) ])
+             outcomes)
+      threads
+  in
+  Workload.Report.table ~title ~header ~rows;
+  Printf.printf "  backend: %s, wall-clock %.2f s\n" !backend !wall;
+  Workload.Report.chart ~title:(title ^ " — figure")
+    ~series:(List.map (fun (name, pts) -> (name, List.rev !pts)) series)
+    ()
 
 let base_cfg ?(machine = Machine.Config.intel_i7_4770)
     ?(params = Reclaim.Intf.Params.default) ~scale ~range ~ins ~del n =
   {
+    Workload.Trial.default with
     backend = !backend;
     machine;
     params;
-    duration = effective_duration scale.duration;
+    duration = scale.duration;
     n;
     range;
     ins;
     del;
-    seed = 7;
-    capacity = range + 400_000;
     sanitize = !sanitize;
     telemetry =
       (if !Row.enabled then
@@ -194,17 +215,7 @@ let base_cfg ?(machine = Machine.Config.intel_i7_4770)
               ~cycles_per_ns:(Exec.Clock.cycles_per_ns (Exec.Backend.clock !backend))
               ~nprocs:n ())
        else None);
-    stall = None;
-    chaos = None;
-    budget = -1;
-    max_steps = None;
-    history =
-      (if !check_lin || !history_out <> None then begin
-         let r = Lincheck.History.recorder ~nprocs:n in
-         current_history := Some r;
-         Some r
-       end
-       else None);
+    history = !check_lin || !history_out <> None;
   }
 
 let mixes = [ (50, 50); (25, 25) ]
@@ -306,7 +317,7 @@ let memfig ~scale =
         :: List.concat_map
              (fun r ->
                let o = r.run (cfg n) in
-               remember cell ~scheme:r.rname o;
+               remember cell o;
                record_outcome ~panel:"memfig" o;
                let mem =
                  Workload.Report.fmt_bytes o.Workload.Trial.bytes_claimed_trial
@@ -330,11 +341,8 @@ let memfig ~scale =
 let ablate ~scale =
   Printf.printf "\n===== Ablations (DEBRA design choices, paper §4) =====\n";
   let p = Reclaim.Intf.Params.default in
-  let cfg_with params n =
-    {
-      (base_cfg ~scale ~range:scale.small_range ~ins:50 ~del:50 n) with
-      params;
-    }
+  let cfg_with params =
+    base_cfg ~params ~scale ~range:scale.small_range ~ins:50 ~del:50
   in
   let threads = [ 4; 8; 16 ] in
   (* CHECK_THRESH sweep *)
@@ -397,15 +405,9 @@ let ablate ~scale =
       (fun n ->
         let run padded =
           let params = { p with Reclaim.Intf.Params.padded_announcements = padded } in
-          let cfg =
-            {
-              (base_cfg ~machine:Machine.Config.oracle_t4_1 ~scale
-                 ~range:scale.small_range ~ins:25 ~del:25 n)
-              with
-              params;
-            }
-          in
-          (runner ~ds:"bst" "debra").run cfg
+          (runner ~ds:"bst" "debra").run
+            (base_cfg ~machine:Machine.Config.oracle_t4_1 ~params ~scale
+               ~range:scale.small_range ~ins:25 ~del:25 n)
         in
         [
           string_of_int n;

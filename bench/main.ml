@@ -24,8 +24,9 @@
 
     [--full] uses the paper-scale key ranges and thread counts (slow); the
     default "quick" scale shrinks the big key range and the grid.
-    [--json] also writes one BENCH_<experiment>.json per experiment, in
-    the row shape of bench/row.ml, the harness's only report format;
+    [--json] also writes one BENCH_<experiment>.json per experiment that
+    adds rows, in the row shape of bench/row.ml, the harness's only
+    report format (schemes and micro add none, and write no file);
     [--schemes LIST] runs a subset of kv's or e-overload's schemes;
     [--trace FILE] writes e-stall's DEBRA+ Chrome trace;
     [--chaos-seed N] replays one e-chaos seed instead of the sweep.
@@ -72,11 +73,13 @@ let run_one ~scale name =
 
 (* With --json, each experiment's rows (Row.add) are drained into
    BENCH_<experiment>.json; an experiment that only runs as summary's
-   input ([write] false) writes no file. *)
+   input ([write] false), or that adds no row, writes no file. *)
 let run_one_json ~scale ~write name =
   run_one ~scale name;
   if !Row.enabled then
     if not write then Row.clear ()
+    else if !Row.rows = [] then
+      Printf.printf "%s adds no json rows: no file written\n%!" name
     else begin
       (* The kv campaign's baseline is checked in as BENCH_KV.json, the
          e-scale campaign's as BENCH_SIM.json, and the VBR/Hyaline
@@ -204,8 +207,9 @@ let sanitize_arg =
 let json_arg =
   let doc =
     "Attach a telemetry recorder to every trial and write one \
-     BENCH_<experiment>.json per experiment: its key fields, its declared \
-     metrics (unit, direction, exactness) and one row per trial or cell."
+     BENCH_<experiment>.json per experiment that adds rows: its key \
+     fields, its declared metrics (unit, direction, exactness) and one row \
+     per trial or cell."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 

@@ -50,10 +50,20 @@ let table () =
   }
 
 let run ~scale =
-  let duration = max (2 * scale.Experiments.duration) 2_400_000 in
-  let scale = { scale with Experiments.duration } in
   let range = scale.Experiments.small_range in
   let n = nprocs in
+  let scale =
+    {
+      scale with
+      Experiments.duration = max (2 * scale.Experiments.duration) 2_400_000;
+    }
+  in
+  (* The stall and the sampling follow the length the trial runs for,
+     which the domains backend floors. *)
+  let duration =
+    Workload.Trial.duration
+      (Experiments.base_cfg ~scale ~range ~ins:50 ~del:50 n)
+  in
   let stall_at = duration / 5 in
   (* Parked until the end of the trial: the victim never comes back. *)
   let stall_cycles = duration - stall_at in
@@ -99,9 +109,8 @@ let run ~scale =
         let cfg =
           {
             (Experiments.base_cfg ~params ~scale ~range ~ins:50 ~del:50 n) with
-            Workload.Schemes.telemetry = Some rec_;
+            Workload.Trial.telemetry = Some rec_;
             stall = Some (stall_at, stall_cycles);
-            duration;
           }
         in
         let o = r.run cfg in

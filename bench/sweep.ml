@@ -44,32 +44,6 @@ let table =
       ];
   }
 
-let sweep_cfg ~backend ~scale ~n ~range =
-  {
-    Workload.Schemes.backend;
-    machine = Machine.Config.intel_i7_4770;
-    params = Reclaim.Intf.Params.default;
-    duration =
-      (match backend with
-      | `Sim -> scale.Experiments.duration
-      (* Sim durations are virtual-time budgets; on real domains they
-         would elapse before every domain spawns (1 cycle = 1 ns). *)
-      | `Domains -> max scale.Experiments.duration 20_000_000);
-    n;
-    range;
-    ins = 50;
-    del = 50;
-    seed = 7;
-    capacity = range + 400_000;
-    sanitize = false;
-    telemetry = None;
-    stall = None;
-    chaos = None;
-    budget = -1;
-    max_steps = None;
-    history = None;
-  }
-
 let sim_row ~structure ~scheme (o : Workload.Trial.outcome) =
   let open Telemetry.Json in
   [
@@ -112,7 +86,16 @@ let run ~scale =
           scheme;
         exit 2
     | Some r ->
-        let o = r.Workload.Schemes.run (sweep_cfg ~backend ~scale ~n ~range) in
+        let o =
+          r.Workload.Schemes.run
+            {
+              Workload.Trial.default with
+              backend;
+              duration = scale.Experiments.duration;
+              n;
+              range;
+            }
+        in
         let json, result =
           match backend with
           | `Sim ->

@@ -74,11 +74,6 @@ let run ds scheme variant backend procs range ins del duration machine seed
     | Error msg -> failwith msg
   in
   let clock = Exec.Backend.clock backend in
-  (* Sim durations are virtual-cycle budgets; on domains a cycle is a
-     wall-clock ns, so floor the default at ~20 ms of real time. *)
-  let duration =
-    match backend with `Sim -> duration | `Domains -> max duration 20_000_000
-  in
   let machine =
     match machine with
     | "t4" -> Machine.Config.oracle_t4_1
@@ -97,6 +92,28 @@ let run ds scheme variant backend procs range ins del duration machine seed
         Workload.Schemes.panels;
       exit 1
   | Some r ->
+      let plan =
+        match parse_chaos_kinds chaos with
+        | [] -> None
+        | kinds -> Some (Chaos.random_plan ~seed ~nprocs:procs kinds)
+      in
+      let cfg =
+        {
+          Workload.Trial.default with
+          backend;
+          machine;
+          duration;
+          n = procs;
+          range;
+          ins;
+          del;
+          seed;
+          (* Faulted runs always get the sanitizer: that is the point. *)
+          sanitize = sanitize || plan <> None;
+          chaos = plan;
+          history = check_lin || history_out <> None;
+        }
+      in
       (* A telemetry recorder is attached whenever any of its outputs is
          requested (trace file, metrics file) — percentiles then come for
          free in the printout. *)
@@ -113,52 +130,20 @@ let run ds scheme variant backend procs range ins del duration machine seed
           in
           Some
             (Telemetry.Recorder.create
-               ~sample_every:(max 10_000 (duration / 100))
+               ~sample_every:(max 10_000 (Workload.Trial.duration cfg / 100))
                ?trace:tr
                ~cycles_per_ns:(Exec.Clock.cycles_per_ns clock)
                ~nprocs:procs ())
       in
-      let plan =
-        match parse_chaos_kinds chaos with
-        | [] -> None
-        | kinds -> Some (Chaos.random_plan ~seed ~nprocs:procs kinds)
-      in
       Option.iter
         (fun p -> Printf.printf "chaos plan     : %s\n" (Chaos.plan_to_string p))
         plan;
-      let history =
-        if check_lin || history_out <> None then
-          Some (Lincheck.History.recorder ~nprocs:procs)
-        else None
-      in
-      let cfg =
-        {
-          Workload.Schemes.backend;
-          machine;
-          params = Reclaim.Intf.Params.default;
-          duration;
-          n = procs;
-          range;
-          ins;
-          del;
-          seed;
-          capacity = range + 400_000;
-          (* Faulted runs always get the sanitizer: that is the point. *)
-          sanitize = sanitize || plan <> None;
-          telemetry;
-          stall = None;
-          chaos = plan;
-          budget = -1;
-          max_steps = None;
-          history;
-        }
-      in
-      let o = r.Workload.Schemes.run cfg in
+      let o = r.Workload.Schemes.run { cfg with telemetry } in
       let open Workload.Trial in
       Printf.printf "data structure : %s (keys [1,%d], %d%%i/%d%%d/%d%%s)\n" ds
         range ins del
         (100 - ins - del);
-      Printf.printf "scheme         : %s\n" o.scheme;
+      Printf.printf "scheme         : %s(%s)\n" o.scheme o.pairing;
       Printf.printf "machine        : %s, %d processes\n"
         machine.Machine.Config.name procs;
       Printf.printf "backend        : %s (%.3f s wall clock)\n" o.backend
@@ -211,32 +196,11 @@ let run ds scheme variant backend procs range ins del duration machine seed
                   (fun (p, v) -> Printf.sprintf "  p%g=%d" p v)
                   ps)))
         o.latency;
-      (match history with
-      | None -> ()
-      | Some rec_ ->
-          let h = Lincheck.History.snapshot rec_ in
-          (match history_out with
-          | None -> ()
-          | Some file ->
-              Lincheck.History.save h file;
-              Printf.printf "history        : %d events written to %s\n"
-                (Lincheck.History.ops h) file);
-          if check_lin then (
-            match
-              Lincheck.Checker.check ~max_nodes:5_000_000 Lincheck.Spec.set h
-            with
-            | v ->
-                Printf.printf "linearizability: %s\n"
-                  (Lincheck.Checker.verdict_to_string v);
-                (match v with
-                | Lincheck.Checker.Non_linearizable _ -> exit 1
-                | Lincheck.Checker.Linearizable -> ())
-            | exception Lincheck.Checker.Gave_up n ->
-                Printf.printf
-                  "linearizability: gave up after %d search nodes — the \
-                   history (%d events) is too large for the WGL check; \
-                   shrink --duration/--procs/--range\n"
-                  n (Lincheck.History.ops h)));
+      if
+        not
+          (Workload.Trial.save_and_check_history ~out:history_out
+             ~check:check_lin o)
+      then exit 1;
       (match telemetry with
       | None -> ()
       | Some rec_ -> (

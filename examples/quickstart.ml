@@ -6,7 +6,7 @@
    2. instantiate a structure = functor application over the Record Manager;
    3. create a process group, an arena heap, and the shared environment;
    4. run process bodies — under the deterministic machine simulator here,
-      or on real domains with Runtime.Domain_runner.
+      or on real domains with Exec.Domain_exec.run.
 
    Run with: dune exec examples/quickstart.exe *)
 

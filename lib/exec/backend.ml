@@ -1,6 +1,6 @@
 (** Backend selection for command-line drivers: the [--backend sim|domains]
-    flag parses to a {!t}, and {!runner} resolves it (plus the simulator's
-    per-trial knobs) into a packed {!Intf.RUNNER}. *)
+    flag parses to a {!t}, and {!runner} resolves it into a packed
+    {!Intf.RUNNER}. *)
 
 type t = [ `Sim | `Domains ]
 
@@ -17,9 +17,8 @@ let of_string = function
 
 let clock = function `Sim -> Clock.sim | `Domains -> Clock.wall
 
-(** [runner ?machine ?max_steps t] packs the backend.  The two options
-    parameterize the simulator and are ignored (with no effect, not an
-    error) by the domains backend, which has no machine model. *)
-let runner ?machine ?max_steps : t -> (module Intf.RUNNER) = function
-  | `Sim -> Sim_exec.make ?machine ?max_steps ()
+(** [runner t] packs the backend, the simulator with its default machine
+    model. *)
+let runner : t -> (module Intf.RUNNER) = function
+  | `Sim -> Sim_exec.make ()
   | `Domains -> Domain_exec.make ()

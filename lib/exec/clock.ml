@@ -9,11 +9,9 @@
     - the real-parallelism domains backend scales wall-clock time so that
       one cycle is exactly 1 ns ([wall.cycles_per_second = 1.0e9]).
 
-    Before this module existed the two constants lived in
-    [Workload.Trial] and [Runtime.Domain_runner] respectively, with
-    drifting comments; every conversion (Mops/s, simulated-ns latency,
-    trace microseconds, sampling periods) now goes through a [Clock.t] so
-    a backend's numbers are always internally consistent. *)
+    Every conversion (Mops/s, simulated-ns latency, trace microseconds,
+    sampling periods) goes through a [Clock.t], so a backend's numbers
+    are always internally consistent. *)
 
 type t = {
   name : string;

@@ -6,23 +6,95 @@
     mixes written "xi-yd" (x% insert, y% delete, rest search), prefill to
     half the key range, fixed-duration trials.
 
-    Pass [?history] (a {!Lincheck.History.recorder}) to log every
-    operation — prefill included — as an invocation/response history for
-    the linearizability checker; sound on both backends (see
+    A trial is described by one {!cfg}, written as [{ default with ... }],
+    and everything it produced comes back in its {!outcome}.  With
+    [history] set, every operation — prefill included — is logged as an
+    invocation/response history for the linearizability checker and
+    returned in [outcome.history]; sound on both backends (see
     Lincheck.History on the two clocks).
 
     Execution is backend-polymorphic: the pipeline is written once against
     {!Exec.Intf.RUNNER} and runs on the deterministic virtual-time
-    simulator (the default, and the mode every published number uses) or on
-    real OCaml 5 domains ([~exec:(Exec.Domain_exec.make ())]).  Durations
-    and reported times are in cycles of the backend's {!Exec.Clock}; on a
-    non-deterministic backend the sim-only features degrade gracefully
-    (see DESIGN.md §10): the sanitizer is disabled, chaos plans are
-    restricted to {!Chaos.degrade}'s subset, and the telemetry event
-    counters are not subscribed. *)
+    simulator ([backend = `Sim], the default, and the mode every published
+    number uses) or on real OCaml 5 domains ([backend = `Domains]).
+    Durations and reported times are in cycles of the backend's
+    {!Exec.Clock}; on a non-deterministic backend the sim-only features
+    degrade gracefully (see DESIGN.md §10): the sanitizer is disabled,
+    chaos plans are restricted to {!Chaos.degrade}'s subset, and the
+    telemetry event counters are not subscribed. *)
+
+type cfg = {
+  backend : Exec.Backend.t;
+      (** execution backend: [`Sim] (deterministic virtual time) or
+          [`Domains] (real OCaml 5 parallelism) *)
+  machine : Machine.Config.t;  (** simulator machine model *)
+  policy : Sim.policy;  (** simulator scheduling policy *)
+  max_steps : int option;
+      (** simulator step budget: livelocks and fault-induced wedges raise
+          {!Sim.Stuck} instead of spinning forever *)
+  params : Reclaim.Intf.Params.t;
+  duration : int;
+      (** backend-clock cycles; see {!duration} for the domains floor *)
+  n : int;  (** processes *)
+  range : int;  (** keys are drawn from [1, range] *)
+  ins : int;  (** insert percentage *)
+  del : int;  (** delete percentage; the rest are searches *)
+  seed : int;
+  headroom : int;
+      (** arena records beyond [range]: the structure's arena holds
+          [range + headroom] records *)
+  sanitize : bool;  (** run the trial under the shadow-state sanitizer *)
+  telemetry : Telemetry.Recorder.t option;
+      (** attach a telemetry recorder: latency histograms, gauge time
+          series, optional Chrome trace *)
+  history : bool;
+      (** record every operation (prefill included) as an
+          invocation/response history, returned in [outcome.history] *)
+  stall : (int * int) option;
+      (** [(at, cycles)]: park the highest-pid process mid-operation at
+          time [at] for [cycles] — the E-stall campaign *)
+  chaos : Chaos.plan option;
+      (** fault-injection plan (crashes, signal faults, memory budget);
+          armed after the prefill — the E-crash / E-oom campaigns *)
+  budget : int;
+      (** bounded-memory mode: headroom in records the trial may claim
+          beyond what the prefill left claimed; negative = unlimited *)
+}
+
+let default =
+  {
+    backend = `Sim;
+    machine = Machine.Config.intel_i7_4770;
+    policy = `Min_time;
+    max_steps = None;
+    params = Reclaim.Intf.Params.default;
+    duration = 2_000_000;
+    n = 4;
+    range = 10_000;
+    ins = 50;
+    del = 50;
+    seed = 7;
+    headroom = 400_000;
+    sanitize = false;
+    telemetry = None;
+    history = false;
+    stall = None;
+    chaos = None;
+    budget = -1;
+  }
+
+(** The duration [cfg]'s trial runs for on its backend.  Sim durations are
+    virtual-cycle budgets; on domains a cycle is a wall-clock ns, and a
+    sim-scale budget would elapse before every domain even spawns, so the
+    domains backend runs for at least ~20 ms. *)
+let duration cfg =
+  match cfg.backend with
+  | `Sim -> cfg.duration
+  | `Domains -> max cfg.duration 20_000_000
 
 type outcome = {
-  scheme : string;
+  scheme : string;  (** registry name of the reclaimer, e.g. "debra" *)
+  pairing : string;  (** its pool and allocator, e.g. "pool,bump" *)
   backend : string;  (** executor that ran the trial: "sim" or "domains" *)
   nprocs : int;
   ops : int;
@@ -58,6 +130,8 @@ type outcome = {
       (** per-operation-kind latency percentiles in backend-clock ns, as
           [(percentile, value)] rows; empty when the trial ran without a
           telemetry recorder *)
+  history : Lincheck.History.t option;
+      (** the recorded operation history; [None] unless [cfg.history] *)
 }
 
 module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
@@ -67,17 +141,17 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
 
   module type SET = Face.SET
 
-  let trial (module S : SET) ?(machine = Machine.Config.intel_i7_4770)
-      ?(params = Reclaim.Intf.Params.default) ?(duration = 2_000_000)
-      ?(capacity = 0) ?(sanitize = false) ?telemetry ?history ?stall ?chaos
-      ?(budget = -1) ?max_steps ?policy ?exec ~n ~range ~ins ~del ~seed () =
-    (* Resolve the execution backend.  The default is the simulator built
-       from the per-trial knobs, which keeps every existing caller (and its
-       deterministic schedule) bit-for-bit unchanged. *)
+  let trial (module S : SET) cfg =
+    let { n; range; ins; del; seed; telemetry; stall; chaos; budget; _ } =
+      cfg
+    in
+    let duration = duration cfg in
     let (module E : Exec.Intf.RUNNER) =
-      match exec with
-      | Some e -> e
-      | None -> Exec.Sim_exec.make ~machine ?max_steps ?policy ()
+      match cfg.backend with
+      | `Sim ->
+          Exec.Sim_exec.make ~machine:cfg.machine ?max_steps:cfg.max_steps
+            ~policy:cfg.policy ()
+      | `Domains -> Exec.Domain_exec.make ()
     in
     (* Graceful degradation of sim-only features on a non-deterministic
        backend: the shadow-state sanitizer and the recorder's event
@@ -85,7 +159,7 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
        domains, and part of the chaos trigger vocabulary needs a global
        event order. *)
     let sanitize =
-      if sanitize && not E.deterministic then begin
+      if cfg.sanitize && not E.deterministic then begin
         Printf.eprintf
           "trial: sanitizer is unavailable on the %s backend; running \
            without it\n\
@@ -93,7 +167,7 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
           E.name;
         false
       end
-      else sanitize
+      else cfg.sanitize
     in
     let chaos =
       match chaos with
@@ -112,9 +186,8 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     in
     let group = Runtime.Group.create ~seed n in
     let heap = Memory.Heap.create () in
-    let env = Reclaim.Intf.Env.create ~params group heap in
+    let env = Reclaim.Intf.Env.create ~params:cfg.params group heap in
     let rm = RM.create env in
-    let capacity = if capacity > 0 then capacity else range + 200_000 in
     let san =
       if sanitize then
         Some
@@ -127,6 +200,9 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
        around an operation.  Sound on both backends — the recorder's global
        sequence counter is atomic, and each pid only touches its own slots
        (see Lincheck.History). *)
+    let history =
+      if cfg.history then Some (Lincheck.History.recorder ~nprocs:n) else None
+    in
     let record_op ctx op (f : unit -> bool) =
       match history with
       | None -> f ()
@@ -150,7 +226,7 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
     in
     let run_result, base_claimed, limbo, invariant_failure =
       checked (fun () ->
-          let s = S.create rm ~capacity in
+          let s = S.create rm ~capacity:(range + cfg.headroom) in
           (* Prefill to half the key range (uninstrumented: backend hooks
              are not yet installed, so this costs no measured time). *)
           let rng = Random.State.make [| seed; 4242 |] in
@@ -378,7 +454,8 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
       | Error _ -> (duration, 0., None, true)
     in
     {
-      scheme = RM.scheme_name;
+      scheme = RM.Reclaimer.name;
+      pairing = Printf.sprintf "%s,%s" RM.Pool.name RM.Alloc.name;
       backend = E.name;
       nprocs = n;
       ops;
@@ -410,5 +487,41 @@ module Run (RM : Reclaim.Intf.RECORD_MANAGER) = struct
         (match telemetry with
         | None -> []
         | Some rec_ -> Telemetry.Recorder.latency_percentiles rec_);
+      history = Option.map Lincheck.History.snapshot history;
     }
 end
+
+(** Write [o]'s recorded history to [out] and, with [check], WGL-check it
+    against the sequential set specification, printing one line for each.
+    [false] only when the check rejected the history: one too large for
+    the checker's node budget is reported, not judged. *)
+let save_and_check_history ~out ~check o =
+  match o.history with
+  | None -> true
+  | Some h -> (
+      let events = Lincheck.History.ops h in
+      Option.iter
+        (fun file ->
+          Lincheck.History.save h file;
+          Printf.printf "history        : %d events written to %s\n%!" events
+            file)
+        out;
+      let label = Printf.sprintf "%s %dp, %d events" o.scheme o.nprocs events in
+      if not check then true
+      else
+        match Lincheck.Checker.check Lincheck.Spec.set h with
+        | Lincheck.Checker.Linearizable ->
+            Printf.printf "linearizability: %s: ok\n%!" label;
+            true
+        | Lincheck.Checker.Non_linearizable _ as v ->
+            Printf.printf "linearizability: %s: %s\n%!" label
+              (Lincheck.Checker.verdict_to_string v);
+            false
+        | exception Lincheck.Checker.Gave_up nodes ->
+            Printf.printf
+              "linearizability: %s: gave up after %d search nodes, too \
+               large for the WGL check; shrink the workload or use the \
+               exploration matrix\n\
+               %!"
+              label nodes;
+            true)

@@ -11,6 +11,20 @@ let params =
     pool_cap_blocks = 2;
   }
 
+(* Every trial below runs the BST over 512 keys, 50i-50d, with [params],
+   and a step budget so that a wedge fails the test instead of hanging
+   it. *)
+let cfg =
+  {
+    Workload.Trial.default with
+    params;
+    duration = 400_000;
+    n = 6;
+    range = 512;
+    headroom = 200_000;
+    max_steps = Some 20_000_000;
+  }
+
 let or_wedged f =
   try f ()
   with Sim.Stuck i ->
@@ -46,8 +60,7 @@ let crash_mid_op ~policy ~seed () =
   let o =
     or_wedged (fun () ->
         BP.trial BP.Face.bst
-          ~params ~duration:400_000 ~sanitize:true ~chaos:plan
-          ~max_steps:20_000_000 ~policy ~n ~range:512 ~ins:50 ~del:50 ~seed ())
+          { cfg with sanitize = true; chaos = Some plan; policy; n; seed })
   in
   Alcotest.(check int) "one process crashed" 1 o.Workload.Trial.crashed;
   Alcotest.(check (option int)) "sanitizer silent" (Some 0)
@@ -77,9 +90,7 @@ let crash_in_handler () =
   in
   let o =
     or_wedged (fun () ->
-        BP.trial BP.Face.bst
-          ~params ~duration:400_000 ~sanitize:true ~chaos:plan
-          ~max_steps:20_000_000 ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
+        BP.trial BP.Face.bst { cfg with sanitize = true; chaos = Some plan; seed })
   in
   Alcotest.(check (option int)) "sanitizer silent" (Some 0)
     o.Workload.Trial.violations;
@@ -111,8 +122,7 @@ let crash_mid_op_vbr ~policy ~seed () =
   let o =
     or_wedged (fun () ->
         BV.trial BV.Face.bst
-          ~params ~duration:400_000 ~sanitize:true ~chaos:plan
-          ~max_steps:20_000_000 ~policy ~n ~range:512 ~ins:50 ~del:50 ~seed ())
+          { cfg with sanitize = true; chaos = Some plan; policy; n; seed })
   in
   Alcotest.(check int) "one process crashed" 1 o.Workload.Trial.crashed;
   Alcotest.(check (option int)) "sanitizer silent" (Some 0)
@@ -131,8 +141,7 @@ let crash_mid_op_hyaline ~policy ~seed () =
   let o =
     or_wedged (fun () ->
         BH.trial BH.Face.bst
-          ~params ~duration:400_000 ~sanitize:true ~chaos:plan
-          ~max_steps:20_000_000 ~policy ~n ~range:512 ~ins:50 ~del:50 ~seed ())
+          { cfg with sanitize = true; chaos = Some plan; policy; n; seed })
   in
   Alcotest.(check int) "one process crashed" 1 o.Workload.Trial.crashed;
   Alcotest.(check (option int)) "sanitizer silent" (Some 0)
@@ -156,8 +165,14 @@ let threadscan_crashed_collector ~seed () =
   let o =
     or_wedged (fun () ->
         BT.trial BT.Face.bst
-          ~params ~duration:300_000 ~sanitize:true ~chaos:plan
-          ~max_steps:20_000_000 ~n:4 ~range:512 ~ins:50 ~del:50 ~seed ())
+          {
+            cfg with
+            duration = 300_000;
+            sanitize = true;
+            chaos = Some plan;
+            n = 4;
+            seed;
+          })
   in
   Alcotest.(check int) "one process crashed" 1 o.Workload.Trial.crashed;
   Alcotest.(check (option int)) "sanitizer silent" (Some 0)
@@ -244,8 +259,7 @@ let oom_emergency_drain () =
   let o =
     or_wedged (fun () ->
         BP.trial BP.Face.bst
-          ~params ~duration:400_000 ~sanitize:true ~budget:headroom
-          ~max_steps:20_000_000 ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
+          { cfg with sanitize = true; budget = headroom; seed })
   in
   Alcotest.(check bool) "debra+ completes within the budget" false
     o.Workload.Trial.oom;
@@ -253,9 +267,7 @@ let oom_emergency_drain () =
     o.Workload.Trial.violations;
   let o_none =
     or_wedged (fun () ->
-        BN.trial BN.Face.bst
-          ~params ~duration:400_000 ~budget:headroom ~max_steps:20_000_000
-          ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
+        BN.trial BN.Face.bst { cfg with budget = headroom; seed })
   in
   Alcotest.(check bool) "none reports exhaustion" true o_none.Workload.Trial.oom
 
@@ -268,8 +280,7 @@ let oom_vbr_hyaline () =
   let o_vbr =
     or_wedged (fun () ->
         BV.trial BV.Face.bst
-          ~params ~duration:400_000 ~sanitize:true ~budget:headroom
-          ~max_steps:20_000_000 ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
+          { cfg with sanitize = true; budget = headroom; seed })
   in
   Alcotest.(check bool) "vbr completes within the budget" false
     o_vbr.Workload.Trial.oom;
@@ -278,8 +289,7 @@ let oom_vbr_hyaline () =
   let o_hyaline =
     or_wedged (fun () ->
         BH.trial BH.Face.bst
-          ~params ~duration:400_000 ~sanitize:true ~budget:headroom
-          ~max_steps:20_000_000 ~n:6 ~range:512 ~ins:50 ~del:50 ~seed ())
+          { cfg with sanitize = true; budget = headroom; seed })
   in
   Alcotest.(check bool) "hyaline completes within the budget" false
     o_hyaline.Workload.Trial.oom;
@@ -298,9 +308,14 @@ let determinism ~policy () =
     in
     or_wedged (fun () ->
         BP.trial BP.Face.bst
-          ~params ~duration:300_000 ~sanitize:true ~chaos:plan
-          ~max_steps:20_000_000 ~policy ~n:6 ~range:512 ~ins:50 ~del:50 ~seed
-          ())
+          {
+            cfg with
+            duration = 300_000;
+            sanitize = true;
+            chaos = Some plan;
+            policy;
+            seed;
+          })
   in
   let a = run () and b = run () in
   Alcotest.(check int) "ops equal" a.Workload.Trial.ops b.Workload.Trial.ops;
@@ -338,13 +353,14 @@ let stopped trial ?(params = params) fault =
   in
   or_wedged (fun () -> trial ~params ~stall ~chaos)
 
+let stopped_cfg ~params ~stall ~chaos =
+  { cfg with params; duration = 800_000; stall; chaos; n = n_stop; seed = 5 }
+
 let debra_bst ~params ~stall ~chaos =
-  BD.trial BD.Face.bst ~params ~duration:800_000 ?stall ?chaos
-    ~max_steps:20_000_000 ~n:n_stop ~range:512 ~ins:50 ~del:50 ~seed:5 ()
+  BD.trial BD.Face.bst (stopped_cfg ~params ~stall ~chaos)
 
 let debra_plus_bst ~params ~stall ~chaos =
-  BP.trial BP.Face.bst ~params ~duration:800_000 ?stall ?chaos
-    ~max_steps:20_000_000 ~n:n_stop ~range:512 ~ins:50 ~del:50 ~seed:5 ()
+  BP.trial BP.Face.bst (stopped_cfg ~params ~stall ~chaos)
 
 let verdict ?(params = params) e o =
   Reclaim.Registry.limbo_verdict e ~n:n_stop params ~limbo:o.Workload.Trial.limbo

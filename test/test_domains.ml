@@ -45,12 +45,8 @@ module H (RM : Reclaim.Intf.RECORD_MANAGER) = struct
         | _ -> ignore (L.contains t ctx key)
       done
     in
-    let _elapsed, outcomes = Runtime.Domain_runner.run group (Array.init n body) in
-    Array.iter
-      (function
-        | Runtime.Domain_runner.Finished -> ()
-        | Crashed _ -> Alcotest.fail "unexpected crash")
-      outcomes;
+    ignore (Exec.Domain_exec.run group (Array.init n body));
+    if Runtime.Group.any_crashed group then Alcotest.fail "unexpected crash";
     L.check_invariants t;
     Alcotest.(check int) "net size" (Array.fold_left ( + ) 0 net) (L.size t)
 
@@ -74,7 +70,7 @@ module H (RM : Reclaim.Intf.RECORD_MANAGER) = struct
         else if Option.is_some (Q.dequeue q ctx) then deq.(pid) <- deq.(pid) + 1
       done
     in
-    ignore (Runtime.Domain_runner.run group (Array.init n body));
+    ignore (Exec.Domain_exec.run group (Array.init n body));
     let total a = Array.fold_left ( + ) 0 a in
     Alcotest.(check int) "conserved" (total enq) (total deq + Q.size q)
 end
@@ -131,7 +127,7 @@ let test_dplus_pinned_until_ack () =
     | exception Runtime.Ctx.Neutralized -> neutralized := true);
     Atomic.set done_ true
   in
-  ignore (Runtime.Domain_runner.run group [| sender; peer |]);
+  ignore (Exec.Domain_exec.run group [| sender; peer |]);
   Alcotest.(check bool)
     (Printf.sprintf "epoch at most one step past the held peer (saw %d)"
        !max_lag)
@@ -174,7 +170,7 @@ let test_dplus_stall_wakes () =
     slept := Unix.gettimeofday () -. t0;
     Atomic.set woke true
   in
-  ignore (Runtime.Domain_runner.run group [| sender; peer |]);
+  ignore (Exec.Domain_exec.run group [| sender; peer |]);
   Alcotest.(check bool) "the stalled peer was neutralized" true !neutralized;
   Alcotest.(check bool)
     (Printf.sprintf "it woke early (slept %.2f s of 20)" !slept)
@@ -219,7 +215,7 @@ let test_arena_freelist_parallel () =
     done;
     List.iter (fun p -> Memory.Arena.release ctx arena p ~recycle:true) !held
   in
-  ignore (Runtime.Domain_runner.run group (Array.init n body));
+  ignore (Exec.Domain_exec.run group (Array.init n body));
   Alcotest.(check int) "no cross-corruption" 0 (Atomic.get corrupted);
   Alcotest.(check int) "all released" 0 (Memory.Arena.live_records arena);
   Alcotest.(check int) "allocs = frees" (Memory.Arena.total_allocs arena)
@@ -251,7 +247,7 @@ let test_shared_bag_parallel () =
         | None -> ()
     done
   in
-  ignore (Runtime.Domain_runner.run group (Array.init n body));
+  ignore (Exec.Domain_exec.run group (Array.init n body));
   Alcotest.(check int) "block intact" 0 (Atomic.get torn);
   let total_popped = Array.fold_left ( + ) 0 popped in
   Alcotest.(check int) "blocks conserved"

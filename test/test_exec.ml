@@ -11,7 +11,9 @@
    - the Sim_exec refactor left the deterministic schedule bit-for-bit
      unchanged: full trials through Workload.Schemes reproduce outcomes
      captured on the pre-refactor tree (same ops, virtual time, limbo,
-     neutralization and signal counts). *)
+     neutralization and signal counts);
+   - a trial's outcome names its scheme as the registry does, and returns
+     the operation history it recorded, which passes the WGL check. *)
 
 (* ------------------------------------------------------------------ *)
 (* Exec.Clock                                                          *)
@@ -273,7 +275,7 @@ let test_fast_path () =
       touch ctx 4
     end
   in
-  ignore (Runtime.Domain_runner.run group (Array.init 2 body));
+  ignore (Exec.Domain_exec.run group (Array.init 2 body));
   Alcotest.(check bool) "slow while hooked" true !slow_while_hooked;
   Alcotest.(check int) "hook saw every access while subscribed" !expected
     !seen;
@@ -302,25 +304,7 @@ let test_fast_path () =
 (* outcomes exactly                                                     *)
 
 let sim_cfg ~duration ~n ~range ~seed =
-  {
-    Workload.Schemes.backend = `Sim;
-    machine = Machine.Config.intel_i7_4770;
-    params = Reclaim.Intf.Params.default;
-    duration;
-    n;
-    range;
-    ins = 50;
-    del = 50;
-    seed;
-    capacity = range + 400_000;
-    sanitize = false;
-    telemetry = None;
-    stall = None;
-    chaos = None;
-    budget = -1;
-    max_steps = None;
-    history = None;
-  }
+  { Workload.Trial.default with duration; n; range; seed }
 
 let golden ~ds ~scheme ~cfg ~ops ~virtual_time ~limbo ?neutralized
     ?signals_sent ?allocs () =
@@ -391,6 +375,56 @@ let test_sim_repeatable () =
   Alcotest.(check int) "frees" a.frees b.frees;
   Alcotest.(check int) "bytes_claimed" a.bytes_claimed b.bytes_claimed
 
+(* ------------------------------------------------------------------ *)
+(* What a trial returns                                                 *)
+
+(* The outcome names the scheme by its registry name, so figure rows join
+   with every other artefact; the pool/allocator pairing is its own
+   field. *)
+let test_outcome_names () =
+  let r = Workload.Schemes.runner ~ds:"bst" "debra" in
+  let o = r.Workload.Schemes.run (sim_cfg ~duration:50_000 ~n:2 ~range:64 ~seed:1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S is a registry name" o.Workload.Trial.scheme)
+    true
+    (List.mem o.Workload.Trial.scheme Reclaim.Registry.names);
+  Alcotest.(check string) "scheme" "debra" o.Workload.Trial.scheme;
+  Alcotest.(check string) "pairing" "pool,bump" o.Workload.Trial.pairing
+
+(* A timed trial with [history] on returns what it recorded: every
+   measured operation (and the prefill) completed in the history, which
+   the WGL checker accepts. *)
+let test_trial_history () =
+  let r = Workload.Schemes.runner ~ds:"list" "debra" in
+  let o =
+    r.Workload.Schemes.run
+      {
+        (sim_cfg ~duration:4_000 ~n:2 ~range:4 ~seed:7) with
+        Workload.Trial.history = true;
+      }
+  in
+  let h =
+    match o.Workload.Trial.history with
+    | Some h -> h
+    | None -> Alcotest.fail "history requested but not returned"
+  in
+  let completed =
+    Array.fold_left
+      (fun acc e -> if Lincheck.History.is_pending e then acc else acc + 1)
+      0 h
+  in
+  Alcotest.(check bool) "trial ran" true (o.Workload.Trial.ops > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d completed operations >= %d ops" completed
+       o.Workload.Trial.ops)
+    true
+    (completed >= o.Workload.Trial.ops);
+  Alcotest.(check bool) "linearizable" true
+    (Lincheck.Checker.linearizable Lincheck.Spec.set h);
+  let plain = r.Workload.Schemes.run (sim_cfg ~duration:4_000 ~n:2 ~range:4 ~seed:7) in
+  Alcotest.(check bool) "no history unless asked" true
+    (plain.Workload.Trial.history = None)
+
 let () =
   Alcotest.run "exec"
     [
@@ -424,5 +458,11 @@ let () =
           Alcotest.test_case "list debra golden" `Quick
             test_sim_golden_debra_list;
           Alcotest.test_case "repeatable" `Quick test_sim_repeatable;
+        ] );
+      ( "outcome",
+        [
+          Alcotest.test_case "registry name and pairing" `Quick
+            test_outcome_names;
+          Alcotest.test_case "recorded history" `Quick test_trial_history;
         ] );
     ]

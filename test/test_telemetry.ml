@@ -181,25 +181,18 @@ let test_json_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Traced trial: Chrome trace parses back and is well-formed           *)
 
-let small_cfg ?telemetry ?stall ?(duration = 300_000) ?(n = 4) () =
+(* A 200,000-record arena whatever the key range. *)
+let small_cfg ?telemetry ?stall ?(duration = 300_000) ?(n = 4)
+    ?(range = 2_000) () =
   {
-    Workload.Schemes.backend = `Sim;
-    machine = Machine.Config.intel_i7_4770;
-    params = Reclaim.Intf.Params.default;
+    Workload.Trial.default with
     duration;
     n;
-    range = 2_000;
-    ins = 50;
-    del = 50;
+    range;
     seed = 11;
-    capacity = 200_000;
-    sanitize = false;
+    headroom = 200_000 - range;
     telemetry;
     stall;
-  chaos = None;
-    budget = -1;
-    max_steps = None;
-    history = None;
   }
 
 let test_trace_well_formed () =
@@ -398,7 +391,7 @@ let test_telemetry_with_sanitizer () =
   in
   let r = Workload.Schemes.runner ~ds:"bst" "debra+" in
   let cfg = small_cfg ~telemetry:rec_ () in
-  let o = r.Workload.Schemes.run { cfg with Workload.Schemes.sanitize = true } in
+  let o = r.Workload.Schemes.run { cfg with Workload.Trial.sanitize = true } in
   Alcotest.(check (option int)) "no violations" (Some 0)
     o.Workload.Trial.violations;
   Alcotest.(check bool) "trace collected alongside sanitizer" true
@@ -434,10 +427,9 @@ let test_estall_bound () =
     let cfg =
       {
         (small_cfg ~telemetry:rec_ ~stall:(stall_at, duration - stall_at)
-           ~duration ~n ())
+           ~duration ~n ~range:10_000 ())
         with
-        Workload.Schemes.params;
-        range = 10_000;
+        Workload.Trial.params;
       }
     in
     let o = r.Workload.Schemes.run cfg in
